@@ -6,7 +6,8 @@ hypergraph or query), ``widths`` (compute width measures), ``verify``
 evaluation plan against a CSV directory).
 
 Exit codes: 0 success/ACCEPT, 1 REJECT or failed validation, 2 usage
-error, 3 resource budget exceeded.
+error (including a statistics file that names an unknown relation),
+3 resource budget exceeded (including the optimizer's round cap).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .bags import ResourceBudgetError, soft_bags_level
 from .constraints import (
     AlwaysTrue,
     ConnectedCover,
+    NonConvergenceError,
     PartitionClustering,
     ShallowCyclicity,
     cost_order,
@@ -29,7 +31,7 @@ from .constraints import (
     solve_constrained,
     trivial_order,
 )
-from .costs import StatsCatalog
+from .costs import MissingStatisticError, StatsCatalog
 from .cq import QuerySyntaxError, UnsupportedSqlError, parse_cq, sql_to_cq
 from .hypergraph import parse_hypergraph
 from .oracles import OracleBudgetError, ghw_leq, hw_leq, validate_td
@@ -285,10 +287,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, QuerySyntaxError, UnsupportedSqlError, ValueError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, MissingStatisticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceBudgetError, SolverBudgetError, OracleBudgetError) as exc:
+    except (ResourceBudgetError, SolverBudgetError, OracleBudgetError,
+            NonConvergenceError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -59,13 +59,17 @@ class Conjunction(Constraint):
 class ConnectedCover(Constraint):
     """Every bag must have a connected edge cover of size at most k."""
 
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)  # (bag, k) -> verdict
+    _cached_for: object = field(default=None, repr=False, compare=False)  # its hypergraph
 
     def holds(self, h, td, k):
         return all(self.bag_ok(h, bag, k) for bag in td.bags)
 
     def bag_ok(self, h, bag, k):
-        key = (id(h), bag, k)
+        if h is not self._cached_for:
+            self._cache.clear()
+            self._cached_for = h
+        key = (bag, k)
         if key not in self._cache:
             self._cache[key] = connected_cover(h, bag, k) is not None
         return self._cache[key]
@@ -303,12 +307,17 @@ class NonConvergenceError(RuntimeError):
 def solve_constrained(h, bags, constraint, order, max_rounds=None):
     """Cheapest constraint-satisfying decomposition over a bag family.
 
-    Dynamic programming over blocks: each round re-assembles, for every
-    block and candidate root bag, a tree from the current best subtrees
-    of its sub-blocks, and replaces the block's entry only on strict
-    improvement.  At the fixpoint every entry is globally minimal, so
-    with a preference-complete (constraint, order) pairing the answer
-    is ACCEPT iff any satisfying tree exists.
+    Dynamic programming over blocks: each round visits, for every block
+    and candidate root bag, the tree assembled from the current best
+    subtrees of its sub-blocks, and replaces the block's entry only on
+    strict improvement.  At the fixpoint every entry is globally
+    minimal, so with a preference-complete (constraint, order) pairing
+    the answer is ACCEPT iff any satisfying tree exists.
+
+    A tree is assembled and scored only when one of its sub-blocks has
+    changed since the last assembly with the same root bag and
+    sub-blocks; otherwise the stored tree and key are compared again.
+    Each block's entry carries a version that counts its replacements.
 
     For a disconnected hypergraph the components are solved
     independently; the returned tree stitches their roots together and
@@ -324,29 +333,41 @@ def solve_constrained(h, bags, constraint, order, max_rounds=None):
     masks = _bag_masks(bags)
     k = getattr(bags, "k", None)
     best = {}  # block -> (CostKey, tree)
-    blocks = []
+    version = {}  # block -> number of times best[block] was set
+    n_blocks = 0
+    pairs = []  # (block, root bag, sub-blocks, slot), in visiting order
+    slots = {}  # (root bag, sub-blocks) -> index into scored
     for s in [0, *sorted(set(masks), key=ids_of)]:
         for c in h.vertex_components(s):
-            blocks.append((s, c))
-    cap = max_rounds if max_rounds is not None else 2 * len(blocks) + 4
-    for _ in range(cap):
-        changed = False
-        for block in blocks:
-            s, c = block
+            n_blocks += 1
             conn = s & _neighborhood(h, c)
             for x in masks:
                 if x == s or x & ~(s | c) or conn & ~x:
                     continue
-                subs = _sub_blocks(h, block, x)
-                if subs is None or any(sb not in best for sb in subs):
-                    continue
-                tree = _assemble(h, x, [best[sb][1] for sb in subs], k)
-                if not constraint.holds(h, tree, k):
-                    continue
-                key = order(tree)
-                if block not in best or key < best[block][0]:
-                    best[block] = (key, tree)
-                    changed = True
+                subs = _sub_blocks(h, (s, c), x)
+                if subs is not None:
+                    slot = slots.setdefault((x, subs), len(slots))
+                    pairs.append(((s, c), x, subs, slot))
+    # per slot: (sub-block versions, tree, key or None if the constraint
+    # fails) from its last assembly
+    scored = [None] * len(slots)
+    root_covers = {}  # root bag -> minimum cover, filled on first assembly
+    cap = max_rounds if max_rounds is not None else 2 * n_blocks + 4
+    for _ in range(cap):
+        changed = False
+        for block, x, subs, slot in pairs:
+            if any(sb not in best for sb in subs):
+                continue
+            stamp = tuple(version[sb] for sb in subs)
+            if scored[slot] is None or scored[slot][0] != stamp:
+                tree = _assemble(h, x, [best[sb][1] for sb in subs], k, root_covers)
+                key = order(tree) if constraint.holds(h, tree, k) else None
+                scored[slot] = (stamp, tree, key)
+            _, tree, key = scored[slot]
+            if key is not None and (block not in best or key < best[block][0]):
+                best[block] = (key, tree)
+                version[block] = version.get(block, 0) + 1
+                changed = True
         if not changed:
             break
     else:
@@ -376,13 +397,17 @@ def _sub_blocks(h, block, x):
         return None
     if any(e & c and e & ~cover for e in h.edge_masks):
         return None
-    return [(x, y) for y in ys]
+    return tuple((x, y) for y in ys)
 
 
-def _assemble(h, root_bag, subtrees, k):
+def _assemble(h, root_bag, subtrees, k, root_covers):
+    """The tree with ``root_bag`` over ``subtrees``; ``root_covers``
+    caches each root bag's minimum cover across calls."""
+    if root_bag not in root_covers:
+        root_covers[root_bag] = minimum_cover(h, root_bag, max_size=k)
     bags = [root_bag]
     parents = [-1]
-    covers = [minimum_cover(h, root_bag, max_size=k)]
+    covers = [root_covers[root_bag]]
     if covers[0] is None:
         raise ValueError("root bag not coverable within the width limit")
     for sub in subtrees:

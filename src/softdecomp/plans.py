@@ -5,11 +5,22 @@ the atoms assigned to it, projected to the bag), runs bottom-up
 semi-joins, then — for queries with output variables — top-down
 semi-joins and a final join.  Boolean queries stop after the up phase
 with a root nonemptiness probe.
+
+The interpreter picks its own join order; the plan text does not fix
+one.  A node's table, and the final join, start from the first listed
+relation and then always take the first remaining relation that shares
+a variable with the result so far; a Cartesian step happens only when
+none does (a node in ``cartesian_nodes``).  After each join, variables
+that are neither in the target (the bag, or the output) nor used by a
+relation still to join are projected away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+
+from .bags import _cover_is_connected
 
 
 class PlanError(ValueError):
@@ -62,7 +73,7 @@ def compile_plan(cq, td):
     Every atom is assigned to the first node whose bag contains all its
     variables; a node joins its cover atoms plus its assigned atoms.
     Single-atom nodes skip the materialization step (the interpreter
-    projects the base relation lazily).
+    projects the base relation itself).
     """
     if td.covers is None:
         raise PlanError("decomposition has no covers attached")
@@ -99,7 +110,7 @@ def compile_plan(cq, td):
     cartesian = []
     for u in range(len(td)):
         masks = [atom_masks[i] for i in node_atoms[u]]
-        if len(masks) > 1 and not _connected(masks):
+        if len(masks) > 1 and not _cover_is_connected(masks):
             cartesian.append(u)
 
     steps = []
@@ -125,37 +136,29 @@ def compile_plan(cq, td):
     return EvalPlan(cq, td, steps, node_vars, [tuple(a) for a in node_atoms], tuple(cartesian))
 
 
-def _connected(masks):
-    reach = masks[0]
-    rest = list(masks[1:])
-    moved = True
-    while rest and moved:
-        moved = False
-        for m in list(rest):
-            if m & reach:
-                reach |= m
-                rest.remove(m)
-                moved = True
-    return not rest
-
-
 # ---------------------------------------------------------------------------
 # interpreter
+
+
+def _getter(positions):
+    """A row's values at ``positions``, as a key: one value on its own,
+    several as a tuple, none as ()."""
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
 def _join(rows_a, vars_a, rows_b, vars_b):
     shared = [v for v in vars_a if v in vars_b]
     out_vars = list(vars_a) + [v for v in vars_b if v not in vars_a]
-    ia = [vars_a.index(v) for v in shared]
-    ib = [vars_b.index(v) for v in shared]
+    key_a = _getter([vars_a.index(v) for v in shared])
+    key_b = _getter([vars_b.index(v) for v in shared])
     extra = [i for i, v in enumerate(vars_b) if v not in vars_a]
     index = {}
     for row in rows_b:
-        index.setdefault(tuple(row[i] for i in ib), []).append(row)
+        index.setdefault(key_b(row), []).append(tuple(row[i] for i in extra))
     out = set()
     for row in rows_a:
-        for match in index.get(tuple(row[i] for i in ia), ()):
-            out.add(row + tuple(match[i] for i in extra))
+        for tail in index.get(key_a(row), ()):
+            out.add(row + tail)
     return out, tuple(out_vars)
 
 
@@ -163,38 +166,69 @@ def _semijoin(rows_a, vars_a, rows_b, vars_b):
     shared = [v for v in vars_a if v in vars_b]
     if not shared:
         return rows_a if rows_b else set()
-    ia = [vars_a.index(v) for v in shared]
-    ib = [vars_b.index(v) for v in shared]
-    keys = {tuple(row[i] for i in ib) for row in rows_b}
-    return {row for row in rows_a if tuple(row[i] for i in ia) in keys}
+    key_a = _getter([vars_a.index(v) for v in shared])
+    keys = set(map(_getter([vars_b.index(v) for v in shared]), rows_b))
+    return {row for row in rows_a if key_a(row) in keys}
 
 
 def _project(rows, vars_from, vars_to):
     idx = [vars_from.index(v) for v in vars_to]
-    return {tuple(row[i] for i in idx) for row in rows}
+    if len(idx) == 1:
+        return {(row[idx[0]],) for row in rows}
+    return set(map(_getter(idx), rows))
+
+
+def _join_connected(relations, out_vars):
+    """Join ``(rows, vars)`` relations and project the result to
+    ``out_vars``.
+
+    Starts from the first relation; each next one is the first remaining
+    relation that shares a variable with the result so far, or the
+    first remaining one when none does (a Cartesian step).  After each
+    join, variables outside ``out_vars`` that no remaining relation uses
+    are projected away.
+    """
+    pending = list(relations)
+    rows, vs = pending.pop(0)
+    while pending:
+        i = next((i for i, (_, b) in enumerate(pending) if not set(b).isdisjoint(vs)), 0)
+        rows_b, vars_b = pending.pop(i)
+        rows, vs = _join(rows, vs, rows_b, vars_b)
+        needed = set(out_vars).union(*(b for _, b in pending))
+        live = tuple(v for v in vs if v in needed)
+        if pending and len(live) < len(vs):
+            rows, vs = _project(rows, vs, live), live
+    return _project(rows, vs, tuple(out_vars))
 
 
 def _atom_rows(atom, db):
+    """The atom's relation as a set of tuples, keeping only the rows
+    that agree wherever the atom repeats a variable."""
     if atom.relation not in db:
         raise PlanError(f"no relation {atom.relation!r} in the database")
-    rows = db[atom.relation]
+    arity = len(atom.variables)
     out = set()
-    for row in rows:
-        if len(row) != len(atom.variables):
+    for row in db[atom.relation]:
+        if len(row) != arity:
             raise PlanError(
                 f"relation {atom.relation!r} has arity {len(row)}, "
-                f"atom expects {len(atom.variables)}"
+                f"atom expects {arity}"
             )
-        binding = {}
-        ok = True
-        for v, value in zip(atom.variables, row):
-            if v in binding and binding[v] != value:
-                ok = False
-                break
-            binding[v] = value
-        if ok:
-            out.add(tuple(row))
+        out.add(tuple(row))
+    first = [atom.variables.index(v) for v in atom.variables]
+    repeats = [(i, j) for i, j in enumerate(first) if i != j]
+    if repeats:
+        out = {row for row in out if all(row[i] == row[j] for i, j in repeats)}
     return out
+
+
+def _atom_table(atom, db):
+    """The atom's rows over its distinct variables, as ``(rows, vars)``."""
+    rows = _atom_rows(atom, db)
+    dedup_vars = tuple(dict.fromkeys(atom.variables))
+    if len(dedup_vars) < len(atom.variables):
+        rows = _project(rows, tuple(atom.variables), dedup_vars)
+    return rows, dedup_vars
 
 
 def execute_plan(plan, db):
@@ -202,27 +236,27 @@ def execute_plan(plan, db):
 
     Returns a sorted list of output tuples, or a bool for Boolean
     queries.  Matches naive join-project evaluation by construction.
+
+    Each atom's relation is read once, in node order, so a missing
+    relation or a wrong arity raises ``PlanError`` for the first such
+    atom.  Every node's table is built before the steps run: its atoms
+    are joined in a connected order with early projection (see the
+    module docstring), so ``MaterializeBag`` steps need no action here.
+    The final join orders and projects the node tables the same way.
     """
     cq = plan.query
-    atom_by_name = {a.name: a for a in cq.atoms}
-    tables = {}
-    for u, vars_u in enumerate(plan.node_vars):
-        atoms = [cq.atoms[i] for i in plan.node_atoms[u]]
-        rows, vs = None, None
-        for a in atoms:
-            raw = _atom_rows(a, db)
-            dedup_vars = tuple(dict.fromkeys(a.variables))
-            dedup = _project(raw, tuple(a.variables), dedup_vars)
-            if rows is None:
-                rows, vs = dedup, dedup_vars
-            else:
-                rows, vs = _join(rows, vs, dedup, dedup_vars)
-        tables[u] = _project(rows, vs, vars_u)
+    atom_tables = {}
+    for atoms in plan.node_atoms:
+        for i in atoms:
+            if i not in atom_tables:
+                atom_tables[i] = _atom_table(cq.atoms[i], db)
+    tables = {
+        u: _join_connected([atom_tables[i] for i in plan.node_atoms[u]], vars_u)
+        for u, vars_u in enumerate(plan.node_vars)
+    }
 
     result = None
     for step in plan.steps:
-        if isinstance(step, MaterializeBag):
-            continue  # tables are built eagerly above
         if isinstance(step, SemijoinUp):
             tables[step.parent] = _semijoin(
                 tables[step.parent],
@@ -240,10 +274,10 @@ def execute_plan(plan, db):
         elif isinstance(step, BooleanProbe):
             result = all(tables[r] for r in step.roots)
         elif isinstance(step, FinalJoin):
-            rows, vs = {()}, ()
-            for u in step.nodes:
-                rows, vs = _join(rows, vs, tables[u], plan.node_vars[u])
-            result = sorted(_project(rows, vs, step.output))
+            rows = _join_connected(
+                [(tables[u], plan.node_vars[u]) for u in step.nodes], step.output
+            )
+            result = sorted(rows)
     return result
 
 
@@ -251,10 +285,7 @@ def naive_evaluate(cq, db):
     """Join every atom, project to the output — the correctness oracle."""
     rows, vs = {()}, ()
     for a in cq.atoms:
-        raw = _atom_rows(a, db)
-        dedup_vars = tuple(dict.fromkeys(a.variables))
-        dedup = _project(raw, tuple(a.variables), dedup_vars)
-        rows, vs = _join(rows, vs, dedup, dedup_vars)
+        rows, vs = _join(rows, vs, *_atom_table(a, db))
     if cq.boolean:
         return bool(rows)
     return sorted(_project(rows, vs, tuple(cq.output)))

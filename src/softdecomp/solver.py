@@ -252,32 +252,6 @@ def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
     return SolveResult(True, extract_decomposition(h, table, root_blocks), table)
 
 
-def enumerate_blocks(h, bag_masks):
-    """All blocks headed by a candidate bag or the empty set."""
-    out = []
-    for s in [0, *sorted(set(bag_masks), key=ids_of)]:
-        for c in h.vertex_components(s):
-            out.append((s, c))
-        out.append((s, 0))
-    return out
-
-
-def is_basis(h, block, x, table):
-    """Check the three basis conditions for ``x`` against ``table``."""
-    s, c = block
-    if x == s or x & ~(s | c):
-        return False
-    ys = [y for y in h.vertex_components(x) if not y & ~c]
-    cover = x
-    for y in ys:
-        cover |= y
-    if c & ~cover:
-        return False
-    if any(e & c and e & ~cover for e in h.edge_masks):
-        return False
-    return all((x, y) in table for y in ys)
-
-
 def extract_decomposition(h, table, root_blocks):
     """Materialize the tree from a basis table.
 

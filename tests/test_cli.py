@@ -4,6 +4,7 @@ import pytest
 
 from softdecomp import parse_cq
 from softdecomp.cli import main
+from softdecomp.constraints import NonConvergenceError
 
 
 PATH = "r(a,b),\ns(b,c),\nt(c,d)\n"
@@ -138,3 +139,25 @@ def test_unknown_constraint_edge_is_usage_error(tmp_path, hg_file):
         "--constraint", f"partclust:labels={labels}",
     ])
     assert rc == 2
+
+
+def test_unknown_statistics_relation_is_usage_error(tmp_path, capsys):
+    q = tmp_path / "q.cq"
+    q.write_text("ans(x,z) :- r(x,y), s(y,z).")
+    stats = tmp_path / "st.json"
+    stats.write_text(json.dumps({"relations": {"nosuch": {"card": 10}}}))
+    rc = main([
+        "decompose", "--input", str(q), "--format", "cq", "--k", "1",
+        "--constraint", "concov", "--stats", str(stats),
+    ])
+    assert rc == 2
+    assert "unknown relation 'nosuch'" in capsys.readouterr().err
+
+
+def test_non_convergence_is_budget_error(hg_file, monkeypatch, capsys):
+    def no_fixpoint(*args, **kwargs):
+        raise NonConvergenceError("replacement did not reach a fixpoint")
+
+    monkeypatch.setattr("softdecomp.cli.solve_constrained", no_fixpoint)
+    assert main(["decompose", "--input", hg_file, "--k", "1"]) == 3
+    assert "fixpoint" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from softdecomp import (
     ConnectedCover,
     PartitionClustering,
     ShallowCyclicity,
+    StatsCatalog,
     attach_covers,
     cost_order,
     cyclicity_order,
@@ -18,10 +19,12 @@ from softdecomp import (
     soft_bags,
     solve,
     solve_constrained,
+    sql_to_cq,
     subtree_cost,
     trivial_order,
     validate_td,
 )
+from softdecomp.gallery import SQL_QUERIES
 from softdecomp.constraints import (
     CostKey,
     connected_cover,
@@ -144,6 +147,34 @@ def test_matches_plain_solver_under_trivial_order(seed, k):
     if res.accepted:
         rep = validate_td(h, res.decomposition, bag_masks=set(bags.masks()), k=k)
         assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("name", list(SQL_QUERIES))
+def test_optimizer_scores_each_tree_once(name):
+    cq, h = sql_to_cq(SQL_QUERIES[name])
+    rng = random.Random(name)
+    order = cost_order(StatsCatalog(h, {e: rng.randint(10, 1000) for e in range(h.n_edges)}))
+    trees = []
+
+    def recording_order(td):
+        trees.append((tuple(td.bags), tuple(td.parents)))
+        return order(td)
+
+    recording_order.pairs_with = order.pairs_with
+    k = gallery(name).widths["concov_shw"]
+    res = solve_constrained(h, soft_bags(h, k), ConnectedCover(), recording_order)
+    assert res.accepted
+    assert len(trees) == len(set(trees))
+
+
+def test_connected_cover_cache_follows_the_hypergraph():
+    concov = ConnectedCover()
+    path = parse_hypergraph("r(a,b), s(b,c)")
+    apart = parse_hypergraph("r(a,b), s(c,d)")
+    # the same bag mask, k and vertex count on two hypergraphs
+    assert concov.bag_ok(path, mask_of([0, 1, 2]), 2)
+    assert not concov.bag_ok(apart, mask_of([0, 1, 2]), 2)
+    assert concov.bag_ok(path, mask_of([0, 1, 2]), 2)
 
 
 def test_concov_gap_on_pinwheel():

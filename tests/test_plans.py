@@ -1,11 +1,16 @@
 import random
+import sqlite3
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from softdecomp import (
+    ConnectedCover,
+    StatsCatalog,
     attach_covers,
     compile_plan,
+    cost_order,
     emit_sql,
     execute_plan,
     naive_evaluate,
@@ -14,7 +19,11 @@ from softdecomp import (
     plan_to_json,
     soft_bags,
     solve,
+    solve_constrained,
+    sql_to_cq,
 )
+from softdecomp import plans
+from softdecomp.gallery import SQL_QUERIES, gallery
 from softdecomp.plans import BooleanProbe, FinalJoin, PlanError
 from softdecomp.solver import TreeDecomposition
 
@@ -58,6 +67,10 @@ def test_repeated_variable_filters_diagonal():
     cq, plan = _plan("ans(x) :- r(x,x).")
     db = {"r": [(1, 1), (1, 2), (3, 3)]}
     assert execute_plan(plan, db) == [(1,), (3,)]
+    cq, plan = _plan("ans(x,y) :- r(x,y,x,y), s(y,z).")
+    db = {"r": [(1, 2, 1, 2), (1, 2, 1, 3), (1, 2, 4, 2), (5, 5, 5, 5)],
+          "s": [(2, 0), (5, 0)]}
+    assert execute_plan(plan, db) == naive_evaluate(cq, db) == [(1, 2), (5, 5)]
 
 
 def test_semijoins_precede_final_join():
@@ -89,6 +102,70 @@ def test_plan_equals_naive_on_random_instances(seed):
     db = random_database(rng, cq)
     plan = compile_plan(cq, _decompose(cq))
     assert execute_plan(plan, db) == naive_evaluate(cq, db)
+
+
+# --- join order -------------------------------------------------------------
+
+
+def _record_join_sizes(monkeypatch):
+    """Output row counts of every ``plans._join`` call from now on."""
+    sizes = []
+    join = plans._join
+
+    def counted(*args):
+        out = join(*args)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(plans, "_join", counted)
+    return sizes
+
+
+def _join_bound(db):
+    """The largest relation's size times the largest number of rows that
+    share one value in one column."""
+    fan_out = max(
+        Counter(row[i] for row in rows).most_common(1)[0][1]
+        for rows in db.values()
+        if rows
+        for i in range(len(rows[0]))
+    )
+    return max(len(rows) for rows in db.values()) * fan_out
+
+
+def test_disjoint_cover_atoms_join_through_the_linking_atom(monkeypatch):
+    # The cover (r, s) is disconnected; t links it but is listed last.
+    cq, h = parse_cq("ans(x,w) :- r(x,y), s(z,w), t(y,z).")
+    plan = compile_plan(cq, TreeDecomposition(h, [h.all_vertices_mask], [-1], [(0, 1)]))
+    assert plan.node_atoms == [(0, 1, 2)]
+    assert plan.cartesian_nodes == ()
+    n = 40
+    db = {
+        "r": [(i, 3 * i % n) for i in range(n)],
+        "s": [(i, (i + 5) % n) for i in range(n)],
+        "t": [(i, (7 * i + 1) % n) for i in range(n)],
+    }
+    expected = naive_evaluate(cq, db)
+    sizes = _record_join_sizes(monkeypatch)
+    assert execute_plan(plan, db) == expected
+    assert sizes and max(sizes) <= _join_bound(db)
+
+
+@pytest.mark.parametrize("name", [q for q in SQL_QUERIES if q != "q_lb"])
+def test_bundled_queries_join_without_cartesian_blowup(name, monkeypatch):
+    # q_lb is left out: it uses relation City with two arities.
+    cq, h = sql_to_cq(SQL_QUERIES[name])
+    db = random_database(random.Random(name), cq, max_rows=60, domain=30)
+    stats = StatsCatalog(h, {h.edge_id(a.name): len(db[a.relation]) for a in cq.atoms})
+    res = solve_constrained(
+        h, soft_bags(h, gallery(name).widths["concov_shw"]), ConnectedCover(),
+        cost_order(stats),
+    )
+    plan = compile_plan(cq, res.decomposition)
+    expected = naive_evaluate(cq, db)
+    sizes = _record_join_sizes(monkeypatch)
+    assert execute_plan(plan, db) == expected
+    assert max(sizes) <= _join_bound(db)
 
 
 # --- serialization ---------------------------------------------------------
@@ -126,3 +203,37 @@ def test_emit_sql_boolean_probe():
     cq, plan = _plan("r(x,y), s(y,z)")
     sql = emit_sql(plan)
     assert "SELECT" in sql.upper()
+
+
+def test_emitted_sql_matches_naive_in_sqlite():
+    rng = random.Random(5)
+    conn = sqlite3.connect(":memory:")
+    try:
+        for _ in range(200):
+            cq = random_cq(rng)
+            db = random_database(rng, cq)
+            plan = compile_plan(cq, _decompose(cq))
+            arity = {a.relation: len(a.variables) for a in cq.atoms}
+            statements = emit_sql(plan).splitlines()
+            try:
+                for rel, rows in db.items():
+                    cols = [f"c{i}" for i in range(arity[rel])]
+                    conn.execute(f"CREATE TABLE {rel} ({', '.join(cols)})")
+                    conn.executemany(
+                        f"INSERT INTO {rel} VALUES ({', '.join('?' * len(cols))})", rows)
+                for statement in statements[:-1]:
+                    conn.execute(statement)
+                got = conn.execute(statements[-1]).fetchall()
+            finally:
+                for kind, name in conn.execute(
+                        "SELECT type, name FROM sqlite_temp_master WHERE type = 'view' "
+                        "UNION ALL SELECT type, name FROM sqlite_master "
+                        "WHERE type = 'table'").fetchall():
+                    conn.execute(f"DROP {kind.upper()} {name}")
+            if cq.boolean:
+                assert bool(got[0][0]) == naive_evaluate(cq, db)
+            else:
+                assert sorted(set(got)) == naive_evaluate(cq, db)
+        assert not conn.execute("SELECT name FROM sqlite_temp_master").fetchall()
+    finally:
+        conn.close()
