@@ -10,10 +10,18 @@ connected components of the hypergraph).
 Higher levels replace the ``lambda1`` pool with sub-edges: pairwise
 intersections of the previous pool with the previous level's bags.
 ``lambda2`` always ranges over the original edges.
+
+Everything is produced in one order, the first-witness order of plain
+loops: edge and pool combinations by size, then lexicographically;
+component unions by separator, then by smallest member vertex; bags
+and new pool members by the (row, column) position at which they are
+first found.  Above a size gate the enumeration runs in numpy, with
+the same results in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,7 +34,7 @@ from .hypergraph import Hypergraph, ids_of, popcount
 DEFAULT_MAX_BAGS = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
 
-_NUMPY_THRESHOLD = 20_000  # pair-count beyond which the vectorized path is used
+_NUMPY_THRESHOLD = 20_000  # work size beyond which the vectorized paths are used
 _BLOCK = 1 << 21  # intersections per vectorized block
 
 
@@ -143,25 +151,14 @@ def pairwise_intersections(sets_a, sets_b):
 def _separator_unions(h, k, max_steps):
     """Distinct ``union(lambda2)`` masks with their first witness combos.
 
-    Returns a list of ``(sep_mask, edge_id_tuple)`` in enumeration
-    order (combination sizes 0..k, each in sorted edge-id order).
+    Returns a list of ``(sep_mask, edge_id_tuple)`` in first-witness
+    order: the empty separator first, then combination sizes 1..k, each
+    size in lexicographic edge-id order.  Raises when the
+    ``sum(C(|E|, s) for s in 0..k)`` combinations exceed ``max_steps``.
     """
-    masks = h.edge_masks
-    out = []
-    seen = set()
-    steps = 0
-    for size in range(k + 1):
-        for combo in combinations(range(h.n_edges), size):
-            steps += 1
-            if steps > max_steps:
-                raise ResourceBudgetError("separator enumeration exceeded step budget")
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            if m not in seen:
-                seen.add(m)
-                out.append((m, combo))
-    return out
+    if _n_combos(h.n_edges, k) + 1 > max_steps:
+        raise ResourceBudgetError("separator enumeration exceeded step budget")
+    return [(0, ()), *_combo_unions(h.edge_masks, k)]
 
 
 def _cover_unions(pool, k, max_steps):
@@ -169,26 +166,38 @@ def _cover_unions(pool, k, max_steps):
 
     Returns ``(mask, index_tuple)`` pairs in first-witness order:
     combination sizes ascending, each size in lexicographic index order.
+    """
+    if _n_combos(len(pool), k) > max_steps:
+        raise ResourceBudgetError("cover enumeration exceeded step budget")
+    return _combo_unions([s.vertices for s in pool], k)
+
+
+def _n_combos(n, k):
+    """The number of combinations of 1..k of n items."""
+    return sum(math.comb(n, size) for size in range(1, k + 1))
+
+
+def _combo_unions(masks, k):
+    """Distinct unions of 1..k of ``masks``, each with its first index combo.
+
+    Returns ``(union, index_tuple)`` pairs in first-witness order:
+    combination sizes ascending, each size in lexicographic index order.
     Falls back from the vectorized path when masks do not fit 64 bits.
     """
-    n = len(pool)
-    total = sum(_ncombs(n, size) for size in range(1, k + 1))
-    if total > max_steps:
-        raise ResourceBudgetError("cover enumeration exceeded step budget")
-    masks = [s.vertices for s in pool]
+    n = len(masks)
     if (
-        total > _NUMPY_THRESHOLD
+        _n_combos(n, k) > _NUMPY_THRESHOLD
         and k <= 3
         and (not masks or max(masks) < 1 << 63)
     ):
         arr = np.array(masks, dtype=np.uint64)
         # Per combination size, the unions in first-witness order and a
-        # function from selected positions to their index rows.
+        # function from selected positions to their index columns.
         a, b = np.triu_indices(n, 1)
-        sizes = [(arr, lambda sel: sel[:, None])]
+        sizes = [(arr, lambda sel: (sel,))]
         if k >= 2:
             pair_unions = arr[a] | arr[b]
-            sizes.append((pair_unions, lambda sel: np.column_stack([a[sel], b[sel]])))
+            sizes.append((pair_unions, lambda sel: (a[sel], b[sel])))
         if k >= 3:
             # Triples (i, a, b) with i < a < b: for each i, the pairs
             # whose first index exceeds i, a suffix of the pair list.
@@ -199,14 +208,14 @@ def _cover_unions(pool, k, max_steps):
             pair = np.arange(len(first)) + np.repeat(starts - block_starts, lengths)
             sizes.append((
                 arr[first] | pair_unions[pair],
-                lambda sel: np.column_stack([first[sel], a[pair[sel]], b[pair[sel]]]),
+                lambda sel: (first[sel], a[pair[sel]], b[pair[sel]]),
             ))
         uniq, pos = _first_seen(np.concatenate([u for u, _ in sizes]))
         witnesses = []
         offset = 0
-        for unions, rows in sizes:
+        for unions, columns in sizes:
             sel = pos[(pos >= offset) & (pos < offset + len(unions))] - offset
-            witnesses.extend(map(tuple, rows(sel).tolist()))
+            witnesses.extend(zip(*(c.tolist() for c in columns(sel))))
             offset += len(unions)
         return list(zip(uniq.tolist(), witnesses))
     out = []
@@ -247,12 +256,11 @@ def _first_seen(values):
 def _first_intersections(rows, cols, exclude=()):
     """New nonzero masks ``rows[i] & cols[j]``, each with its first ``(i, j)``.
 
-    Returns ``(mask, i, j)`` triples ordered by ``i`` and then by mask,
-    with ``j`` the smallest column giving the mask in row ``i``: the
-    order of a loop over the rows that takes each row's distinct
-    intersections in ascending order and keeps those not seen before.
-    Masks in ``exclude`` count as seen.  Rows are processed in blocks
-    of at most ``_BLOCK`` intersections to bound memory.
+    Returns ``(mask, i, j)`` triples in discovery order, i.e. ordered
+    by ``(i, j)``: the order of a loop over the rows and, within a row,
+    over the columns that keeps each mask not seen before.  Masks in
+    ``exclude`` count as seen.  Rows are processed in blocks of at most
+    ``_BLOCK`` intersections to bound memory.
     """
     row_arr = np.array(rows, dtype=np.uint64)
     col_arr = np.array(cols, dtype=np.uint64)
@@ -261,32 +269,38 @@ def _first_intersections(rows, cols, exclude=()):
     step = max(1, _BLOCK // max(len(cols), 1))
     for lo in range(0, len(rows), step):
         block = (row_arr[lo:lo + step, None] & col_arr[None, :]).ravel()
-        uniq, pos = _first_seen(block)
+        uniq, pos = _first_seen(block)  # ordered by pos, i.e. by (i, j)
         keep = (uniq != 0) & ~np.isin(uniq, seen)
         uniq, pos = uniq[keep], pos[keep]
         i, j = np.divmod(pos, len(cols))
-        order = np.lexsort((uniq, i))
-        uniq = uniq[order]
-        out.extend(zip(uniq.tolist(), (i[order] + lo).tolist(), j[order].tolist()))
+        out.extend(zip(uniq.tolist(), (i + lo).tolist(), j.tolist()))
         seen = np.concatenate([seen, uniq])
     return out
-
-
-def _ncombs(n, size):
-    import math
-
-    return math.comb(n, size)
 
 
 @lru_cache(maxsize=32)
 def _component_entries(h, k, max_steps):
     """Distinct component unions over all separators, first-witness order.
 
+    Returns ``(union, lambda2)`` pairs: the unions of the components of
+    each separator from ``_separator_unions``, in (separator, component)
+    order with components ordered by smallest member vertex, each kept
+    at its first occurrence with that separator's edge ids.  On up to
+    64 vertices and above a size gate, all separators are split at once
+    in numpy, with the same result.
+
     Cached because the separator side of the enumeration depends only on
     the hypergraph and ``k``, not on the sub-edge pool, so iterated
     levels can reuse it.
     """
     seps = _separator_unions(h, k, max_steps)
+    # Measured crossover: at 18 vertices numpy wins from about 60
+    # separators, and the pure-Python split of one separator costs more
+    # the more vertices it has.
+    if h.n_vertices <= 64 and len(seps) * h.n_vertices ** 2 > _NUMPY_THRESHOLD:
+        owner, unions = h.component_unions_batch([sep for sep, _ in seps])
+        uniq, pos = _first_seen(unions)
+        return tuple(zip(uniq.tolist(), [seps[i][1] for i in owner[pos].tolist()]))
     comp_entries = []  # (component union mask, lambda2 edge ids)
     comp_seen = set()
     for sep, combo in seps:

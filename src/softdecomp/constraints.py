@@ -10,6 +10,7 @@ satisfying partial tree under the supplied cost order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -197,25 +198,27 @@ def eval_partclust(h, td, labels, k=None):
 
 @dataclass(frozen=True)
 class CostKey:
-    """Totally ordered cost: real value with tolerance, then node
-    count, then the canonical bag sequence as scale-free tie keys."""
+    """Totally ordered cost: the real value snapped to the
+    ``COST_TOLERANCE`` grid, then node count, then the canonical bag
+    sequence as scale-free tie keys.  ``sort_key`` is that tuple."""
 
     cost: float
     nodes: int
     bags: tuple
 
+    def __post_init__(self):
+        grid = self.cost / COST_TOLERANCE
+        snapped = round(grid) if math.isfinite(grid) else grid
+        object.__setattr__(self, "sort_key", (snapped, self.nodes, self.bags))
+
     def __lt__(self, other):
-        if self.cost < other.cost - COST_TOLERANCE:
-            return True
-        if self.cost > other.cost + COST_TOLERANCE:
-            return False
-        return (self.nodes, self.bags) < (other.nodes, other.bags)
+        return self.sort_key < other.sort_key
 
     def __le__(self, other):
-        return not other < self
+        return self.sort_key <= other.sort_key
 
     def same_cost(self, other):
-        return abs(self.cost - other.cost) <= COST_TOLERANCE
+        return self.sort_key[0] == other.sort_key[0]
 
 
 def _canonical_bags(td):
@@ -478,7 +481,7 @@ def enumerate_top_n(h, bags, constraint, order, n, max_trees=20_000, max_steps=2
             continue
         seen.add(canon)
         scored.append((order(td), td))
-    scored.sort(key=lambda pair: (pair[0].cost, pair[0].nodes, pair[0].bags))
+    scored.sort(key=lambda pair: pair[0].sort_key)
     top = scored[:n]
     return TopNResult([td for _, td in top], [key for key, _ in top], truncated)
 

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 
 _IDENT = r"[A-Za-z0-9_']+"
 _STMT_RE = re.compile(rf"({_IDENT})\s*\(([^()]*)\)")
@@ -150,6 +152,24 @@ class Hypergraph:
         return tuple(adj)
 
     @cached_property
+    def _adjacency_bytes(self):
+        """``adjacency`` as per-byte lookup tables, for up to 64 vertices.
+
+        A uint64 array of shape ``(ceil(n / 8), 256)``: row ``b``,
+        column ``x`` is the union of ``adjacency[8 * b + i]`` over the
+        bits ``i`` set in ``x``.
+        """
+        adj = self.adjacency
+        table = np.zeros(((self.n_vertices + 7) // 8, 256), dtype=np.uint64)
+        for b, row in enumerate(table):
+            unions = [0] * 256
+            for x in range(1, 256):
+                v = 8 * b + (x & -x).bit_length() - 1
+                unions[x] = unions[x & (x - 1)] | (adj[v] if v < len(adj) else 0)
+            row[:] = unions
+        return table
+
+    @cached_property
     def duplicate_scheme_ids(self):
         """Edge ids whose vertex set repeats an earlier edge."""
         seen = {}
@@ -247,6 +267,50 @@ class Hypergraph:
                 m &= m - 1
             out.append(union)
         return out
+
+    def component_unions_batch(self, seps):
+        """``component_unions`` of many separators at once, in numpy.
+
+        ``seps`` is a sequence of separator masks; the hypergraph
+        has at most 64 vertices.  Returns ``(owner, unions)``, two
+        arrays in (separator, component) order: ``unions`` concatenates
+        ``component_unions(seps[i])`` over ``i``, and ``owner`` holds
+        the ``i`` of each entry.  All separators advance together: each
+        round seeds one component per separator at its lowest remaining
+        vertex and grows it to its closure, so components come in order
+        of smallest member vertex, as in ``component_unions``.
+        """
+        table = self._adjacency_bytes
+
+        def neighbourhoods(masks):  # union of the edges meeting each mask
+            out = np.zeros_like(masks)
+            for b, row in enumerate(table):
+                out |= row[(masks >> np.uint64(8 * b)) & np.uint64(0xFF)]
+            return out
+
+        one = np.uint64(1)
+        free = ~np.asarray(seps, dtype=np.uint64) & np.uint64(self.all_vertices_mask)
+        rest = free.copy()
+        owner = np.arange(len(free))
+        owners, unions = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
+        while True:
+            live = rest != 0
+            owner, free, rest = owner[live], free[live], rest[live]
+            if not len(owner):
+                break
+            comp = rest & (~rest + one)  # lowest remaining vertex
+            grow = np.arange(len(comp))
+            while len(grow):
+                grown = neighbourhoods(comp[grow]) & free[grow]
+                moved = grown != comp[grow]
+                grow = grow[moved]
+                comp[grow] = grown[moved]
+            owners.append(owner)
+            unions.append(neighbourhoods(comp))
+            rest &= ~comp
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        return owner[order], np.concatenate(unions)[order]
 
     def lambda_components(self, edge_ids):
         """[lambda]-components for a set of edges used as separator."""

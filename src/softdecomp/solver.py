@@ -18,7 +18,7 @@ fixpoint top-down with memoization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,12 +59,24 @@ class TreeDecomposition:
     bags: list  # vertex masks
     parents: list
     covers: list | None = None  # per node: tuple of edge ids, or None
+    _children: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.bags)
 
     def children(self, i):
-        return [j for j, p in enumerate(self.parents) if p == i]
+        """The children of node ``i`` in index order.
+
+        The index behind this is built on the first call; ``parents``
+        is not changed once the tree is built.
+        """
+        if self._children is None:
+            index = [[] for _ in self.parents]
+            for j, p in enumerate(self.parents):
+                if p >= 0:
+                    index[p].append(j)
+            self._children = tuple(map(tuple, index))
+        return self._children[i]
 
     def roots(self):
         return [i for i, p in enumerate(self.parents) if p < 0]

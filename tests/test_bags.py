@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -15,8 +16,16 @@ from softdecomp import (
     solve,
     validate_td,
 )
-from softdecomp.bags import _first_seen, cover_union_masks, pairwise_intersections
-from softdecomp.hypergraph import ids_of, mask_of
+from softdecomp import bags as bags_module
+from softdecomp.bags import (
+    DEFAULT_MAX_STEPS,
+    _first_seen,
+    _separator_unions,
+    cover_union_masks,
+    pairwise_intersections,
+)
+from softdecomp.gallery import cycle
+from softdecomp.hypergraph import ids_of, mask_of, parse_hypergraph
 
 from conftest import random_connected_hypergraph
 
@@ -244,6 +253,111 @@ def test_first_seen_keeps_first_occurrences():
 def test_pairwise_intersections_dedup_and_nonempty():
     out = pairwise_intersections([0b1100, 0b0110], [0b0100, 0b0011])
     assert out == [0b0100, 0b0010]
+
+
+# --- numpy and pure-Python twins ---------------------------------------------
+
+_FORCE_NUMPY, _FORCE_PYTHON = 0, 10**9
+
+
+def _both_paths(monkeypatch, build):
+    """``build()`` with every size gate forcing numpy, then pure Python."""
+    out = []
+    for threshold in (_FORCE_NUMPY, _FORCE_PYTHON):
+        monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
+        bags_module._component_entries.cache_clear()
+        try:
+            out.append(build())
+        finally:
+            bags_module._component_entries.cache_clear()
+    return out
+
+
+def _python_component_entries(h, k):
+    """The reference loop: components of each separator, first seen kept."""
+    entries, seen = [], set()
+    for sep, combo in _separator_unions(h, k, DEFAULT_MAX_STEPS):
+        for union in h.component_unions(sep):
+            if union not in seen:
+                seen.add(union)
+                entries.append((union, combo))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_twins_keep_discovery_order(monkeypatch, k):
+    # Pool order, bag order and witnesses must not depend on which path ran.
+    rng = random.Random(400 + k)
+    for _ in range(30):
+        h = random_connected_hypergraph(rng, max_vertices=8, max_edges=7)
+
+        def build():
+            out = []
+            for level in (0, 1):
+                bs = soft_bags_level(h, k, level)
+                pool = [(s.vertices, s.origin, s.level) for s in bs.pool]
+                out.append((pool, list(bs.bags), bs.serialize()))
+            return out
+
+        numpy_side, python_side = _both_paths(monkeypatch, build)
+        assert numpy_side == python_side
+
+
+def _component_entry_graphs():
+    rng = random.Random(64)
+    graphs = [(random_connected_hypergraph(rng, max_vertices=20, max_edges=12), 3)
+              for _ in range(20)]
+    graphs += [(random_connected_hypergraph(rng, max_vertices=64, max_edges=80), 2)
+               for _ in range(4)]
+    # disconnected, and with an edge (so a separator) covering every vertex
+    graphs.append((parse_hypergraph("r(a,b), s(b,c), t(d,e), u(f), v(g,h,a)"), 3))
+    graphs.append((parse_hypergraph("all(a,b,c,d,e), r(a,b), s(b,c), t(d,e)"), 3))
+    graphs.append((cycle(64), 2))
+    return graphs
+
+
+def test_component_entries_twins_agree(monkeypatch):
+    for h, kmax in _component_entry_graphs():
+        assert h.n_vertices <= 64
+        for k in range(1, kmax + 1):
+            numpy_side, python_side = _both_paths(
+                monkeypatch, lambda: bags_module._component_entries(h, k, DEFAULT_MAX_STEPS)
+            )
+            assert numpy_side == python_side == _python_component_entries(h, k)
+
+
+def test_component_entries_above_64_vertices_use_python(monkeypatch):
+    h = cycle(70)
+    for k in (1, 2):
+        numpy_side, python_side = _both_paths(
+            monkeypatch, lambda: bags_module._component_entries(h, k, DEFAULT_MAX_STEPS)
+        )
+        assert numpy_side == python_side == _python_component_entries(h, k)
+
+
+@pytest.mark.parametrize("name,k", [("H2", 2), ("H3", 3)])  # Python, then numpy
+def test_separator_budget_boundary(name, k):
+    h = gallery(name).hypergraph
+    steps = sum(math.comb(h.n_edges, size) for size in range(k + 1))
+    seps = _separator_unions(h, k, steps)
+    assert seps[0] == (0, ())
+    with pytest.raises(ResourceBudgetError):
+        _separator_unions(h, k, steps - 1)
+
+
+def test_separator_unions_match_a_plain_loop():
+    for name, k in (("H2", 3), ("H3", 3)):
+        h = gallery(name).hypergraph
+        want, seen = [], set()
+        for size in range(k + 1):
+            for combo in combinations(range(h.n_edges), size):
+                m = 0
+                for i in combo:
+                    m |= h.edge_masks[i]
+                if m not in seen:
+                    seen.add(m)
+                    want.append((m, combo))
+        assert _separator_unions(h, k, DEFAULT_MAX_STEPS) == want
 
 
 # --- resource budgets --------------------------------------------------------

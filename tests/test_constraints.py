@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,18 @@ def test_cost_key_tolerance_and_ties():
     assert a < CostKey(1.0, 3, ((0,),))
     assert a < CostKey(2.0, 1, ((0,),))
     assert CostKey(2.0, 1, ((0,),)) <= CostKey(2.0, 1, ((0,),))
+
+
+def test_cost_key_order_is_transitive():
+    # Within the tolerance of each other pairwise but not end to end:
+    # comparing raw costs with a tolerance made a < c, c < b and b < a.
+    a = CostKey(0.0, 5, ())
+    b = CostKey(0.6e-9, 3, ())
+    c = CostKey(1.2e-9, 2, ())
+    for x, y, z in permutations([a, b, c]):
+        assert not (x < y and y < z and z < x)
+    assert {tuple(sorted(p)) for p in permutations([a, b, c])} == {(a, c, b)}
+    assert b.same_cost(c) and not a.same_cost(b)
 
 
 # --- the optimizing solver ----------------------------------------------------
@@ -236,6 +249,19 @@ def test_top_n_sorted_and_distinct():
         assert key.cost == pytest.approx(subtree_cost(td, stats).total)
     canon = {tuple(sorted(zip(td.bags, td.parents))) for td in top.decompositions}
     assert len(canon) == len(top.decompositions)
+
+
+def test_top_n_keys_follow_cost_key_order():
+    # Costs below the tolerance tie, so keys order by node count; a sort
+    # on raw costs would put the larger trees first.
+    def order(td):
+        return CostKey(-1e-12 * len(td), len(td), tuple(sorted(td.bags)))
+
+    order.pairs_with = (AlwaysTrue,)
+    h = parse_hypergraph("r(a,b), s(b,c), t(c,d)")
+    top = enumerate_top_n(h, soft_bags(h, 1), AlwaysTrue(), order, 10)
+    assert len({key.nodes for key in top.keys}) > 1
+    assert all(not b < a for a, b in zip(top.keys, top.keys[1:]))
 
 
 def test_top_n_head_matches_constrained_minimum():

@@ -134,6 +134,24 @@ def test_attach_covers_respects_pool_restriction():
 # --- text round trip ------------------------------------------------------
 
 
+def test_child_index_matches_a_parent_scan():
+    rng = random.Random(11)
+    h = parse_hypergraph("r(a,b)")
+    for _ in range(50):
+        n = rng.randint(1, 30)
+        parents = [-1] + [rng.randrange(-1, i) for i in range(1, n)]
+        td = TreeDecomposition(h, [h.all_vertices_mask] * n, parents)
+        for i in range(n):
+            assert list(td.children(i)) == [j for j, p in enumerate(parents) if p == i]
+            seen, stack = [i], [i]  # preorder, children pushed in index order
+            while stack:
+                u = stack.pop()
+                kids = [j for j, p in enumerate(parents) if p == u]
+                seen += kids
+                stack += kids
+            assert td.subtree(i) == seen
+
+
 def test_td_text_roundtrip():
     h = gallery("C5").hypergraph
     td = attach_covers(solve(h, soft_bags(h, 2)).decomposition)
