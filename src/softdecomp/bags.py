@@ -35,7 +35,7 @@ DEFAULT_MAX_BAGS = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
 
 _NUMPY_THRESHOLD = 20_000  # work size beyond which the vectorized paths are used
-_BLOCK = 1 << 21  # intersections per vectorized block
+_BLOCK = 1 << 20  # intersections per vectorized block
 
 
 class ResourceBudgetError(RuntimeError):
@@ -191,32 +191,31 @@ def _combo_unions(masks, k):
         and (not masks or max(masks) < 1 << 63)
     ):
         arr = np.array(masks, dtype=np.uint64)
-        # Per combination size, the unions in first-witness order and a
-        # function from selected positions to their index columns.
-        a, b = np.triu_indices(n, 1)
-        sizes = [(arr, lambda sel: (sel,))]
-        if k >= 2:
-            pair_unions = arr[a] | arr[b]
-            sizes.append((pair_unions, lambda sel: (a[sel], b[sel])))
-        if k >= 3:
-            # Triples (i, a, b) with i < a < b: for each i, the pairs
-            # whose first index exceeds i, a suffix of the pair list.
-            starts = np.searchsorted(a, np.arange(n - 1), side="right")
-            lengths = len(a) - starts
-            first = np.repeat(np.arange(n - 1), lengths)
-            block_starts = np.cumsum(lengths) - lengths
-            pair = np.arange(len(first)) + np.repeat(starts - block_starts, lengths)
-            sizes.append((
-                arr[first] | pair_unions[pair],
-                lambda sel: (first[sel], a[pair[sel]], b[pair[sel]]),
-            ))
-        uniq, pos = _first_seen(np.concatenate([u for u, _ in sizes]))
-        witnesses = []
-        offset = 0
-        for unions, columns in sizes:
-            sel = pos[(pos >= offset) & (pos < offset + len(unions))] - offset
-            witnesses.extend(zip(*(c.tolist() for c in columns(sel))))
-            offset += len(unions)
+        # All unions in first-witness order in one array: the n singles,
+        # the pairs (a, b), then the triples (i, a, b) with i < a < b.
+        # The triples of each i extend the pairs whose first index
+        # exceeds i, a suffix of the pair list from starts[i]; they sit
+        # at offsets[i].  Filling slices keeps no index array per union.
+        a, b = np.triu_indices(n, 1) if k >= 2 else (np.arange(0), np.arange(0))
+        starts = np.searchsorted(a, np.arange(n), side="right")
+        lengths = len(a) - starts if k >= 3 else np.zeros(n, dtype=np.int64)
+        offsets = n + len(a) + np.cumsum(lengths) - lengths
+        unions = np.empty(n + len(a) + int(lengths.sum()), dtype=np.uint64)
+        unions[:n] = arr
+        pair_unions = unions[n:n + len(a)]
+        np.bitwise_or(arr[a], arr[b], out=pair_unions)
+        for i in np.flatnonzero(lengths).tolist():
+            np.bitwise_or(pair_unions[starts[i]:], arr[i],
+                          out=unions[offsets[i]:offsets[i] + lengths[i]])
+        uniq, pos = _first_seen(unions)
+        del unions, pair_unions
+        pairs = pos[(pos >= n) & (pos < n + len(a))] - n
+        triples = pos[pos >= n + len(a)]
+        first = np.searchsorted(offsets, triples, side="right") - 1
+        pair = starts[first] + triples - offsets[first]
+        witnesses = list(zip(pos[pos < n].tolist()))
+        witnesses.extend(zip(a[pairs].tolist(), b[pairs].tolist()))
+        witnesses.extend(zip(first.tolist(), a[pair].tolist(), b[pair].tolist()))
         return list(zip(uniq.tolist(), witnesses))
     out = []
     seen = set()
@@ -242,9 +241,10 @@ def _first_seen(values):
     if not len(values) or int(values.max()).bit_length() + shift > 64:
         uniq, pos = np.unique(values, return_index=True)
     else:
-        keys = np.sort(
-            values << np.uint64(shift) | np.arange(len(values), dtype=np.uint64)
-        )
+        # In place: ``values`` can be tens of megabytes.
+        keys = values << np.uint64(shift)
+        keys |= np.arange(len(values), dtype=np.uint64)
+        keys.sort()
         uniq = keys >> np.uint64(shift)
         new = np.concatenate(([True], uniq[1:] != uniq[:-1]))
         uniq = uniq[new]

@@ -14,6 +14,23 @@ The hypergraph has a decomposition with all bags drawn from the
 candidate set if and only if every block ``(∅, C0)`` for the connected
 components ``C0`` has a basis.  The search below computes this least
 fixpoint top-down with memoization.
+
+Only candidates ``X != S`` with ``X ⊆ S ∪ C`` and ``S ∩ N(C) ⊆ X`` are
+tried, where ``N(C)`` is the union of the edges meeting ``C``.  Under
+that filter a path that avoids ``X`` cannot leave ``C``: its first
+vertex outside ``C`` would lie in ``S ∩ N(C) ⊆ X``.  So every [X]-component
+meeting ``C`` lies inside ``C``, conditions 1 and 2 always hold, and
+``X`` is a basis exactly when no block ``(X, Y)`` with ``Y`` inside
+``C`` fails.  The search keeps, per candidate, the union of the
+components ``Y`` whose block ``(X, Y)`` failed, and drops ``X`` at once
+when that union meets ``C``.
+
+The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
+``Y ⊊ C``, or ``Y = C`` and ``X ⊊ S``, so ``(|C|, |S|)`` falls
+lexicographically at every step.  Each block is therefore decided once,
+and its answer is final.  Candidates are tried largest first, ties by
+mask value, so the basis found, and the tree, does not depend on the
+order in which the bags are given.
 """
 
 from __future__ import annotations
@@ -38,7 +55,10 @@ class BasisTable:
     """Satisfied blocks with the basis frozen for each.
 
     ``entries`` maps ``(S, C)`` to ``(X, sub_blocks, stamp)`` where the
-    sub-blocks were satisfied at strictly earlier stamps.
+    sub-blocks were satisfied at strictly earlier stamps.  It holds the
+    blocks the search found satisfied on its way, not every block that
+    has a basis: a candidate with a known failed sub-block is dropped
+    before its other sub-blocks are tried.
     """
 
     entries: dict
@@ -137,6 +157,7 @@ class SolveResult:
     accepted: bool
     decomposition: TreeDecomposition | None
     table: BasisTable
+    evals: int  # blocks the search decided
 
 
 def _bag_masks(bags):
@@ -160,17 +181,23 @@ def _neighborhood(h, c):
 class _Search:
     def __init__(self, h, bag_masks, max_evals):
         self.h = h
-        # Deterministic candidate order: large bags first, ties by mask value.
-        self.bags = sorted(set(bag_masks), key=lambda m: (-popcount(m), m))
-        self.bags_np = (
-            np.array(self.bags, dtype=np.uint64)
-            if len(self.bags) > _NUMPY_THRESHOLD and h.n_vertices <= 64
-            else None
-        )
+        # Candidate order: large bags first, ties by mask value.
+        if len(bag_masks) > _NUMPY_THRESHOLD and h.n_vertices <= 64:
+            arr = np.unique(np.array(bag_masks, dtype=np.uint64))
+            arr = arr[np.lexsort((arr, -np.bitwise_count(arr).astype(np.int64)))]
+            self.bags_np = arr
+            self.bags_np_not = ~arr
+            self.bags = arr.tolist()
+            self.dead = np.zeros(len(arr), dtype=np.uint64)
+        else:
+            self.bags_np = None
+            self.bags = sorted(set(bag_masks), key=lambda m: (-popcount(m), m))
+            self.dead = [0] * len(self.bags)
+        # dead[i]: union of the components Y of bags[i] whose block
+        # (bags[i], Y) has no basis.
         self.max_evals = max_evals
         self.evals = 0
         self.sat = {}  # block -> (X, subs, stamp)
-        self.failed = set()  # blocks refuted without path-pruning involvement
         self.comp_cache = {}
 
     def components_of(self, x):
@@ -180,61 +207,49 @@ class _Search:
             self.comp_cache[x] = comps
         return comps
 
-    def candidates(self, s, sc, conn):
+    def candidates(self, s, c, conn):
+        """``(index, mask)`` of the bags X != s with X inside s | c,
+        ``conn`` inside X, and no failed sub-block (X, Y) with Y inside c."""
+        dead = self.dead
+        outside = ~(s | c)
         if self.bags_np is not None:
-            notin = np.uint64(~sc & self.h.all_vertices_mask)
-            must = np.uint64(conn)
-            sel = ((self.bags_np & notin) == 0) & ((self.bags_np & must) == must)
-            return [m for m in np.asarray(self.bags_np[sel]).tolist() if m != s]
-        return [m for m in self.bags if m != s and not (m & ~sc) and not (conn & ~m)]
+            b = self.bags_np
+            # One zero test for all three conditions.
+            bad = (
+                (b & np.uint64(outside & self.h.all_vertices_mask))
+                | (self.bags_np_not & np.uint64(conn))
+                | (dead & np.uint64(c))
+            )
+            idx = (bad == 0).nonzero()[0]
+            return [(i, m) for i, m in zip(idx.tolist(), b[idx].tolist()) if m != s]
+        return [
+            (i, m) for i, m in enumerate(self.bags)
+            if m != s and not (m & outside) and not (conn & ~m) and not (dead[i] & c)
+        ]
 
-    def evaluate(self, block, path):
-        """Return (satisfied, tainted).
-
-        ``tainted`` marks a negative answer that involved pruning a
-        block already on the recursion path; such answers are not
-        cached because they may flip once the ancestor is resolved.
-        """
+    def evaluate(self, block):
+        """Whether ``block`` has a basis; records it in ``sat`` if so."""
         if block in self.sat:
-            return True, False
-        if block in self.failed:
-            return False, False
-        if block in path:
-            return False, True
+            return True
         self.evals += 1
         if self.evals > self.max_evals:
             raise SolverBudgetError("block search exceeded evaluation budget")
         s, c = block
-        sc = s | c
-        reach = _neighborhood(self.h, c)
-        conn = s & reach
-        path.add(block)
-        tainted = False
-        try:
-            for x in self.candidates(s, sc, conn):
-                ys = [y for y in self.components_of(x) if not y & ~c]
-                cover = x
-                for y in ys:
-                    cover |= y
-                # Conditions 1 and 2 at once: every edge meeting C lies
-                # inside the cover (C itself is inside those edges).
-                if reach & ~cover:
-                    continue
-                ok = True
-                for y in ys:
-                    sub_ok, sub_taint = self.evaluate((x, y), path)
-                    tainted = tainted or sub_taint
-                    if not sub_ok:
-                        ok = False
-                        break
-                if ok:
-                    self.sat[block] = (x, tuple((x, y) for y in ys), len(self.sat))
-                    return True, False
-        finally:
-            path.remove(block)
-        if not tainted:
-            self.failed.add(block)
-        return False, tainted
+        dead = self.dead
+        for i, x in self.candidates(s, c, s & _neighborhood(self.h, c)):
+            # A sub-block of x may have failed since the list was made.
+            if dead[i] & c:
+                continue
+            # Every component of x that meets c lies inside c.
+            ys = [y for y in self.components_of(x) if y & c]
+            for y in ys:
+                if not self.evaluate((x, y)):
+                    dead[i] |= y
+                    break
+            else:
+                self.sat[block] = (x, tuple((x, y) for y in ys), len(self.sat))
+                return True
+        return False
 
 
 def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
@@ -245,23 +260,13 @@ def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
     roots under the first root (which preserves all decomposition
     conditions because the bags never span components).
     """
-    masks = _bag_masks(bags)
-    search = _Search(h, masks, max_evals)
+    search = _Search(h, _bag_masks(bags), max_evals)
     root_blocks = [(0, comp) for comp in h.vertex_components(0)]
-    for block in root_blocks:
-        ok = False
-        while True:
-            before = len(search.sat)
-            ok, _ = search.evaluate(block, set())
-            if ok or len(search.sat) == before:
-                break
-            # A tainted rejection may have missed derivations that later
-            # successes enable; retry until nothing new gets satisfied.
-            search.failed.clear()
-        if not ok:
-            return SolveResult(False, None, BasisTable(search.sat))
     table = BasisTable(search.sat)
-    return SolveResult(True, extract_decomposition(h, table, root_blocks), table)
+    for block in root_blocks:
+        if not search.evaluate(block):
+            return SolveResult(False, None, table, search.evals)
+    return SolveResult(True, extract_decomposition(h, table, root_blocks), table, search.evals)
 
 
 def extract_decomposition(h, table, root_blocks):

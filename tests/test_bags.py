@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -345,8 +345,10 @@ def test_separator_budget_boundary(name, k):
         _separator_unions(h, k, steps - 1)
 
 
-def test_separator_unions_match_a_plain_loop():
-    for name, k in (("H2", 3), ("H3", 3)):
+def test_separator_unions_match_a_plain_loop(monkeypatch):
+    cases = [(name, k) for name in ("H2", "H3") for k in (1, 2, 3)]
+    for (name, k), threshold in product(cases, (_FORCE_NUMPY, bags_module._NUMPY_THRESHOLD)):
+        monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
         h = gallery(name).hypergraph
         want, seen = [], set()
         for size in range(k + 1):
