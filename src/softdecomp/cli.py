@@ -7,7 +7,7 @@ evaluation plan against a CSV directory).
 
 Exit codes: 0 success/ACCEPT, 1 REJECT or failed validation, 2 usage
 error (including a statistics file that names an unknown relation),
-3 resource budget exceeded (including the optimizer's round cap).
+3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .bags import ResourceBudgetError, soft_bags_level
 from .constraints import (
     AlwaysTrue,
     ConnectedCover,
-    NonConvergenceError,
     PartitionClustering,
     ShallowCyclicity,
     cost_order,
@@ -290,8 +289,7 @@ def main(argv=None):
             FileNotFoundError, MissingStatisticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceBudgetError, SolverBudgetError, OracleBudgetError,
-            NonConvergenceError) as exc:
+    except (ResourceBudgetError, SolverBudgetError, OracleBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -3,9 +3,11 @@ optimizing solver that searches for the cheapest satisfying tree.
 
 Constraints are hereditary Boolean properties of rooted (partial)
 decompositions: a tree satisfies one iff every rooted subtree does.
-The optimizer runs rounds of strict-improvement replacement over a
-table of blocks, so at the fixpoint each block holds a globally minimal
-satisfying partial tree under the supplied cost order.
+The optimizer is one pass of dynamic programming over the block search
+of :mod:`softdecomp.solver`: each block reached from the root keeps
+the cheapest satisfying tree among those built from its bases and the
+kept trees of their sub-blocks.  The block graph is acyclic, so every
+kept tree is final once made.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .bags import _cover_is_connected
 from .costs import subtree_cost
 from .hypergraph import ids_of
 from .solver import (
+    DEFAULT_MAX_EVALS,
     TreeDecomposition,
     _bag_masks,
-    _neighborhood,
+    _Search,
     attach_covers,
     minimum_cover,
 )
@@ -300,27 +303,30 @@ class ConstrainedResult:
     accepted: bool
     decomposition: TreeDecomposition | None
     key: CostKey | None
+    # block -> (CostKey, tree), for the blocks reached from the root
+    # blocks that have a satisfying tree
     table: dict
 
 
-class NonConvergenceError(RuntimeError):
-    """Replacement rounds failed to reach a fixpoint."""
-
-
-def solve_constrained(h, bags, constraint, order, max_rounds=None):
+def solve_constrained(h, bags, constraint, order):
     """Cheapest constraint-satisfying decomposition over a bag family.
 
-    Dynamic programming over blocks: each round visits, for every block
-    and candidate root bag, the tree assembled from the current best
-    subtrees of its sub-blocks, and replaces the block's entry only on
-    strict improvement.  At the fixpoint every entry is globally
-    minimal, so with a preference-complete (constraint, order) pairing
-    the answer is ACCEPT iff any satisfying tree exists.
+    Dynamic programming over the blocks of the plain block search,
+    memoized from the root blocks down.  A block's entry is the least
+    key under ``order`` of the trees built from its bases ``(X,
+    sub-blocks)``: the root bag ``X`` over the entries of the
+    sub-blocks.  A basis is skipped when a sub-block has no entry or
+    the tree fails the constraint.  Keys compare with a strict ``<``,
+    so among equal keys the first basis in the search's candidate order
+    wins, whatever the order of ``bags``.  The block graph is acyclic,
+    so one pass suffices, and each (root bag, sub-blocks) tree is
+    assembled and scored once.  With a preference-complete
+    (constraint, order) pairing the answer is ACCEPT iff any
+    satisfying tree exists.
 
-    A tree is assembled and scored only when one of its sub-blocks has
-    changed since the last assembly with the same root bag and
-    sub-blocks; otherwise the stored tree and key are compared again.
-    Each block's entry carries a version that counts its replacements.
+    The plain search decides the root blocks first: a constraint only
+    removes trees, so an unconstrained reject is a REJECT, found
+    without scoring any tree.
 
     For a disconnected hypergraph the components are solved
     independently; the returned tree stitches their roots together and
@@ -333,74 +339,42 @@ def solve_constrained(h, bags, constraint, order, max_rounds=None):
             "preference completeness is unverified",
             stacklevel=2,
         )
-    masks = _bag_masks(bags)
     k = getattr(bags, "k", None)
-    best = {}  # block -> (CostKey, tree)
-    version = {}  # block -> number of times best[block] was set
-    n_blocks = 0
-    pairs = []  # (block, root bag, sub-blocks, slot), in visiting order
-    slots = {}  # (root bag, sub-blocks) -> index into scored
-    for s in [0, *sorted(set(masks), key=ids_of)]:
-        for c in h.vertex_components(s):
-            n_blocks += 1
-            conn = s & _neighborhood(h, c)
-            for x in masks:
-                if x == s or x & ~(s | c) or conn & ~x:
-                    continue
-                subs = _sub_blocks(h, (s, c), x)
-                if subs is not None:
-                    slot = slots.setdefault((x, subs), len(slots))
-                    pairs.append(((s, c), x, subs, slot))
-    # per slot: (sub-block versions, tree, key or None if the constraint
-    # fails) from its last assembly
-    scored = [None] * len(slots)
+    search = _Search(h, _bag_masks(bags), DEFAULT_MAX_EVALS)
+    entries = {}  # block -> (CostKey, tree), or None if no tree satisfies
+    scored = {}  # (root bag, sub-blocks) -> (CostKey or None, tree)
     root_covers = {}  # root bag -> minimum cover, filled on first assembly
-    cap = max_rounds if max_rounds is not None else 2 * n_blocks + 4
-    for _ in range(cap):
-        changed = False
-        for block, x, subs, slot in pairs:
-            if any(sb not in best for sb in subs):
-                continue
-            stamp = tuple(version[sb] for sb in subs)
-            if scored[slot] is None or scored[slot][0] != stamp:
-                tree = _assemble(h, x, [best[sb][1] for sb in subs], k, root_covers)
-                key = order(tree) if constraint.holds(h, tree, k) else None
-                scored[slot] = (stamp, tree, key)
-            _, tree, key = scored[slot]
-            if key is not None and (block not in best or key < best[block][0]):
-                best[block] = (key, tree)
-                version[block] = version.get(block, 0) + 1
-                changed = True
-        if not changed:
-            break
-    else:
-        raise NonConvergenceError("replacement did not reach a fixpoint")
+
+    def entry(block):
+        if block not in entries:
+            best = None
+            for x, subs in search.bases(block):
+                parts = [entry(sb) for sb in subs]
+                if any(p is None for p in parts):
+                    continue
+                if (x, subs) not in scored:
+                    tree = _assemble(h, x, [p[1] for p in parts], k, root_covers)
+                    key = order(tree) if constraint.holds(h, tree, k) else None
+                    scored[(x, subs)] = (key, tree)
+                key, tree = scored[(x, subs)]
+                if key is not None and (best is None or key < best[0]):
+                    best = (key, tree)
+            entries[block] = best
+        return entries[block]
 
     root_blocks = [(0, c) for c in h.vertex_components(0)]
-    if any(rb not in best for rb in root_blocks):
-        return ConstrainedResult(False, None, None, best)
-    parts = [best[rb] for rb in root_blocks]
+    if not all(search.evaluate(rb) for rb in root_blocks):
+        return ConstrainedResult(False, None, None, {})
+    parts = [entry(rb) for rb in root_blocks]
+    table = {block: e for block, e in entries.items() if e is not None}
+    if any(p is None for p in parts):
+        return ConstrainedResult(False, None, None, table)
     total = CostKey(
         sum(p[0].cost for p in parts),
         sum(p[0].nodes for p in parts),
         tuple(sorted(b for p in parts for b in p[0].bags)),
     )
-    return ConstrainedResult(True, _stitch(h, [p[1] for p in parts], k), total, best)
-
-
-def _sub_blocks(h, block, x):
-    """The blocks below root bag x of a block, or None if x cannot
-    head it (coverage of the component or its incident edges fails)."""
-    s, c = block
-    ys = [y for y in h.vertex_components(x) if not y & ~c]
-    cover = x
-    for y in ys:
-        cover |= y
-    if c & ~cover:
-        return None
-    if any(e & c and e & ~cover for e in h.edge_masks):
-        return None
-    return tuple((x, y) for y in ys)
+    return ConstrainedResult(True, _stitch(h, [p[1] for p in parts], k), total, table)
 
 
 def _assemble(h, root_bag, subtrees, k, root_covers):

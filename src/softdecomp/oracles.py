@@ -394,15 +394,14 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
     Enumerates lazily by recursive block decomposition, exploring every
     basis; trees are produced in a canonical rooted form (children
     sorted by their encodings), and distinct yields encode distinct
-    trees.  Block repeats along a recursion path are pruned, which
-    drops only redundant (collapsible) trees.  Memory stays
-    proportional to the recursion depth, so taking only the first few
-    trees is cheap even when the full count is astronomical.
+    trees.  Memory stays proportional to the recursion depth, so taking
+    only the first few trees is cheap even when the full count is
+    astronomical.
     """
     masks = sorted({m for m in (bags.bags if hasattr(bags, "bags") else bags)})
     state = {"steps": 0}
 
-    def options(block, path):
+    def options(block):
         s, c = block
         sc = s | c
         for x in masks:
@@ -420,15 +419,12 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
             if any(e & c and e & ~cover for e in h.edge_masks):
                 continue
             subs = [(x, y) for y in ys]
-            if any(sub in path for sub in subs):
-                continue
-            deeper = path | {block}
 
-            def rec(i, acc, x=x, subs=subs, deeper=deeper):
+            def rec(i, acc, x=x, subs=subs):
                 if i == len(subs):
                     yield (x, tuple(sorted(acc)))
                     return
-                for t in options(subs[i], deeper):
+                for t in options(subs[i]):
                     yield from rec(i + 1, acc + (t,))
 
             yield from rec(0, ())
@@ -439,7 +435,7 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
         if i == len(comps):
             yield acc
             return
-        for t in options((0, comps[i]), frozenset()):
+        for t in options((0, comps[i])):
             yield from roots(i + 1, acc + (t,))
 
     for combo in roots(0, ()):

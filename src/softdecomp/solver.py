@@ -30,7 +30,11 @@ The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
 lexicographically at every step.  Each block is therefore decided once,
 and its answer is final.  Candidates are tried largest first, ties by
 mask value, so the basis found, and the tree, does not depend on the
-order in which the bags are given.
+order in which the bags are given.  ``_Search.bases`` yields every
+basis of a block in that order; ``solve`` takes the first, and the
+constrained optimizer keeps, among bases whose trees have equal cost
+keys, the first one, so its tree does not depend on the bag order
+either.
 """
 
 from __future__ import annotations
@@ -227,13 +231,9 @@ class _Search:
             if m != s and not (m & outside) and not (conn & ~m) and not (dead[i] & c)
         ]
 
-    def evaluate(self, block):
-        """Whether ``block`` has a basis; records it in ``sat`` if so."""
-        if block in self.sat:
-            return True
-        self.evals += 1
-        if self.evals > self.max_evals:
-            raise SolverBudgetError("block search exceeded evaluation budget")
+    def bases(self, block):
+        """Yield ``(X, sub_blocks)`` for each basis of ``block``, in
+        candidate order, marking failed sub-blocks in ``dead`` on the way."""
         s, c = block
         dead = self.dead
         for i, x in self.candidates(s, c, s & _neighborhood(self.h, c)):
@@ -247,8 +247,18 @@ class _Search:
                     dead[i] |= y
                     break
             else:
-                self.sat[block] = (x, tuple((x, y) for y in ys), len(self.sat))
-                return True
+                yield x, tuple((x, y) for y in ys)
+
+    def evaluate(self, block):
+        """Whether ``block`` has a basis; records the first in ``sat``."""
+        if block in self.sat:
+            return True
+        self.evals += 1
+        if self.evals > self.max_evals:
+            raise SolverBudgetError("block search exceeded evaluation budget")
+        for x, subs in self.bases(block):
+            self.sat[block] = (x, subs, len(self.sat))
+            return True
         return False
 
 

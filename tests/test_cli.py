@@ -1,10 +1,10 @@
 import json
+import time
 
 import pytest
 
-from softdecomp import parse_cq
+from softdecomp import gallery, parse_cq
 from softdecomp.cli import main
-from softdecomp.constraints import NonConvergenceError
 
 
 PATH = "r(a,b),\ns(b,c),\nt(c,d)\n"
@@ -154,10 +154,17 @@ def test_unknown_statistics_relation_is_usage_error(tmp_path, capsys):
     assert "unknown relation 'nosuch'" in capsys.readouterr().err
 
 
-def test_non_convergence_is_budget_error(hg_file, monkeypatch, capsys):
-    def no_fixpoint(*args, **kwargs):
-        raise NonConvergenceError("replacement did not reach a fixpoint")
+def test_decompose_reject_on_h3_is_fast(tmp_path):
+    # The plain block search rejects H3 at k=2 before any tree is scored,
+    # within the acceptance suite's 1 s CPU bound.
+    p = tmp_path / "h3.hg"
+    p.write_text(gallery("H3").hypergraph.serialize())
+    start = time.process_time()
+    assert main(["decompose", "--input", str(p), "--k", "2"]) == 1
+    assert time.process_time() - start < 1.0
 
-    monkeypatch.setattr("softdecomp.cli.solve_constrained", no_fixpoint)
+
+def test_optimizer_search_budget_is_exit_three(hg_file, monkeypatch, capsys):
+    monkeypatch.setattr("softdecomp.constraints.DEFAULT_MAX_EVALS", 1)
     assert main(["decompose", "--input", hg_file, "--k", "1"]) == 3
-    assert "fixpoint" in capsys.readouterr().err
+    assert "evaluation budget" in capsys.readouterr().err

@@ -180,6 +180,59 @@ def test_optimizer_scores_each_tree_once(name):
     assert len(trees) == len(set(trees))
 
 
+def test_solve_constrained_ignores_bag_order():
+    # The optimizer walks the block search's bases, in an order that does
+    # not depend on how the bags are given, and keeps the first of equal
+    # keys; so the tree is the same for any order of the same bags.
+    rng = random.Random(29)
+    cases = [(gallery(name).hypergraph, k) for name, k in [("H2", 2), ("C5", 2)]]
+    cases += [(random_connected_hypergraph(rng, max_vertices=7, max_edges=7), k)
+              for _ in range(60) for k in (1, 2, 3)]
+    accepted = 0
+    for h, k in cases:
+        masks = soft_bags(h, k).masks()
+        shuffled = masks[:]
+        rng.shuffle(shuffled)
+        trees = set()
+        for given in (masks, masks[::-1], shuffled):
+            td = solve_constrained(h, given, AlwaysTrue(), trivial_order()).decomposition
+            trees.add(None if td is None else (tuple(td.bags), tuple(td.parents)))
+        assert len(trees) == 1
+        accepted += None not in trees
+    assert accepted > 100
+
+
+def test_reject_scores_no_tree():
+    # A constraint only removes trees, so when the plain search rejects,
+    # the optimizer rejects without building or scoring a tree.
+    calls = []
+
+    class CountingCover(ConnectedCover):
+        def holds(self, h, td, k):
+            calls.append(td)
+            return super().holds(h, td, k)
+
+    def order(td):
+        calls.append(td)
+        return trivial_order()(td)
+
+    order.pairs_with = trivial_order().pairs_with
+    rng = random.Random(43)
+    # The first component has trees; the second rejects at k=1.
+    cases = [(parse_hypergraph("r(a,b), s(c,d), t(d,e), u(e,c)"), 1)]
+    cases += [(random_connected_hypergraph(rng, max_vertices=7, max_edges=7), k)
+              for _ in range(300) for k in (1, 2)]
+    rejects = 0
+    for h, k in cases:
+        bags = soft_bags(h, k)
+        if solve(h, bags).accepted:
+            continue
+        rejects += 1
+        assert not solve_constrained(h, bags, CountingCover(), order).accepted
+    assert rejects >= 100
+    assert calls == []
+
+
 def test_connected_cover_cache_follows_the_hypergraph():
     concov = ConnectedCover()
     path = parse_hypergraph("r(a,b), s(b,c)")
