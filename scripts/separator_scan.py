@@ -37,8 +37,7 @@ def main():
         sep = masks[combo[0]] | masks[combo[1]] | masks[combo[2]]
         if not sep & apex:
             continue
-        for comp in h.edge_components(sep):
-            union = comp.vertices
+        for union in h.component_unions(sep):
             if not union & apex and not (blocks | root_rest) & ~union:
                 hits.append(tuple(h.edge_names[e] for e in combo))
                 break

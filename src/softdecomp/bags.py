@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import Hypergraph, ids_of, popcount
+from .hypergraph import Hypergraph, cover_is_connected, ids_of, popcount
 
 DEFAULT_MAX_BAGS = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
@@ -259,9 +259,23 @@ def _first_intersections(rows, cols, exclude=()):
     Returns ``(mask, i, j)`` triples in discovery order, i.e. ordered
     by ``(i, j)``: the order of a loop over the rows and, within a row,
     over the columns that keeps each mask not seen before.  Masks in
-    ``exclude`` count as seen.  Rows are processed in blocks of at most
+    ``exclude`` count as seen.  Above a size gate, and when every mask
+    fits 64 bits, the loop runs in numpy, in blocks of at most
     ``_BLOCK`` intersections to bound memory.
     """
+    if (
+        len(rows) * len(cols) <= _NUMPY_THRESHOLD
+        or max(max(rows, default=0), max(cols, default=0)) >> 64
+    ):
+        seen = set(exclude)
+        out = []
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                m = row & col
+                if m and m not in seen:
+                    seen.add(m)
+                    out.append((m, i, j))
+        return out
     row_arr = np.array(rows, dtype=np.uint64)
     col_arr = np.array(cols, dtype=np.uint64)
     seen = np.array(sorted(set(exclude)), dtype=np.uint64)
@@ -319,23 +333,9 @@ def _enumerate_bags(h, k, pool, level, max_bags, max_steps):
     if n_pairs > max_steps:
         raise ResourceBudgetError("bag enumeration exceeded step budget")
 
-    if n_pairs > _NUMPY_THRESHOLD and h.n_vertices <= 64:
-        found = _first_intersections(
-            [cm for cm, _ in comp_entries], [um for um, _ in covers]
-        )
-        if len(found) > max_bags:
-            raise ResourceBudgetError("bag count exceeded budget")
-    else:
-        found = []
-        seen = set()
-        for ci, (cm, _) in enumerate(comp_entries):
-            for wi, (um, _) in enumerate(covers):
-                m = um & cm
-                if m and m not in seen:
-                    seen.add(m)
-                    found.append((m, ci, wi))
-                    if len(found) > max_bags:
-                        raise ResourceBudgetError("bag count exceeded budget")
+    found = _first_intersections([cm for cm, _ in comp_entries], [um for um, _ in covers])
+    if len(found) > max_bags:
+        raise ResourceBudgetError("bag count exceeded budget")
     return _WitnessMap(found, covers, comp_entries, level)
 
 
@@ -357,17 +357,9 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     h = prev.hypergraph
     pool = list(prev.pool)
     seen = {s.vertices for s in pool}
-    if len(prev.bags) * len(prev.pool) > _NUMPY_THRESHOLD and h.n_vertices <= 64:
-        found = _first_intersections([s.vertices for s in prev.pool], list(prev.bags), seen)
-        for m, i, _ in found:
-            pool.append(SubEdge(m, prev.pool[i].origin, prev.level + 1))
-    else:
-        for sub in prev.pool:
-            for bm in prev.bags:
-                m = sub.vertices & bm
-                if m and m not in seen:
-                    seen.add(m)
-                    pool.append(SubEdge(m, sub.origin, prev.level + 1))
+    found = _first_intersections([s.vertices for s in prev.pool], list(prev.bags), seen)
+    for m, i, _ in found:
+        pool.append(SubEdge(m, prev.pool[i].origin, prev.level + 1))
 
     bags = _enumerate_bags(h, prev.k, pool, prev.level + 1, max_bags, max_steps)
     if len(pool) == len(prev.pool) and bags.keys() == prev.bags.keys():
@@ -442,7 +434,7 @@ def edge_cover_bags(h, k, connected=False, max_steps=DEFAULT_MAX_STEPS):
                 m |= masks[i]
             if m in witnesses:
                 continue
-            if connected and not _cover_is_connected([masks[i] for i in combo]):
+            if connected and not cover_is_connected([masks[i] for i in combo]):
                 continue
             witnesses[m] = combo
     out = {}
@@ -451,23 +443,6 @@ def edge_cover_bags(h, k, connected=False, max_steps=DEFAULT_MAX_STEPS):
             continue
         out[m] = witnesses[m]
     return out
-
-
-def _cover_is_connected(cover_masks):
-    """Whether a set of edge masks forms a connected subhypergraph."""
-    if not cover_masks:
-        return False
-    reach = cover_masks[0]
-    pending = list(cover_masks[1:])
-    progress = True
-    while pending and progress:
-        progress = False
-        for m in list(pending):
-            if m & reach:
-                reach |= m
-                pending.remove(m)
-                progress = True
-    return not pending
 
 
 def soft_bags_level(h, k, level, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):

@@ -17,9 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .bags import _cover_is_connected
 from .costs import subtree_cost
-from .hypergraph import ids_of
+from .hypergraph import cover_is_connected, ids_of
 from .solver import (
     DEFAULT_MAX_EVALS,
     TreeDecomposition,
@@ -120,14 +119,9 @@ def connected_cover(h, bag, k, exact=False):
                 continue
             if exact and u != bag:
                 continue
-            if _cover_is_connected([masks[e] for e in combo]):
+            if cover_is_connected([masks[e] for e in combo]):
                 return combo
     return None
-
-
-def eval_concov(h, td, k):
-    """Whether every bag of the tree has a connected cover of ≤ k edges."""
-    return ConnectedCover().holds(h, td, k)
 
 
 def cyclicity_depth(h, td):
@@ -140,11 +134,6 @@ def cyclicity_depth(h, td):
         if not any(not bag & ~m for m in masks)
     ]
     return max(depths, default=0)
-
-
-def eval_shallowcyc(h, td, d):
-    """Whether all nodes deeper than d are single-edge-coverable."""
-    return cyclicity_depth(h, td) <= d
 
 
 def partition_assignment(h, td, labels, k):
@@ -188,11 +177,6 @@ def partition_assignment(h, td, labels, k):
         return False
 
     return dict(assignment) if rec(0) else None
-
-
-def eval_partclust(h, td, labels, k=None):
-    """Whether a partition-contiguous node labelling exists."""
-    return partition_assignment(h, td, labels, k) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +227,7 @@ def cost_order(stats):
     preference-complete companion of the connected-cover constraint."""
 
     def key(td):
-        total = sum(
-            subtree_cost(_component_view(td, r), stats).total for r in td.roots()
-        )
-        return CostKey(total, len(td), _canonical_bags(td))
+        return CostKey(subtree_cost(td, stats).total, len(td), _canonical_bags(td))
 
     key.pairs_with = (AlwaysTrue, ConnectedCover)
     return key
@@ -271,27 +252,11 @@ def partition_order(labels, k, stats=None):
         used = len(set(assignment.values())) if assignment else len(td.bags) + 1
         cost = 0.0
         if stats is not None:
-            cost = sum(
-                subtree_cost(_component_view(td, r), stats).total for r in td.roots()
-            )
+            cost = subtree_cost(td, stats).total
         return CostKey(used * 1e6 + cost, len(td), _canonical_bags(td))
 
     key.pairs_with = (PartitionClustering, AlwaysTrue)
     return key
-
-
-def _component_view(td, root):
-    """The subtree rooted at ``root`` as its own decomposition."""
-    nodes = td.subtree(root)
-    if len(nodes) == len(td):
-        return td
-    index = {u: i for i, u in enumerate(nodes)}
-    return TreeDecomposition(
-        td.hypergraph,
-        [td.bags[u] for u in nodes],
-        [index.get(td.parents[u], -1) for u in nodes],
-        None if td.covers is None else [td.covers[u] for u in nodes],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +268,9 @@ class ConstrainedResult:
     accepted: bool
     decomposition: TreeDecomposition | None
     key: CostKey | None
-    # block -> (CostKey, tree), for the blocks reached from the root
-    # blocks that have a satisfying tree
+    # block -> (CostKey, node), for the blocks reached from the root
+    # blocks that have a satisfying tree; a node is the nested
+    # (bag, cover, children) form of its tree
     table: dict
 
 
@@ -320,7 +286,7 @@ def solve_constrained(h, bags, constraint, order):
     so among equal keys the first basis in the search's candidate order
     wins, whatever the order of ``bags``.  The block graph is acyclic,
     so one pass suffices, and each (root bag, sub-blocks) tree is
-    assembled and scored once.  With a preference-complete
+    built and scored once.  With a preference-complete
     (constraint, order) pairing the answer is ACCEPT iff any
     satisfying tree exists.
 
@@ -329,8 +295,8 @@ def solve_constrained(h, bags, constraint, order):
     without scoring any tree.
 
     For a disconnected hypergraph the components are solved
-    independently; the returned tree stitches their roots together and
-    the reported key is the component-wise sum.
+    independently, and the decomposition has one root per component.
+    The constraint is checked, and the key taken, on that whole forest.
     """
     known = tuple(getattr(order, "pairs_with", ()))
     if not known or not isinstance(constraint, known):
@@ -341,9 +307,9 @@ def solve_constrained(h, bags, constraint, order):
         )
     k = getattr(bags, "k", None)
     search = _Search(h, _bag_masks(bags), DEFAULT_MAX_EVALS)
-    entries = {}  # block -> (CostKey, tree), or None if no tree satisfies
-    scored = {}  # (root bag, sub-blocks) -> (CostKey or None, tree)
-    root_covers = {}  # root bag -> minimum cover, filled on first assembly
+    entries = {}  # block -> (CostKey, node), or None if no tree satisfies
+    scored = {}  # (root bag, sub-blocks) -> (CostKey or None, node)
+    root_covers = {}  # root bag -> minimum cover, filled on first use
 
     def entry(block):
         if block not in entries:
@@ -353,12 +319,17 @@ def solve_constrained(h, bags, constraint, order):
                 if any(p is None for p in parts):
                     continue
                 if (x, subs) not in scored:
-                    tree = _assemble(h, x, [p[1] for p in parts], k, root_covers)
+                    if x not in root_covers:
+                        root_covers[x] = minimum_cover(h, x, max_size=k)
+                    if root_covers[x] is None:
+                        raise ValueError("root bag not coverable within the width limit")
+                    node = (x, root_covers[x], tuple(p[1] for p in parts))
+                    tree = TreeDecomposition.from_nodes(h, [node])
                     key = order(tree) if constraint.holds(h, tree, k) else None
-                    scored[(x, subs)] = (key, tree)
-                key, tree = scored[(x, subs)]
+                    scored[(x, subs)] = (key, node)
+                key, node = scored[(x, subs)]
                 if key is not None and (best is None or key < best[0]):
-                    best = (key, tree)
+                    best = (key, node)
             entries[block] = best
         return entries[block]
 
@@ -369,46 +340,12 @@ def solve_constrained(h, bags, constraint, order):
     table = {block: e for block, e in entries.items() if e is not None}
     if any(p is None for p in parts):
         return ConstrainedResult(False, None, None, table)
-    total = CostKey(
-        sum(p[0].cost for p in parts),
-        sum(p[0].nodes for p in parts),
-        tuple(sorted(b for p in parts for b in p[0].bags)),
-    )
-    return ConstrainedResult(True, _stitch(h, [p[1] for p in parts], k), total, table)
-
-
-def _assemble(h, root_bag, subtrees, k, root_covers):
-    """The tree with ``root_bag`` over ``subtrees``; ``root_covers``
-    caches each root bag's minimum cover across calls."""
-    if root_bag not in root_covers:
-        root_covers[root_bag] = minimum_cover(h, root_bag, max_size=k)
-    bags = [root_bag]
-    parents = [-1]
-    covers = [root_covers[root_bag]]
-    if covers[0] is None:
-        raise ValueError("root bag not coverable within the width limit")
-    for sub in subtrees:
-        off = len(bags)
-        for u in range(len(sub)):
-            bags.append(sub.bags[u])
-            parents.append(sub.parents[u] + off if sub.parents[u] >= 0 else 0)
-            covers.append(sub.covers[u])
-    return TreeDecomposition(h, bags, parents, covers)
-
-
-def _stitch(h, trees, k):
-    if len(trees) == 1:
-        return trees[0]
-    bags, parents, covers = [], [], []
-    for t in trees:
-        off = len(bags)
-        for u in range(len(t)):
-            bags.append(t.bags[u])
-            parents.append(
-                t.parents[u] + off if t.parents[u] >= 0 else (-1 if off == 0 else 0)
-            )
-            covers.append(t.covers[u])
-    return TreeDecomposition(h, bags, parents, covers)
+    td = TreeDecomposition.from_nodes(h, [node for _, node in parts])
+    if len(parts) == 1:
+        return ConstrainedResult(True, td, parts[0][0], table)
+    if not constraint.holds(h, td, k):
+        return ConstrainedResult(False, None, None, table)
+    return ConstrainedResult(True, td, order(td), table)
 
 
 # ---------------------------------------------------------------------------

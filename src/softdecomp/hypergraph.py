@@ -9,7 +9,7 @@ queries be cached safely.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,19 +46,6 @@ def ids_of(mask):
 
 def popcount(mask):
     return mask.bit_count()
-
-
-@dataclass(frozen=True)
-class EdgeComponent:
-    """A maximal set of pairwise [S]-connected edges.
-
-    ``edge_ids`` are the member edges (sorted) and ``vertices`` is the
-    bitmask of the union of their vertex sets (which may include
-    vertices of the separator itself).
-    """
-
-    edge_ids: tuple
-    vertices: int
 
 
 @dataclass(frozen=True)
@@ -181,12 +168,6 @@ class Hypergraph:
                 seen[m] = i
         return tuple(dups)
 
-    @cached_property
-    def is_connected(self):
-        if self.n_vertices == 0:
-            return True
-        return len(self.vertex_components(0)) == 1
-
     def edge_id(self, name):
         try:
             return self.edge_names.index(name)
@@ -201,12 +182,22 @@ class Hypergraph:
 
     # -- connectivity --------------------------------------------------------
 
+    def neighborhood(self, mask):
+        """Union of all edges meeting the vertex set ``mask``."""
+        out = 0
+        adj = self.adjacency
+        while mask:
+            out |= adj[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+        return out
+
     def closure(self, seed, sep):
         """Vertices [sep]-reachable from ``seed & ~sep`` (a bitmask)."""
         free = ~sep
         comp = seed & free
         frontier = comp
         adj = self.adjacency
+        # Inlined: calling ``neighborhood`` here measured ~13 % slower on the bundled queries.
         while frontier:
             grown = 0
             m = frontier
@@ -232,41 +223,13 @@ class Hypergraph:
             rest &= ~comp
         return comps
 
-    def edge_components(self, sep):
-        """Maximal sets of pairwise [sep]-connected edges.
-
-        Returns a list of :class:`EdgeComponent` in order of smallest
-        member vertex.  Edges fully contained in ``sep`` belong to no
-        component.
-        """
-        comps = self.vertex_components(sep)
-        out = []
-        masks = self.edge_masks
-        for comp in comps:
-            edge_ids = tuple(i for i, m in enumerate(masks) if m & comp)
-            if edge_ids:
-                union = 0
-                for i in edge_ids:
-                    union |= masks[i]
-                out.append(EdgeComponent(edge_ids, union))
-        return out
-
     def component_unions(self, sep):
-        """Vertex unions of the [sep]-components, skipping edge ids.
+        """Vertex unions of the edges meeting each [sep]-component, in
+        the order of ``vertex_components``.
 
-        Equivalent to ``[c.vertices for c in self.edge_components(sep)]``
-        but much faster on edge-heavy hypergraphs.
+        Edges inside ``sep`` meet no component and are in no union.
         """
-        adj = self.adjacency
-        out = []
-        for comp in self.vertex_components(sep):
-            union = 0
-            m = comp
-            while m:
-                union |= adj[(m & -m).bit_length() - 1]
-                m &= m - 1
-            out.append(union)
-        return out
+        return [self.neighborhood(comp) for comp in self.vertex_components(sep)]
 
     def component_unions_batch(self, seps):
         """``component_unions`` of many separators at once, in numpy.
@@ -312,13 +275,6 @@ class Hypergraph:
         order = np.argsort(owner, kind="stable")
         return owner[order], np.concatenate(unions)[order]
 
-    def lambda_components(self, edge_ids):
-        """[lambda]-components for a set of edges used as separator."""
-        sep = 0
-        for i in edge_ids:
-            sep |= self.edge_masks[i]
-        return self.edge_components(sep)
-
     # -- derived hypergraphs ---------------------------------------------
 
     def induced(self, vertex_mask):
@@ -344,6 +300,24 @@ class Hypergraph:
         for name, vs in zip(self.edge_names, self.edge_vertex_ids):
             lines.append(f"{name}({','.join(self.vertex_names[v] for v in vs)})")
         return ",\n".join(lines) + "\n"
+
+
+def cover_is_connected(cover_masks):
+    """Whether a set of edge masks forms a connected subhypergraph
+    (an empty set does not)."""
+    if not cover_masks:
+        return False
+    reach = cover_masks[0]
+    pending = list(cover_masks[1:])
+    progress = True
+    while pending and progress:
+        progress = False
+        for m in list(pending):
+            if m & reach:
+                reach |= m
+                pending.remove(m)
+                progress = True
+    return not pending
 
 
 def _fresh_name(base, taken):

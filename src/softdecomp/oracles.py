@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hypergraph import Hypergraph, ids_of, popcount
-from .solver import TreeDecomposition, _neighborhood, minimum_cover
+from .solver import TreeDecomposition, minimum_cover
 
 DEFAULT_SUBSET_VERTEX_CAP = 14
 
@@ -96,11 +96,10 @@ def validate_td(h, td, bag_masks=None, k=None, check_compnf=True, check_special=
             u = td.parents[c]
             if u < 0:
                 continue
-            comps = h.edge_components(td.bags[u])
             want = subtree_union[c]
             matches = [
-                comp for comp in comps
-                if comp.vertices | (td.bags[u] & td.bags[c]) == want
+                union for union in h.component_unions(td.bags[u])
+                if union | (td.bags[u] & td.bags[c]) == want
             ]
             if len(matches) != 1:
                 ok = False
@@ -150,7 +149,8 @@ def hw_leq(h, k, max_edges=None, max_steps=20_000_000):
     bounded by ``max_steps`` (bag tries plus edge-union work); past it,
     or past an explicit ``max_edges`` cap, it raises
     :class:`OracleBudgetError`.  The returned decomposition has covers
-    attached and satisfies the descendant condition by construction.
+    attached, one root per connected component, and satisfies the
+    descendant condition by construction.
     """
     if max_edges is not None and h.n_edges > max_edges:
         raise OracleBudgetError(
@@ -163,24 +163,7 @@ def hw_leq(h, k, max_edges=None, max_steps=20_000_000):
         if tree is None:
             return None
         nodes.append(tree)
-    bags, parents, covers = [], [], []
-
-    def emit(node, parent):
-        chi, lam, children = node
-        i = len(bags)
-        bags.append(chi)
-        parents.append(parent)
-        covers.append(lam)
-        for ch in children:
-            emit(ch, i)
-        return i
-
-    first = None
-    for node in nodes:
-        r = emit(node, -1 if first is None else first)
-        if first is None:
-            first = r
-    return TreeDecomposition(h, bags, parents, covers)
+    return TreeDecomposition.from_nodes(h, nodes)
 
 
 class _HwSearch:
@@ -305,7 +288,7 @@ class _HwSearch:
     def _region(self, comp):
         region = self._regions.get(comp)
         if region is None:
-            region = self._regions[comp] = _neighborhood(self.h, comp)
+            region = self._regions[comp] = self.h.neighborhood(comp)
         return region
 
     def _tick(self, n):
@@ -394,9 +377,9 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
     Enumerates lazily by recursive block decomposition, exploring every
     basis; trees are produced in a canonical rooted form (children
     sorted by their encodings), and distinct yields encode distinct
-    trees.  Memory stays proportional to the recursion depth, so taking
-    only the first few trees is cheap even when the full count is
-    astronomical.
+    trees; each tree has one root per connected component.  Memory
+    stays proportional to the recursion depth, so taking only the first
+    few trees is cheap even when the full count is astronomical.
     """
     masks = sorted({m for m in (bags.bags if hasattr(bags, "bags") else bags)})
     state = {"steps": 0}
@@ -422,7 +405,7 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
 
             def rec(i, acc, x=x, subs=subs):
                 if i == len(subs):
-                    yield (x, tuple(sorted(acc)))
+                    yield (x, None, tuple(sorted(acc)))
                     return
                 for t in options(subs[i]):
                     yield from rec(i + 1, acc + (t,))
@@ -439,22 +422,7 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
             yield from roots(i + 1, acc + (t,))
 
     for combo in roots(0, ()):
-        bags_out, parents = [], []
-
-        def emit(node, parent):
-            i = len(bags_out)
-            bags_out.append(node[0])
-            parents.append(parent)
-            for ch in node[1]:
-                emit(ch, i)
-            return i
-
-        first = None
-        for node in combo:
-            r = emit(node, -1 if first is None else first)
-            if first is None:
-                first = r
-        yield TreeDecomposition(h, list(bags_out), list(parents))
+        yield TreeDecomposition.from_nodes(h, combo)
 
 
 def enumerate_all_ctds(h, bags, max_trees=20_000, max_steps=2_000_000):

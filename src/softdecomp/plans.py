@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .bags import _cover_is_connected
+from .hypergraph import cover_is_connected
 
 
 class PlanError(ValueError):
@@ -110,7 +110,7 @@ def compile_plan(cq, td):
     cartesian = []
     for u in range(len(td)):
         masks = [atom_masks[i] for i in node_atoms[u]]
-        if len(masks) > 1 and not _cover_is_connected(masks):
+        if len(masks) > 1 and not cover_is_connected(masks):
             cartesian.append(u)
 
     steps = []

@@ -67,23 +67,44 @@ class BasisTable:
 
     entries: dict
 
-    def basis(self, block):
-        entry = self.entries.get(block)
-        return entry[0] if entry else None
-
-    def __contains__(self, block):
-        return block in self.entries
-
 
 @dataclass
 class TreeDecomposition:
-    """A rooted tree of bags; ``parents[i]`` is -1 for roots."""
+    """A forest of bags; ``parents[i]`` is -1 for roots.
+
+    A decomposition of a disconnected hypergraph has one root per
+    connected component.
+    """
 
     hypergraph: Hypergraph
     bags: list  # vertex masks
     parents: list
     covers: list | None = None  # per node: tuple of edge ids, or None
     _children: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_nodes(cls, h, nodes):
+        """The forest of nested ``(bag, cover, children)`` nodes.
+
+        Every node in ``nodes`` becomes a root, and nodes are numbered
+        in preorder.  ``covers`` is None when no node carries a cover.
+        """
+        bags, parents, covers = [], [], []
+
+        def emit(node, parent):
+            bag, cover, children = node
+            i = len(bags)
+            bags.append(bag)
+            parents.append(parent)
+            covers.append(cover)
+            for child in children:
+                emit(child, i)
+
+        for node in nodes:
+            emit(node, -1)
+        if all(c is None for c in covers):
+            covers = None
+        return cls(h, bags, parents, covers)
 
     def __len__(self):
         return len(self.bags)
@@ -170,18 +191,6 @@ def _bag_masks(bags):
     return list(bags)
 
 
-def _neighborhood(h, c):
-    """Union of all edges intersecting the vertex mask ``c``."""
-    n = 0
-    m = c
-    adj = h.adjacency
-    while m:
-        v = (m & -m).bit_length() - 1
-        n |= adj[v]
-        m &= m - 1
-    return n
-
-
 class _Search:
     def __init__(self, h, bag_masks, max_evals):
         self.h = h
@@ -236,7 +245,7 @@ class _Search:
         candidate order, marking failed sub-blocks in ``dead`` on the way."""
         s, c = block
         dead = self.dead
-        for i, x in self.candidates(s, c, s & _neighborhood(self.h, c)):
+        for i, x in self.candidates(s, c, s & self.h.neighborhood(c)):
             # A sub-block of x may have failed since the list was made.
             if dead[i] & c:
                 continue
@@ -265,10 +274,8 @@ class _Search:
 def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
     """Decide whether a decomposition exists with bags from ``bags``.
 
-    Disconnected hypergraphs are solved per connected component; the
-    resulting trees are stitched by attaching the later components'
-    roots under the first root (which preserves all decomposition
-    conditions because the bags never span components).
+    Disconnected hypergraphs are solved per connected component, and
+    the decomposition has one root per component.
     """
     search = _Search(h, _bag_masks(bags), max_evals)
     root_blocks = [(0, comp) for comp in h.vertex_components(0)]
@@ -280,34 +287,21 @@ def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
 
 
 def extract_decomposition(h, table, root_blocks):
-    """Materialize the tree from a basis table.
+    """Materialize the decomposition from a basis table.
 
     Per satisfied block the node bag is the block's basis; the
-    conceptual empty root is dropped.  Multiple root blocks (from a
-    disconnected hypergraph) are stitched under the first root.
+    conceptual empty root is dropped, so each nonempty root block
+    gives one root.
     """
-    bags = []
-    parents = []
 
-    def build(block, parent):
+    def node(block):
         x, subs, _ = table.entries[block]
-        i = len(bags)
-        bags.append(x)
-        parents.append(parent)
-        for sub in subs:
-            build(sub, i)
-        return i
+        return (x, None, tuple(node(sub) for sub in subs))
 
-    first = None
-    for block in root_blocks:
-        if not block[1]:
-            continue
-        r = build(block, -1 if first is None else first)
-        if first is None:
-            first = r
-    if first is None:  # edgeless corner: nothing to decompose
+    roots = [node(block) for block in root_blocks if block[1]]
+    if not roots:  # edgeless corner: nothing to decompose
         raise ValueError("no nonempty root blocks")
-    return TreeDecomposition(h, bags, parents)
+    return TreeDecomposition.from_nodes(h, roots)
 
 
 def minimum_cover(h, bag, pool_masks=None, max_size=None):

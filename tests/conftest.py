@@ -48,6 +48,28 @@ def random_connected_hypergraph(rng, max_vertices=8, max_edges=8, max_arity=4):
     return Hypergraph.from_named_edges(named)
 
 
+def brute_component_unions(edge_masks, sep):
+    """[sep]-component vertex unions, via explicit pairwise closure."""
+    free = [m for m in edge_masks if m & ~sep]
+    comps = []
+    for m in free:
+        merged = [m]
+        rest = []
+        for c in comps:
+            if any(x & y & ~sep for x in merged for y in c):
+                merged.extend(c)
+            else:
+                rest.append(c)
+        comps = rest + [merged]
+    out = []
+    for c in comps:
+        u = 0
+        for m in c:
+            u |= m
+        out.append(u)
+    return out
+
+
 def random_cq(rng, max_atoms=5, max_vars=6, max_arity=3, boolean=None):
     """A conjunctive query whose variables form one connected component."""
     nvars = rng.randint(1, max_vars)

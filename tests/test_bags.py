@@ -27,32 +27,10 @@ from softdecomp.bags import (
 from softdecomp.gallery import cycle
 from softdecomp.hypergraph import ids_of, mask_of, parse_hypergraph
 
-from conftest import random_connected_hypergraph
+from conftest import brute_component_unions, random_connected_hypergraph
 
 
 # --- independent re-implementations used as oracles ----------------------
-
-
-def brute_component_unions(edge_masks, sep):
-    """[sep]-component vertex unions, via explicit pairwise closure."""
-    free = [m for m in edge_masks if m & ~sep]
-    comps = []
-    for m in free:
-        merged = [m]
-        rest = []
-        for c in comps:
-            if any(x & y & ~sep for x in merged for y in c):
-                merged.extend(c)
-            else:
-                rest.append(c)
-        comps = rest + [merged]
-    out = []
-    for c in comps:
-        u = 0
-        for m in c:
-            u |= m
-        out.append(u)
-    return out
 
 
 def brute_soft_bags(h, k):

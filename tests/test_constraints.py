@@ -30,9 +30,6 @@ from softdecomp.constraints import (
     CostKey,
     connected_cover,
     cyclicity_depth,
-    eval_concov,
-    eval_partclust,
-    eval_shallowcyc,
     partition_assignment,
 )
 from softdecomp.solver import TreeDecomposition
@@ -68,8 +65,8 @@ def test_cyclicity_depth():
         h, [mask_of([0, 1]), h.all_vertices_mask], [-1, 0]
     )
     assert cyclicity_depth(h, cyclic_leaf) == 1
-    assert eval_shallowcyc(h, cyclic_leaf, 1)
-    assert not eval_shallowcyc(h, cyclic_leaf, 0)
+    assert ShallowCyclicity(1).holds(h, cyclic_leaf, None)
+    assert not ShallowCyclicity(0).holds(h, cyclic_leaf, None)
 
 
 def test_partition_assignment_respects_contiguity():
@@ -89,14 +86,14 @@ def test_partition_assignment_respects_contiguity():
         [mask_of([0, 1]), mask_of([2, 3]), mask_of([1, 2]), mask_of([3, 4])],
         [-1, 0, 1, 2],
     )
-    assert not eval_partclust(h, twisted, labels, 1)
+    assert not PartitionClustering(labels).holds(h, twisted, 1)
 
 
 def test_concov_distinguishes_covers():
     h = parse_hypergraph("r(a,b), s(b,c), t(c,d)")
     disjoint = TreeDecomposition(h, [h.all_vertices_mask], [-1])
-    assert not eval_concov(h, disjoint, 2)
-    assert eval_concov(h, disjoint, 3)
+    assert not ConnectedCover().holds(h, disjoint, 2)
+    assert ConnectedCover().holds(h, disjoint, 3)
 
 
 def test_conjunction():
@@ -250,7 +247,7 @@ def test_concov_gap_on_pinwheel():
     assert not solve_constrained(h, bags2, ConnectedCover(), trivial_order()).accepted
     res = solve_constrained(h, soft_bags(h, 3), ConnectedCover(), trivial_order())
     assert res.accepted
-    assert eval_concov(h, res.decomposition, 3)
+    assert ConnectedCover().holds(h, res.decomposition, 3)
 
 
 def test_cost_order_key_matches_recomputation():
@@ -271,6 +268,24 @@ def test_cyclicity_order_minimizes_depth():
     res = solve_constrained(h, bags, ShallowCyclicity(1), cyclicity_order(h))
     assert res.accepted
     assert cyclicity_depth(h, res.decomposition) <= 1
+
+
+def test_disconnected_input_gives_one_tree_per_component():
+    # Each triangle is solved on its own, so the answer is a forest of
+    # two roots: it satisfies the constraint and its key is its own.
+    h = parse_hypergraph("a(x,y), b(y,z), c(z,x), d(u,v), e(v,w), f(w,u)")
+    bags = soft_bags(h, 2)
+    res = solve_constrained(h, bags, ShallowCyclicity(0), cyclicity_order(h))
+    assert res.accepted
+    assert res.decomposition.parents == [-1, -1]
+    assert ShallowCyclicity(0).holds(h, res.decomposition, 2)
+    order = cost_order(StatsCatalog(h, {e: 10 + 7 * e for e in range(6)}))
+    res = solve_constrained(h, bags, ConnectedCover(), order)
+    assert res.key.sort_key == order(res.decomposition).sort_key
+    top = enumerate_top_n(h, bags, ConnectedCover(), order, 1)
+    assert top.keys[0].cost == pytest.approx(res.key.cost)
+    rep = validate_td(h, res.decomposition, bag_masks=set(bags.masks()), k=2)
+    assert rep.ok, rep.failures
 
 
 def test_partition_order_prefers_fewer_partitions():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from softdecomp import Hypergraph, HypergraphError, parse_hypergraph
 from softdecomp.hypergraph import ids_of, mask_of, popcount
 
-from conftest import random_connected_hypergraph
+from conftest import brute_component_unions, random_connected_hypergraph
 
 
 def test_mask_helpers_roundtrip():
@@ -60,35 +60,30 @@ def _path(n):
 def test_components_of_path_split_by_middle_vertex():
     h = _path(5)  # v0-v1-v2-v3-v4
     sep = mask_of([h.vertex_id("v2")])
-    comps = h.edge_components(sep)
-    assert len(comps) == 2
+    unions = h.component_unions(sep)
+    assert len(unions) == 2
     # the separator vertex is pulled into both unions by the touching edges
-    left, right = comps
-    assert ids_of(left.vertices) == tuple(h.vertex_id(v) for v in ("v0", "v1", "v2"))
-    assert h.vertex_id("v2") in ids_of(right.vertices)
-
-
-def test_edges_inside_separator_belong_to_no_component():
-    h = parse_hypergraph("r(a,b), s(b,c), t(c,d)")
-    sep = mask_of([h.vertex_id("b"), h.vertex_id("c")])
-    comps = h.edge_components(sep)
-    covered = [e for c in comps for e in c.edge_ids]
-    assert h.edge_id("s") not in covered
-    assert sorted(covered) == [h.edge_id("r"), h.edge_id("t")]
+    left, right = unions
+    assert ids_of(left) == tuple(h.vertex_id(v) for v in ("v0", "v1", "v2"))
+    assert ids_of(right) == tuple(h.vertex_id(v) for v in ("v2", "v3", "v4"))
 
 
 def test_full_separator_leaves_nothing():
     h = parse_hypergraph("r(a,b), s(b,c)")
-    assert h.edge_components(h.all_vertices_mask) == []
-    assert len(h.edge_components(0)) == 1  # connected
+    assert h.component_unions(h.all_vertices_mask) == []
+    assert h.component_unions(0) == [h.all_vertices_mask]  # connected
 
 
 @given(st.integers(0, 10_000), st.integers(0, 255))
 def test_component_unions_match_edge_components(seed, sep_bits):
+    # The edge components by pairwise closure, against the vertex closure.
     h = random_connected_hypergraph(random.Random(seed))
     sep = sep_bits & h.all_vertices_mask
-    want = [c.vertices for c in h.edge_components(sep)]
-    assert h.component_unions(sep) == want
+    got = h.component_unions(sep)
+    assert sorted(got) == sorted(brute_component_unions(h.edge_masks, sep))
+    # Ordered by smallest member vertex outside the separator.
+    firsts = [(u & ~sep & -(u & ~sep)) for u in got]
+    assert firsts == sorted(firsts)
 
 
 @pytest.mark.parametrize("max_vertices", [6, 20, 64])
@@ -130,10 +125,3 @@ def test_induced_merges_equal_restrictions():
     # s and t restrict to the same {c,d}; r restricts to {c}
     assert sub.n_edges == 2
     assert set(sub.vertex_names) == {"c", "d"}
-
-
-def test_lambda_components_use_edge_union_as_separator():
-    h = _path(5)
-    by_edges = h.lambda_components([h.edge_id("e1"), h.edge_id("e2")])
-    by_mask = h.edge_components(h.edge_masks[1] | h.edge_masks[2])
-    assert by_edges == by_mask

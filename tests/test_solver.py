@@ -81,14 +81,28 @@ def test_single_edge_hypergraph_is_trivial():
     assert res.decomposition.bags[0] == h.all_vertices_mask
 
 
-def test_disconnected_hypergraph_is_stitched():
+def test_disconnected_hypergraph_has_one_root_per_component():
     h = Hypergraph.from_named_edges([("r", ["a", "b"]), ("s", ["c", "d"])])
     res = solve(h, soft_bags(h, 1))
     assert res.accepted
     td = res.decomposition
-    assert len(td.roots()) == 1
+    assert len(td.roots()) == 2
     report = validate_td(h, td, k=1)
     assert report.ok, report.failures
+
+
+def test_from_nodes_numbers_a_forest_in_preorder():
+    h = parse_hypergraph("r(a,b), s(b,c), t(c,d), u(e,f)")
+    ab, bc, cd, ef = h.edge_masks
+    leaf = (cd, (2,), ())
+    td = TreeDecomposition.from_nodes(h, [(ab, (0,), ((bc, (1,), (leaf,)),)), (ef, (3,), ())])
+    assert td.bags == [ab, bc, cd, ef]
+    assert td.parents == [-1, 0, 1, -1]
+    assert td.covers == [(0,), (1,), (2,), (3,)]
+    assert td.roots() == [0, 3]
+    bare = TreeDecomposition.from_nodes(h, [(ab, None, ((bc, None, ()), (cd, None, ())))])
+    assert bare.parents == [-1, 0, 0]
+    assert bare.covers is None
 
 
 def test_solver_budget_raises():
