@@ -8,6 +8,24 @@ of :mod:`softdecomp.solver`: each block reached from the root keeps
 the cheapest satisfying tree among those built from its bases and the
 kept trees of their sub-blocks.  The block graph is acyclic, so every
 kept tree is final once made.
+
+The optimizer never builds the trees it compares.  Constraints and
+orders each expose a *step* that judges or keys a subtree from its
+root node and a small state per child subtree, in O(children):
+
+- ``Constraint.step(h, k, node, kids)`` returns the subtree's state,
+  or None when the subtree fails;
+- ``order.step(node, kids)``, with ``kids`` the children's
+  ``(CostKey, state)`` pairs, returns the subtree's ``(CostKey,
+  state)``.
+
+A node is the nested ``(bag, cover, children)`` form of a subtree.
+The built-in steps carry what their whole-tree forms read: the cost
+recursion's :class:`~softdecomp.costs.CostSummary`, the deepest
+depth of a bag no single edge covers, node counts and canonical bag
+tuples.  The default steps, used by ``PartitionClustering``,
+``partition_order`` and any order without a ``step``, build the
+subtree and call ``holds`` or the order on it.
 """
 
 from __future__ import annotations
@@ -16,8 +34,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
-from .costs import subtree_cost
+from .costs import node_cost, subtree_cost
 from .hypergraph import cover_is_connected, ids_of
 from .solver import (
     DEFAULT_MAX_EVALS,
@@ -36,10 +55,20 @@ COST_TOLERANCE = 1e-9
 
 
 class Constraint:
-    """Base class; subclasses implement ``holds(h, td, k)``."""
+    """Base class; subclasses implement ``holds(h, td, k)``.
+
+    ``step(h, k, node, kids)`` judges the subtree ``node`` from its
+    children's states ``kids`` (in child order) and returns its own
+    state, or None when it fails.  The default builds the subtree and
+    calls ``holds`` on it; its state is the node.  A subclass that
+    changes ``holds`` must give a matching ``step``.
+    """
 
     def holds(self, h, td, k):
         raise NotImplementedError
+
+    def step(self, h, k, node, kids):
+        return node if self.holds(h, TreeDecomposition.from_nodes(h, [node]), k) else None
 
     def __and__(self, other):
         return Conjunction((self, other))
@@ -49,13 +78,27 @@ class AlwaysTrue(Constraint):
     def holds(self, h, td, k):
         return True
 
+    def step(self, h, k, node, kids):
+        return True
+
 
 @dataclass
 class Conjunction(Constraint):
+    """All parts hold; the step's state is the tuple of the parts'."""
+
     parts: tuple
 
     def holds(self, h, td, k):
         return all(p.holds(h, td, k) for p in self.parts)
+
+    def step(self, h, k, node, kids):
+        states = []
+        for i, part in enumerate(self.parts):
+            state = part.step(h, k, node, [kid[i] for kid in kids])
+            if state is None:
+                return None
+            states.append(state)
+        return tuple(states)
 
 
 @dataclass
@@ -67,6 +110,10 @@ class ConnectedCover(Constraint):
 
     def holds(self, h, td, k):
         return all(self.bag_ok(h, bag, k) for bag in td.bags)
+
+    def step(self, h, k, node, kids):
+        # The children's bags passed when their subtrees were made.
+        return True if self.bag_ok(h, node[0], k) else None
 
     def bag_ok(self, h, bag, k):
         if h is not self._cached_for:
@@ -86,6 +133,10 @@ class ShallowCyclicity(Constraint):
 
     def holds(self, h, td, k):
         return cyclicity_depth(h, td) <= self.d
+
+    def step(self, h, k, node, kids):
+        depth = _bad_depth(h, node[0], kids)
+        return depth if max(depth, 0) <= self.d else None
 
 
 @dataclass
@@ -134,6 +185,15 @@ def cyclicity_depth(h, td):
         if not any(not bag & ~m for m in masks)
     ]
     return max(depths, default=0)
+
+
+def _bad_depth(h, bag, kids):
+    """Depth below ``bag`` of the deepest bag no single edge covers, or
+    -1 if there is none, from the same numbers of the child subtrees."""
+    depth = max(kids, default=-1)
+    if depth >= 0:
+        return depth + 1
+    return 0 if all(bag & ~m for m in h.edge_masks) else -1
 
 
 def partition_assignment(h, td, labels, k):
@@ -187,16 +247,20 @@ def partition_assignment(h, td, labels, k):
 class CostKey:
     """Totally ordered cost: the real value snapped to the
     ``COST_TOLERANCE`` grid, then node count, then the canonical bag
-    sequence as scale-free tie keys.  ``sort_key`` is that tuple."""
+    sequence as scale-free tie keys.  ``sort_key`` is that tuple.  A
+    ``rank``, when given, leads it and outweighs any cost; the keys of
+    one order either all carry a rank or none does."""
 
     cost: float
     nodes: int
     bags: tuple
+    rank: int | None = None
 
     def __post_init__(self):
         grid = self.cost / COST_TOLERANCE
         snapped = round(grid) if math.isfinite(grid) else grid
-        object.__setattr__(self, "sort_key", (snapped, self.nodes, self.bags))
+        tail = (snapped, self.nodes, self.bags)
+        object.__setattr__(self, "sort_key", tail if self.rank is None else (self.rank, *tail))
 
     def __lt__(self, other):
         return self.sort_key < other.sort_key
@@ -205,47 +269,81 @@ class CostKey:
         return self.sort_key <= other.sort_key
 
     def same_cost(self, other):
-        return self.sort_key[0] == other.sort_key[0]
+        return self.sort_key[:-2] == other.sort_key[:-2]
 
 
 def _canonical_bags(td):
     return tuple(sorted(ids_of(b) for b in td.bags))
 
 
+def _compose(cost, bag, kids):
+    """The key of the subtree with root ``bag`` over the child keys
+    ``kids``: node count and canonical bags merged from the children's."""
+    nodes = 1
+    bags = [ids_of(bag)]
+    for key in kids:
+        nodes += key.nodes
+        bags.extend(key.bags)
+    bags.sort()
+    return CostKey(cost, nodes, tuple(bags))
+
+
 def trivial_order():
-    """Order by size only; pairs with any constraint as a plain solver."""
+    """Order by size only; pairs with any constraint as a plain solver.
+    Its step carries no state."""
 
     def key(td):
         return CostKey(0.0, len(td), _canonical_bags(td))
 
+    def step(node, kids):
+        return _compose(0.0, node[0], [key for key, _ in kids]), None
+
+    key.step = step
     key.pairs_with = (AlwaysTrue, ConnectedCover)
     return key
 
 
 def cost_order(stats):
     """Order partial trees by the cardinality cost model; the
-    preference-complete companion of the connected-cover constraint."""
+    preference-complete companion of the connected-cover constraint.
+    Its step's state is the subtree's :class:`~softdecomp.costs.CostSummary`."""
 
     def key(td):
         return CostKey(subtree_cost(td, stats).total, len(td), _canonical_bags(td))
 
+    def step(node, kids):
+        bag, cover, _ = node
+        summary = node_cost(bag, cover, [state for _, state in kids], stats)[0]
+        return _compose(summary.total, bag, [key for key, _ in kids]), summary
+
+    key.step = step
     key.pairs_with = (AlwaysTrue, ConnectedCover)
     return key
 
 
 def cyclicity_order(h):
     """Order by cyclicity depth; the companion of the shallow-cyclicity
-    constraint (all globally minimal trees share the least depth)."""
+    constraint (all globally minimal trees share the least depth).  Its
+    step's state is the depth of the deepest bag no single edge covers,
+    or -1."""
 
     def key(td):
         return CostKey(float(cyclicity_depth(h, td)), len(td), _canonical_bags(td))
 
+    def step(node, kids):
+        depth = _bad_depth(h, node[0], [state for _, state in kids])
+        return _compose(float(max(depth, 0)), node[0], [key for key, _ in kids]), depth
+
+    key.step = step
     key.pairs_with = (ShallowCyclicity, AlwaysTrue)
     return key
 
 
 def partition_order(labels, k, stats=None):
-    """Order preferring fewer distinct partitions, then cost."""
+    """Order preferring fewer distinct partitions, then cost: the number
+    of partitions used is the key's rank, and its cost is the tree's
+    cost under ``stats`` (0 without).  It has no step, so the optimizer
+    keys each subtree whole."""
 
     def key(td):
         assignment = partition_assignment(td.hypergraph, td, labels, k)
@@ -253,7 +351,7 @@ def partition_order(labels, k, stats=None):
         cost = 0.0
         if stats is not None:
             cost = subtree_cost(td, stats).total
-        return CostKey(used * 1e6 + cost, len(td), _canonical_bags(td))
+        return CostKey(cost, len(td), _canonical_bags(td), rank=used)
 
     key.pairs_with = (PartitionClustering, AlwaysTrue)
     return key
@@ -263,15 +361,27 @@ def partition_order(labels, k, stats=None):
 # the optimizing solver
 
 
+class Entry(NamedTuple):
+    """A block's cheapest satisfying subtree: its key, its nested
+    ``(bag, cover, children)`` node, and the constraint's and the
+    order's step states for it."""
+
+    key: CostKey
+    node: tuple
+    holds_state: object
+    order_state: object
+
+
 @dataclass
 class ConstrainedResult:
     accepted: bool
     decomposition: TreeDecomposition | None
     key: CostKey | None
-    # block -> (CostKey, node), for the blocks reached from the root
-    # blocks that have a satisfying tree; a node is the nested
-    # (bag, cover, children) form of its tree
+    # block -> Entry, for the blocks reached from the root blocks that
+    # have a satisfying tree
     table: dict
+    evals: int  # blocks the search decided
+    pairs: int  # distinct (root bag, sub-blocks) pairs scored
 
 
 def solve_constrained(h, bags, constraint, order):
@@ -285,10 +395,14 @@ def solve_constrained(h, bags, constraint, order):
     the tree fails the constraint.  Keys compare with a strict ``<``,
     so among equal keys the first basis in the search's candidate order
     wins, whatever the order of ``bags``.  The block graph is acyclic,
-    so one pass suffices, and each (root bag, sub-blocks) tree is
-    built and scored once.  With a preference-complete
-    (constraint, order) pairing the answer is ACCEPT iff any
-    satisfying tree exists.
+    so one pass suffices.
+
+    Each (root bag, sub-blocks) pair is judged and keyed once, by the
+    constraint's and the order's steps (see the module docstring) over
+    the states stored in its sub-blocks' entries; with built-in steps
+    no tree is built until the answer.  With a preference-complete
+    (constraint, order) pairing the answer is ACCEPT iff any satisfying
+    tree exists.
 
     The plain search decides the root blocks first: a constraint only
     removes trees, so an unconstrained reject is a REJECT, found
@@ -306,46 +420,59 @@ def solve_constrained(h, bags, constraint, order):
             stacklevel=2,
         )
     k = getattr(bags, "k", None)
+    order_step = getattr(order, "step", None)
+    if order_step is None:
+
+        def order_step(node, kids):
+            return order(TreeDecomposition.from_nodes(h, [node])), node
+
     search = _Search(h, _bag_masks(bags), DEFAULT_MAX_EVALS)
-    entries = {}  # block -> (CostKey, node), or None if no tree satisfies
-    scored = {}  # (root bag, sub-blocks) -> (CostKey or None, node)
+    entries = {}  # block -> Entry, or None if no tree satisfies
+    scored = {}  # (root bag, sub-blocks) -> Entry, or None if it fails
     root_covers = {}  # root bag -> minimum cover, filled on first use
+
+    def score(x, parts):
+        if x not in root_covers:
+            root_covers[x] = minimum_cover(h, x, max_size=k)
+        if root_covers[x] is None:
+            raise ValueError("root bag not coverable within the width limit")
+        node = (x, root_covers[x], tuple(p.node for p in parts))
+        held = constraint.step(h, k, node, [p.holds_state for p in parts])
+        if held is None:
+            return None
+        key, state = order_step(node, [(p.key, p.order_state) for p in parts])
+        return Entry(key, node, held, state)
 
     def entry(block):
         if block not in entries:
             best = None
             for x, subs in search.bases(block):
                 parts = [entry(sb) for sb in subs]
-                if any(p is None for p in parts):
+                if None in parts:
                     continue
-                if (x, subs) not in scored:
-                    if x not in root_covers:
-                        root_covers[x] = minimum_cover(h, x, max_size=k)
-                    if root_covers[x] is None:
-                        raise ValueError("root bag not coverable within the width limit")
-                    node = (x, root_covers[x], tuple(p[1] for p in parts))
-                    tree = TreeDecomposition.from_nodes(h, [node])
-                    key = order(tree) if constraint.holds(h, tree, k) else None
-                    scored[(x, subs)] = (key, node)
-                key, node = scored[(x, subs)]
-                if key is not None and (best is None or key < best[0]):
-                    best = (key, node)
+                pair = (x, subs)
+                if pair not in scored:
+                    scored[pair] = score(x, parts)
+                got = scored[pair]
+                if got is not None and (best is None or got.key < best.key):
+                    best = got
             entries[block] = best
         return entries[block]
 
     root_blocks = [(0, c) for c in h.vertex_components(0)]
     if not all(search.evaluate(rb) for rb in root_blocks):
-        return ConstrainedResult(False, None, None, {})
+        return ConstrainedResult(False, None, None, {}, search.evals, 0)
     parts = [entry(rb) for rb in root_blocks]
     table = {block: e for block, e in entries.items() if e is not None}
-    if any(p is None for p in parts):
-        return ConstrainedResult(False, None, None, table)
-    td = TreeDecomposition.from_nodes(h, [node for _, node in parts])
+    counters = (search.evals, len(scored))
+    if None in parts:
+        return ConstrainedResult(False, None, None, table, *counters)
+    td = TreeDecomposition.from_nodes(h, [p.node for p in parts])
     if len(parts) == 1:
-        return ConstrainedResult(True, td, parts[0][0], table)
+        return ConstrainedResult(True, td, parts[0].key, table, *counters)
     if not constraint.holds(h, td, k):
-        return ConstrainedResult(False, None, None, table)
-    return ConstrainedResult(True, td, order(td), table)
+        return ConstrainedResult(False, None, None, table, *counters)
+    return ConstrainedResult(True, td, order(td), table, *counters)
 
 
 # ---------------------------------------------------------------------------

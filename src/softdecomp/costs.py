@@ -1,11 +1,19 @@
 """Cardinality-based cost model for decomposition trees.
 
 A :class:`StatsCatalog` carries relation cardinalities, known bag join
-cardinalities, and per-relation primary keys.  :func:`subtree_cost`
-evaluates a rooted decomposition bottom-up: each bag pays for scanning
-its cover relations and materializing its join, each parent pays a scan
-for its semi-joins, and each child contributes a reduced-size term
-modelling how much the up-phase semi-join still has to move.
+cardinalities, and per-relation primary keys.  The cost of a rooted
+decomposition is built bottom-up: each bag pays for scanning its cover
+relations and materializing its join, each parent pays a scan for its
+semi-joins, and each child contributes a reduced-size term modelling
+how much the up-phase semi-join still has to move.
+
+The formula is written once, in :func:`node_cost`, one node at a time.
+A node needs only its bag, its cover and a :class:`CostSummary` of each
+child subtree, so the cost is a tree aggregation function in the sense
+of Scarcello, Greco and Leone ("Weighted hypertree decompositions and
+optimal query plans", PODS 2004).  :func:`subtree_cost` folds the step
+over a whole tree; the constrained optimizer folds it over the subtrees
+its dynamic programming assembles, without building them.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .hypergraph import ids_of, mask_of, popcount
 
@@ -106,15 +115,21 @@ def fallback_join_card(bag, cover, stats):
     return prod
 
 
-def bag_cost(bag, cover, stats, allow_fallback=True):
-    """Cost of materializing one bag: scan every cover relation, then
-    write the join result.  A single-relation bag is free."""
+def _materialize(j, cover, stats):
+    """Bag cost for a join of size ``j``: scan every cover relation,
+    then write the join result.  A single-relation bag is free."""
     if not cover:
         raise ValueError("empty cover")
     if len(cover) == 1:
         return 0.0
-    j, _ = stats.join_card(bag, cover, allow_fallback)
     return float(j) + sum(_xlog(stats.relation_card[e]) for e in cover)
+
+
+def bag_cost(bag, cover, stats, allow_fallback=True):
+    """Cost of materializing one bag (see :func:`_materialize`); a
+    single-relation bag needs no join size."""
+    j = stats.join_card(bag, cover, allow_fallback)[0] if len(cover) > 1 else 0
+    return _materialize(j, cover, stats)
 
 
 def reduce_attrs(node, td, stats):
@@ -122,7 +137,8 @@ def reduce_attrs(node, td, stats):
 
     A vertex qualifies when it appears in some strict-descendant bag
     through a cover relation where it is not (part of) that relation's
-    primary key.  Leaves map to the empty set.
+    primary key.  Leaves map to the empty set.  :func:`node_cost` finds
+    the same set as :attr:`CostSummary.shrink`, from its children's ``U``.
     """
     if td.covers is None:
         raise ValueError("no covers attached")
@@ -136,6 +152,60 @@ def reduce_attrs(node, td, stats):
             key = stats.primary_key.get(e, 0)
             out |= bag & td.bags[d] & em & ~key
     return out
+
+
+class CostSummary(NamedTuple):
+    """What a subtree offers its parent in the cost recursion.
+
+    ``total`` depends on the subtree alone.  The subtree's ReducedSz is
+    set by its parent: 0 when ``empty``, else ``join`` scaled down once
+    per vertex of ``bag`` in the parent's ``shrink``.
+    """
+
+    bag: int  # the subtree root's bag
+    join: float  # |J| of that bag
+    total: float  # cost of the subtree
+    empty: bool  # some child's ReducedSz is 0, so the root's is too
+    reducible: int  # U: union of bag & edge & ~key over the subtree's nodes and covers
+    shrink: int  # the root's reduce_attrs: its bag & the union of its children's U
+
+
+def reduced_size(child, shrink):
+    """ReducedSz of a subtree under a parent whose reduce_attrs is
+    ``shrink``; a root uses its own ``shrink``."""
+    if child.empty:
+        return 0.0
+    return child.join / (1 + popcount(shrink & child.bag))
+
+
+def node_cost(bag, cover, kids, stats, allow_fallback=True):
+    """One node of the cost recursion, from its children's summaries.
+
+    ``kids`` are the children's :class:`CostSummary` in child order.
+    Returns ``(summary, kid_reduced, bag_cost, scan_cost, fell_back)``:
+    the node's own summary, each child's ReducedSz, the node's bag and
+    scan costs, and whether its join size fell back to the crude bound.
+    A node's ReducedSz is 0 when any child's is 0 (an empty child
+    empties the semi-join chain); ScanCost is charged only when the
+    node scans itself against nonempty children; a child contributes
+    ReducedSz·log(ReducedSz) for its semi-join into the node.
+    """
+    j, fell_back = stats.join_card(bag, cover, allow_fallback)
+    bagc = _materialize(j, cover, stats)
+    below = 0
+    for kid in kids:
+        below |= kid.reducible
+    shrink = bag & below
+    kid_reduced = [reduced_size(kid, shrink) for kid in kids]
+    scan = _xlog(j) if kids and all(r > 0 for r in kid_reduced) else 0.0
+    total = bagc + scan + sum(kid.total + _xlog(r) for kid, r in zip(kids, kid_reduced))
+    reducible = below
+    masks = stats.hypergraph.edge_masks
+    for e in cover:
+        reducible |= bag & masks[e] & ~stats.primary_key.get(e, 0)
+    empty = any(r == 0 for r in kid_reduced)
+    summary = CostSummary(bag, j, total, empty, reducible, shrink)
+    return summary, kid_reduced, bagc, scan, fell_back
 
 
 @dataclass
@@ -153,38 +223,33 @@ class CostReport:
 def subtree_cost(td, stats, allow_fallback=True):
     """Evaluate the full cost recursion over a rooted decomposition.
 
-    Bottom-up: ReducedSz(u) is 0 when any child's is 0 (an empty child
-    empties the semi-join chain), else |J_u| scaled down once per
-    reducible attribute the bag shares with its parent; ScanCost(u) is
-    charged only when u actually scans itself against nonempty
-    children; a child contributes ReducedSz·log(ReducedSz) for the
-    semi-join into its parent.
+    A fold of :func:`node_cost` over the nodes, deepest first: each
+    node's summary is built from its children's, and each child's
+    ReducedSz is the one its parent's step gives it; a root's uses the
+    root's own reduce_attrs.
     """
     if td.covers is None:
         raise ValueError("no covers attached")
     n = len(td)
-    order = sorted(range(n), key=td.depth, reverse=True)
+    summary = [None] * n
     bagc = [0.0] * n
     reduced = [0.0] * n
     scan = [0.0] * n
-    total = [0.0] * n
     fellback = []
-    for u in order:
+    for u in sorted(range(n), key=td.depth, reverse=True):
         kids = td.children(u)
-        j, fb = stats.join_card(td.bags[u], td.covers[u], allow_fallback)
+        summary[u], kid_reduced, bagc[u], scan[u], fb = node_cost(
+            td.bags[u], td.covers[u], [summary[c] for c in kids], stats, allow_fallback
+        )
         if fb:
             fellback.append(u)
-        bagc[u] = bag_cost(td.bags[u], td.covers[u], stats, allow_fallback)
-        if any(reduced[c] == 0 for c in kids):
-            reduced[u] = 0.0
-        else:
-            p = td.parents[u]
-            ra = reduce_attrs(p, td, stats) & td.bags[u] if p >= 0 else reduce_attrs(u, td, stats)
-            reduced[u] = j / (1 + popcount(ra))
-        if kids and all(reduced[c] > 0 for c in kids):
-            scan[u] = _xlog(j)
-        total[u] = bagc[u] + scan[u] + sum(total[c] + _xlog(reduced[c]) for c in kids)
-    grand = sum(total[r] for r in td.roots())
+        for c, r in zip(kids, kid_reduced):
+            reduced[c] = r
+    roots = td.roots()
+    for r in roots:
+        reduced[r] = reduced_size(summary[r], summary[r].shrink)
+    total = [s.total for s in summary]
+    grand = sum(total[r] for r in roots)
     return CostReport(bagc, reduced, scan, total, grand, tuple(fellback))
 
 

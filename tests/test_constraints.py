@@ -300,6 +300,98 @@ def test_partition_order_prefers_fewer_partitions():
     assert assignment is not None
 
 
+def test_partition_order_ranks_partitions_before_cost():
+    # Fewer partitions win whatever the cost gap: the cheapest tree uses
+    # two partitions (cost 18,753), a one-partition tree costs 1,037,594.
+    h = parse_hypergraph("e0(v3,v4), e1(v3,v4,v0), e2(v3,v1,v2), e3(v3,v0,v1)")
+    labels = {0: "p", 1: "q", 2: "q", 3: "p"}
+    stats = StatsCatalog(h, {0: 4862, 1: 2422, 2: 1035, 3: 830})
+    bags = soft_bags(h, 2)
+    order = partition_order(labels, 2, stats)
+    top = enumerate_top_n(h, bags, PartitionClustering(labels), order, 1)
+    res = solve_constrained(h, bags, PartitionClustering(labels), order)
+    for key, td in [(top.keys[0], top.decompositions[0]), (res.key, res.decomposition)]:
+        assert len(set(partition_assignment(h, td, labels, 2).values())) == 1
+        assert key.rank == 1
+        assert key.cost == subtree_cost(td, stats).total
+        assert key.cost == pytest.approx(1_037_594.04)
+
+
+def _pairings(h, k, stats):
+    labels = {e: "p" if e % 2 else "q" for e in range(h.n_edges)}
+    return [
+        (AlwaysTrue(), trivial_order()),
+        (ConnectedCover(), cost_order(stats)),
+        (ShallowCyclicity(1), cyclicity_order(h)),
+        (PartitionClustering(labels), partition_order(labels, k)),
+        (PartitionClustering(labels), partition_order(labels, k, stats)),
+        (ConnectedCover() & ShallowCyclicity(1), cyclicity_order(h)),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:constraint/order pairing")
+def test_composed_keys_match_whole_tree_scoring():
+    # Every table entry's key is composed from its children's step states;
+    # it must equal the whole-tree key of the entry's subtree, bit for bit,
+    # and the subtree must satisfy the constraint.
+    rng = random.Random(808)
+    cases = []
+    for name, sql in SQL_QUERIES.items():
+        _, h = sql_to_cq(sql)
+        cases.append((h, gallery(name).widths["concov_shw"]))
+    cases += [(random_connected_hypergraph(rng, max_vertices=7, max_edges=7), k)
+              for _ in range(30) for k in (2, 3)]
+    entries = 0
+    for h, k in cases:
+        bags = soft_bags(h, k)
+        stats = random_stats(rng, h, rng.sample(bags.masks(), len(bags) // 2))
+        for e in range(h.n_edges):
+            vs = [v for v in range(h.n_vertices) if h.edge_masks[e] >> v & 1]
+            stats.primary_key[e] = mask_of(rng.sample(vs, rng.randint(0, len(vs))))
+        for constraint, order in _pairings(h, k, stats):
+            res = solve_constrained(h, bags, constraint, order)
+            for entry in res.table.values():
+                tree = TreeDecomposition.from_nodes(h, [entry.node])
+                assert entry.key.sort_key == order(tree).sort_key
+                assert constraint.holds(h, tree, k)
+                entries += 1
+    assert entries > 2000
+
+
+def test_optimizer_builds_only_the_answer_tree(monkeypatch):
+    built = []
+    from_nodes = TreeDecomposition.from_nodes.__func__
+
+    def counting(cls, h, nodes):
+        built.append(len(nodes))
+        return from_nodes(cls, h, nodes)
+
+    monkeypatch.setattr(TreeDecomposition, "from_nodes", classmethod(counting))
+    for name, sql in SQL_QUERIES.items():
+        _, h = sql_to_cq(sql)
+        order = cost_order(StatsCatalog(h, {e: 10 + 7 * e for e in range(h.n_edges)}))
+        built.clear()
+        res = solve_constrained(
+            h, soft_bags(h, gallery(name).widths["concov_shw"]), ConnectedCover(), order
+        )
+        assert res.accepted
+        assert built == [1]
+        assert res.pairs > 1
+
+
+def test_constrained_result_counters():
+    h = parse_hypergraph("r(a,b), s(b,c), t(c,d)")
+    bags = soft_bags(h, 2)
+    for constraint, order in _pairings(h, 2, StatsCatalog(h, {0: 10, 1: 20, 2: 30}))[:2]:
+        res = solve_constrained(h, bags, constraint, order)
+        assert (res.evals, res.pairs, len(res.table)) == (11, 18, 11)
+    assert solve(h, bags).evals <= 11
+    # A reject found by the plain search scores no pair.
+    triangle = parse_hypergraph("r(a,b), s(b,c), t(c,a)")
+    res = solve_constrained(triangle, soft_bags(triangle, 1), ConnectedCover(), trivial_order())
+    assert not res.accepted and res.pairs == 0 and res.evals > 0
+
+
 # --- top-n enumeration ---------------------------------------------------------
 
 
