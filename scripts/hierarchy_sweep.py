@@ -16,37 +16,7 @@ import time
 
 from softdecomp import ghw_leq, hw_leq, iterate_level, soft_bags, solve
 from softdecomp import bags as bags_module
-from softdecomp.hypergraph import Hypergraph
-
-
-def random_connected_hypergraph(rng, max_vertices=8, max_edges=8, max_arity=4):
-    """Same generator as the test suite, so seeds reproduce its corpus."""
-    n = rng.randint(2, max_vertices)
-    seen_sets = set()
-    edges = []
-
-    def add(vertex_ids):
-        key = tuple(sorted(set(vertex_ids)))
-        if len(key) >= 1 and key not in seen_sets:
-            seen_sets.add(key)
-            edges.append(key)
-
-    order = list(range(n))
-    rng.shuffle(order)
-    covered = [order[0]]
-    for v in order[1:]:
-        members = {v, rng.choice(covered)}
-        while len(members) < max_arity and rng.random() < 0.4:
-            members.add(rng.randrange(n))
-        add(members)
-        covered.append(v)
-    while len(edges) < max_edges and rng.random() < 0.5:
-        size = rng.randint(1, max_arity)
-        add(rng.sample(range(n), min(size, n)))
-    edges = edges[:max_edges]
-
-    named = [(f"e{i}", [f"v{v}" for v in vs]) for i, vs in enumerate(edges)]
-    return Hypergraph.from_named_edges(named)
+from softdecomp.gallery import random_connected_hypergraph
 
 
 def min_k(pred, kmax):

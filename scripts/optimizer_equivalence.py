@@ -21,11 +21,10 @@ digests agree.  Run from the repository root:
     PYTHONPATH=src python3 scripts/optimizer_equivalence.py
 """
 
+import argparse
 import hashlib
 import random
 import time
-
-from hierarchy_sweep import random_connected_hypergraph
 
 from softdecomp import (
     AlwaysTrue,
@@ -42,7 +41,7 @@ from softdecomp import (
     sql_to_cq,
     trivial_order,
 )
-from softdecomp.gallery import SQL_QUERIES
+from softdecomp.gallery import SQL_QUERIES, random_connected_hypergraph
 from softdecomp.hypergraph import ids_of, mask_of
 
 PAIRINGS = (
@@ -96,6 +95,7 @@ def cases(which):
 
 
 def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
     for which in ("queries", "random"):
         full = {name: hashlib.sha256() for name in PAIRINGS}
         tree = {name: hashlib.sha256() for name in PAIRINGS}

@@ -17,15 +17,19 @@ component unions by separator, then by smallest member vertex; bags
 and new pool members by the (row, column) position at which they are
 first found.  Above a size gate the enumeration runs in numpy, with
 the same results in the same order.
+
+Enumeration carries masks only.  A bag keeps the indices of the first
+component and cover union that made it; the edge and pool ids of its
+witness are derived when :meth:`CandidateBagSet.witness` reads them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -73,13 +77,19 @@ class CandidateBag:
 
 @dataclass
 class CandidateBagSet:
-    """All candidate bags of one level, plus the cover pool that made them."""
+    """All candidate bags of one level, plus the cover pool that made them.
+
+    ``bags`` maps each bag mask to the indices of its first component
+    entry (a ``(union, separator)`` mask pair) and its first cover union.
+    """
 
     hypergraph: Hypergraph
     k: int
     level: int
     pool: list  # list[SubEdge]
-    bags: Mapping = field(default_factory=dict)  # vertices mask -> CandidateBag
+    bags: dict  # vertices mask -> (index into components, index into covers)
+    components: tuple
+    covers: list
     fixpoint: bool = False
 
     def masks(self):
@@ -88,10 +98,19 @@ class CandidateBagSet:
     def __len__(self):
         return len(self.bags)
 
+    def witness(self, m):
+        """Bag ``m`` with its first witness, derived from its masks."""
+        ci, wi = self.bags[m]
+        component, sep = self.components[ci]
+        lambda1 = _first_combo([s.vertices for s in self.pool], self.k, self.covers[wi])
+        lambda2 = _first_combo(self.hypergraph.edge_masks, self.k, sep)
+        return CandidateBag(m, lambda1, lambda2, component, self.level)
+
     def serialize(self):
         h = self.hypergraph
         lines = []
-        for m, bag in sorted(self.bags.items(), key=lambda kv: ids_of(kv[0])):
+        for m in sorted(self.bags, key=ids_of):
+            bag = self.witness(m)
             vs = ",".join(h.vertex_names[v] for v in ids_of(m))
             l1 = ",".join(h.edge_names[self.pool[i].origin] for i in bag.lambda1)
             l2 = ",".join(h.edge_names[i] for i in bag.lambda2)
@@ -102,74 +121,56 @@ class CandidateBagSet:
         return "\n".join(lines) + "\n"
 
 
-class _WitnessMap(Mapping):
-    """Bag mask -> :class:`CandidateBag`, each built when it is read.
+def _first_combo(masks, k, target):
+    """The first combination of at most ``k`` of ``masks`` with union ``target``.
 
-    Holds, per bag, the indices of its first witnesses into the cover
-    list and the component list, so enumeration creates no per-bag
-    objects; a set of tens of thousands of bags mostly serves as a key
-    set for the solver.
+    Combinations come by size, then lexicographically, as in
+    :func:`_combo_unions`.  Only members inside ``target`` can take
+    part, and, as smaller sizes failed, only members that add a missing
+    vertex.
     """
+    if not target:
+        return ()
+    inside = [i for i, m in enumerate(masks) if not m & ~target]
 
-    def __init__(self, found, covers, comp_entries, level):
-        self._index = {m: (wi, ci) for m, ci, wi in found}
-        self._covers = covers
-        self._comp_entries = comp_entries
-        self._level = level
+    def search(size, start, need):
+        if size == 1:
+            return next(((i,) for i in inside[start:] if not need & ~masks[i]), None)
+        for p in range(start, len(inside) - size + 1):
+            m = masks[inside[p]]
+            if m & need:
+                tail = search(size - 1, p + 1, need & ~m)
+                if tail is not None:
+                    return (inside[p], *tail)
+        return None
 
-    def __getitem__(self, m):
-        wi, ci = self._index[m]
-        cm, l2 = self._comp_entries[ci]
-        return CandidateBag(m, self._covers[wi][1], l2, cm, self._level)
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self):
-        return len(self._index)
-
-    def __contains__(self, m):
-        return m in self._index
-
-    def keys(self):
-        return self._index.keys()
-
-
-def pairwise_intersections(sets_a, sets_b):
-    """All nonempty pairwise intersections of two families of masks."""
-    out = []
-    seen = set()
-    for a in sets_a:
-        for b in sets_b:
-            r = a & b
-            if r and r not in seen:
-                seen.add(r)
-                out.append(r)
-    return out
+    for size in range(1, k + 1):
+        found = search(size, 0, target)
+        if found is not None:
+            return found
 
 
 def _separator_unions(h, k, max_steps):
-    """Distinct ``union(lambda2)`` masks with their first witness combos.
+    """Distinct ``union(lambda2)`` masks, masks only.
 
-    Returns a list of ``(sep_mask, edge_id_tuple)`` in first-witness
-    order: the empty separator first, then combination sizes 1..k, each
-    size in lexicographic edge-id order.  Raises when the
-    ``sum(C(|E|, s) for s in 0..k)`` combinations exceed ``max_steps``.
+    They come in first-witness order: the empty separator first, then
+    combination sizes 1..k, each size in lexicographic edge-id order.
+    Raises when the ``sum(C(|E|, s) for s in 0..k)`` combinations exceed
+    ``max_steps``.
     """
     if _n_combos(h.n_edges, k) + 1 > max_steps:
         raise ResourceBudgetError("separator enumeration exceeded step budget")
-    return [(0, ()), *_combo_unions(h.edge_masks, k)]
+    return [0, *_combo_unions(h.edge_masks, k)]
 
 
-def _cover_unions(pool, k, max_steps):
-    """Distinct ``union(lambda1)`` masks over pool index combos of size 1..k.
-
-    Returns ``(mask, index_tuple)`` pairs in first-witness order:
-    combination sizes ascending, each size in lexicographic index order.
-    """
+def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
+    """Distinct unions of at most ``k`` pool members, in first-witness order."""
     if _n_combos(len(pool), k) > max_steps:
         raise ResourceBudgetError("cover enumeration exceeded step budget")
     return _combo_unions([s.vertices for s in pool], k)
+
+
+_cover_unions = cover_union_masks  # the name enumeration calls and perfbench times
 
 
 def _n_combos(n, k):
@@ -178,11 +179,11 @@ def _n_combos(n, k):
 
 
 def _combo_unions(masks, k):
-    """Distinct unions of 1..k of ``masks``, each with its first index combo.
+    """Distinct unions of 1..k of ``masks``, masks only.
 
-    Returns ``(union, index_tuple)`` pairs in first-witness order:
-    combination sizes ascending, each size in lexicographic index order.
-    Falls back from the vectorized path when masks do not fit 64 bits.
+    They come in first-witness order: combination sizes ascending, each
+    size in lexicographic index order.  Falls back from the vectorized
+    path when masks do not fit 64 bits.
     """
     n = len(masks)
     if (
@@ -207,27 +208,10 @@ def _combo_unions(masks, k):
         for i in np.flatnonzero(lengths).tolist():
             np.bitwise_or(pair_unions[starts[i]:], arr[i],
                           out=unions[offsets[i]:offsets[i] + lengths[i]])
-        uniq, pos = _first_seen(unions)
-        del unions, pair_unions
-        pairs = pos[(pos >= n) & (pos < n + len(a))] - n
-        triples = pos[pos >= n + len(a)]
-        first = np.searchsorted(offsets, triples, side="right") - 1
-        pair = starts[first] + triples - offsets[first]
-        witnesses = list(zip(pos[pos < n].tolist()))
-        witnesses.extend(zip(a[pairs].tolist(), b[pairs].tolist()))
-        witnesses.extend(zip(first.tolist(), a[pair].tolist(), b[pair].tolist()))
-        return list(zip(uniq.tolist(), witnesses))
-    out = []
-    seen = set()
-    for size in range(1, k + 1):
-        for combo in combinations(range(n), size):
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            if m not in seen:
-                seen.add(m)
-                out.append((m, combo))
-    return out
+        return _first_seen(unions)[0].tolist()
+    return list(dict.fromkeys(
+        reduce(or_, combo) for size in range(1, k + 1) for combo in combinations(masks, size)
+    ))
 
 
 def _first_seen(values):
@@ -294,14 +278,15 @@ def _first_intersections(rows, cols, exclude=()):
 
 @lru_cache(maxsize=32)
 def _component_entries(h, k, max_steps):
-    """Distinct component unions over all separators, first-witness order.
+    """Distinct component unions over all separators, masks only.
 
-    Returns ``(union, lambda2)`` pairs: the unions of the components of
-    each separator from ``_separator_unions``, in (separator, component)
-    order with components ordered by smallest member vertex, each kept
-    at its first occurrence with that separator's edge ids.  On up to
-    64 vertices and above a size gate, all separators are split at once
-    in numpy, with the same result.
+    Returns ``(union, separator)`` mask pairs in first-witness order: the
+    unions of the components of each separator from
+    ``_separator_unions``, in (separator, component) order with
+    components ordered by smallest member vertex, each kept at its first
+    occurrence with that separator.  On up to 64 vertices and above a
+    size gate, all separators are split at once in numpy, with the same
+    result.
 
     Cached because the separator side of the enumeration depends only on
     the hypergraph and ``k``, not on the sub-edge pool, so iterated
@@ -312,38 +297,32 @@ def _component_entries(h, k, max_steps):
     # separators, and the pure-Python split of one separator costs more
     # the more vertices it has.
     if h.n_vertices <= 64 and len(seps) * h.n_vertices ** 2 > _NUMPY_THRESHOLD:
-        owner, unions = h.component_unions_batch([sep for sep, _ in seps])
+        owner, unions = h.component_unions_batch(seps)
         uniq, pos = _first_seen(unions)
-        return tuple(zip(uniq.tolist(), [seps[i][1] for i in owner[pos].tolist()]))
-    comp_entries = []  # (component union mask, lambda2 edge ids)
-    comp_seen = set()
-    for sep, combo in seps:
+        return tuple(zip(uniq.tolist(), [seps[i] for i in owner[pos].tolist()]))
+    entries = {}  # component union -> its first separator
+    for sep in seps:
         for union in h.component_unions(sep):
-            if union not in comp_seen:
-                comp_seen.add(union)
-                comp_entries.append((union, combo))
-    return tuple(comp_entries)
+            entries.setdefault(union, sep)
+    return tuple(entries.items())
 
 
 def _enumerate_bags(h, k, pool, level, max_bags, max_steps):
     covers = _cover_unions(pool, k, max_steps)
-    comp_entries = _component_entries(h, k, max_steps)
-
-    n_pairs = len(covers) * len(comp_entries)
-    if n_pairs > max_steps:
+    components = _component_entries(h, k, max_steps)
+    if len(covers) * len(components) > max_steps:
         raise ResourceBudgetError("bag enumeration exceeded step budget")
-
-    found = _first_intersections([cm for cm, _ in comp_entries], [um for um, _ in covers])
+    found = _first_intersections([cm for cm, _ in components], covers)
     if len(found) > max_bags:
         raise ResourceBudgetError("bag count exceeded budget")
-    return _WitnessMap(found, covers, comp_entries, level)
+    bags = {m: (ci, wi) for m, ci, wi in found}
+    return CandidateBagSet(h, k, level, pool, bags, components, covers)
 
 
 def soft_bags(h, k, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     """The level-0 candidate bag set for width parameter ``k``."""
     pool = [SubEdge(m, i, 0) for i, m in enumerate(h.edge_masks)]
-    bags = _enumerate_bags(h, k, pool, 0, max_bags, max_steps)
-    return CandidateBagSet(h, k, 0, pool, bags)
+    return _enumerate_bags(h, k, pool, 0, max_bags, max_steps)
 
 
 def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
@@ -361,11 +340,11 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     for m, i, _ in found:
         pool.append(SubEdge(m, prev.pool[i].origin, prev.level + 1))
 
-    bags = _enumerate_bags(h, prev.k, pool, prev.level + 1, max_bags, max_steps)
-    if len(pool) == len(prev.pool) and bags.keys() == prev.bags.keys():
+    nxt = _enumerate_bags(h, prev.k, pool, prev.level + 1, max_bags, max_steps)
+    if len(pool) == len(prev.pool) and nxt.bags.keys() == prev.bags.keys():
         prev.fixpoint = True
         return prev
-    return CandidateBagSet(h, prev.k, prev.level + 1, pool, bags)
+    return nxt
 
 
 def trimmed_next_pool(prev, min_size=2):
@@ -402,11 +381,6 @@ def trimmed_next_pool(prev, min_size=2):
             seen.add(m)
             pool.append(SubEdge(m, orig, prev.level + 1))
     return pool
-
-
-def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
-    """Distinct unions of at most ``k`` pool members."""
-    return [m for m, _ in _cover_unions(pool, k, max_steps)]
 
 
 def edge_cover_bags(h, k, connected=False, max_steps=DEFAULT_MAX_STEPS):

@@ -7,6 +7,8 @@ width is already 3 at level 0, so it shows no gap between levels 0
 and 1.  ``C_n`` are vertex cycles.  The ``q_*``
 entries are join-query hypergraphs; their attested values also include
 the candidate-bag counts used in the count regression tests.
+:func:`random_connected_hypergraph` generates the seeded random corpora
+of the tests and scripts.
 """
 
 from __future__ import annotations
@@ -77,6 +79,30 @@ def cycle(n):
     return Hypergraph.from_named_edges(
         [(f"e{i}", [f"v{i}", f"v{(i % n) + 1}"]) for i in range(1, n + 1)]
     )
+
+
+def random_connected_hypergraph(rng, max_vertices=8, max_edges=8, max_arity=4):
+    """A connected hypergraph with no isolated vertices, drawn from ``rng``.
+
+    Vertices are introduced one at a time; each new vertex gets an edge
+    that also touches an already-seen vertex, which keeps the whole
+    thing connected by construction.  A few extra random edges are
+    sprinkled on top.
+    """
+    n = rng.randint(2, max_vertices)
+    edges = {}  # sorted vertex ids, in insertion order
+    order = list(range(n))
+    rng.shuffle(order)
+    for seen, v in enumerate(order[1:], 1):
+        members = {v, rng.choice(order[:seen])}
+        while len(members) < max_arity and rng.random() < 0.4:
+            members.add(rng.randrange(n))
+        edges.setdefault(tuple(sorted(members)))
+    while len(edges) < max_edges and rng.random() < 0.5:
+        size = rng.randint(1, max_arity)
+        edges.setdefault(tuple(sorted(rng.sample(range(n), min(size, n)))))
+    named = [(f"e{i}", [f"v{v}" for v in vs]) for i, vs in enumerate(list(edges)[:max_edges])]
+    return Hypergraph.from_named_edges(named)
 
 
 def _q_ds():

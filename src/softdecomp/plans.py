@@ -17,7 +17,7 @@ relation still to join are projected away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 
 from .hypergraph import cover_is_connected
@@ -55,6 +55,12 @@ class FinalJoin:
 @dataclass(frozen=True)
 class BooleanProbe:
     roots: tuple
+
+
+# Step classes by JSON ``op``; a step's other JSON keys are its fields.
+_STEP_OPS = {"materialize": MaterializeBag, "semijoin_up": SemijoinUp,
+             "semijoin_down": SemijoinDown, "final_join": FinalJoin,
+             "boolean_probe": BooleanProbe}
 
 
 @dataclass
@@ -389,18 +395,7 @@ def plan_to_json(plan):
     """Serialize a plan (query, per-node tables, steps) to JSON text."""
     import json
 
-    def step_obj(s):
-        if isinstance(s, MaterializeBag):
-            return {"op": "materialize", "node": s.node, "atoms": list(s.atoms),
-                    "bag_vars": list(s.bag_vars)}
-        if isinstance(s, SemijoinUp):
-            return {"op": "semijoin_up", "child": s.child, "parent": s.parent}
-        if isinstance(s, SemijoinDown):
-            return {"op": "semijoin_down", "parent": s.parent, "child": s.child}
-        if isinstance(s, FinalJoin):
-            return {"op": "final_join", "nodes": list(s.nodes), "output": list(s.output)}
-        return {"op": "boolean_probe", "roots": list(s.roots)}
-
+    op_of = {cls: op for op, cls in _STEP_OPS.items()}
     cq = plan.query
     return json.dumps(
         {
@@ -413,43 +408,42 @@ def plan_to_json(plan):
             "node_vars": [list(v) for v in plan.node_vars],
             "node_atoms": [list(a) for a in plan.node_atoms],
             "cartesian_nodes": list(plan.cartesian_nodes),
-            "steps": [step_obj(s) for s in plan.steps],
+            "steps": [{"op": op_of[type(s)], **asdict(s)} for s in plan.steps],
         },
         indent=2,
     )
 
 
 def plan_from_json(text):
-    """Rebuild an executable plan from its JSON form."""
+    """Rebuild an executable plan from its JSON form; a missing key, a
+    mistyped value or an unknown step ``op`` raises :class:`PlanError`."""
     import json
 
     from .cq import Atom, ConjunctiveQuery
 
     data = json.loads(text)
-    atoms = [
-        Atom(a["name"], a["relation"], tuple(a["variables"])) for a in data["atoms"]
-    ]
-    columns = {
-        a["name"]: tuple(a.get("columns", ())) for a in data["atoms"]
-    }
-    cq = ConjunctiveQuery(atoms, tuple(data["output"]), columns)
-    steps = []
-    for s in data["steps"]:
-        if s["op"] == "materialize":
-            steps.append(MaterializeBag(s["node"], tuple(s["atoms"]), tuple(s["bag_vars"])))
-        elif s["op"] == "semijoin_up":
-            steps.append(SemijoinUp(s["child"], s["parent"]))
-        elif s["op"] == "semijoin_down":
-            steps.append(SemijoinDown(s["parent"], s["child"]))
-        elif s["op"] == "final_join":
-            steps.append(FinalJoin(tuple(s["nodes"]), tuple(s["output"])))
-        else:
-            steps.append(BooleanProbe(tuple(s["roots"])))
-    return EvalPlan(
-        cq,
-        None,
-        steps,
-        [tuple(v) for v in data["node_vars"]],
-        [tuple(a) for a in data["node_atoms"]],
-        tuple(data.get("cartesian_nodes", ())),
-    )
+    try:
+        atoms = [
+            Atom(a["name"], a["relation"], tuple(a["variables"])) for a in data["atoms"]
+        ]
+        columns = {
+            a["name"]: tuple(a.get("columns", ())) for a in data["atoms"]
+        }
+        cq = ConjunctiveQuery(atoms, tuple(data["output"]), columns)
+        steps = []
+        for s in data["steps"]:
+            cls = _STEP_OPS.get(s["op"])
+            if cls is None:
+                raise PlanError(f"unknown plan step op {s['op']!r}")
+            args = [s[f.name] for f in fields(cls)]
+            steps.append(cls(*(tuple(a) if isinstance(a, list) else a for a in args)))
+        return EvalPlan(
+            cq,
+            None,
+            steps,
+            [tuple(v) for v in data["node_vars"]],
+            [tuple(a) for a in data["node_atoms"]],
+            tuple(data.get("cartesian_nodes", ())),
+        )
+    except (KeyError, TypeError) as exc:
+        raise PlanError(f"malformed plan: {exc!r}") from None

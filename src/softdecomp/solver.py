@@ -58,11 +58,10 @@ class SolverBudgetError(RuntimeError):
 class BasisTable:
     """Satisfied blocks with the basis frozen for each.
 
-    ``entries`` maps ``(S, C)`` to ``(X, sub_blocks, stamp)`` where the
-    sub-blocks were satisfied at strictly earlier stamps.  It holds the
-    blocks the search found satisfied on its way, not every block that
-    has a basis: a candidate with a known failed sub-block is dropped
-    before its other sub-blocks are tried.
+    ``entries`` maps ``(S, C)`` to ``(X, sub_blocks)``, the first basis
+    found.  It holds the blocks the search found satisfied on its way,
+    not every block that has a basis: a candidate with a known failed
+    sub-block is dropped before its other sub-blocks are tried.
     """
 
     entries: dict
@@ -210,7 +209,7 @@ class _Search:
         # (bags[i], Y) has no basis.
         self.max_evals = max_evals
         self.evals = 0
-        self.sat = {}  # block -> (X, subs, stamp)
+        self.sat = {}  # block -> (X, subs)
         self.comp_cache = {}
 
     def components_of(self, x):
@@ -266,7 +265,7 @@ class _Search:
         if self.evals > self.max_evals:
             raise SolverBudgetError("block search exceeded evaluation budget")
         for x, subs in self.bases(block):
-            self.sat[block] = (x, subs, len(self.sat))
+            self.sat[block] = (x, subs)
             return True
         return False
 
@@ -295,7 +294,7 @@ def extract_decomposition(h, table, root_blocks):
     """
 
     def node(block):
-        x, subs, _ = table.entries[block]
+        x, subs = table.entries[block]
         return (x, None, tuple(node(sub) for sub in subs))
 
     roots = [node(block) for block in root_blocks if block[1]]

@@ -9,43 +9,8 @@ import string
 
 import pytest
 
-from softdecomp import ConjunctiveQuery, Atom, Hypergraph, StatsCatalog
-
-
-def random_connected_hypergraph(rng, max_vertices=8, max_edges=8, max_arity=4):
-    """A connected hypergraph with no isolated vertices.
-
-    Vertices are introduced one at a time; each new vertex gets an edge
-    that also touches an already-seen vertex, which keeps the whole
-    thing connected by construction.  A few extra random edges are
-    sprinkled on top.
-    """
-    n = rng.randint(2, max_vertices)
-    seen_sets = set()
-    edges = []
-
-    def add(vertex_ids):
-        key = tuple(sorted(set(vertex_ids)))
-        if len(key) >= 1 and key not in seen_sets:
-            seen_sets.add(key)
-            edges.append(key)
-
-    order = list(range(n))
-    rng.shuffle(order)
-    covered = [order[0]]
-    for v in order[1:]:
-        members = {v, rng.choice(covered)}
-        while len(members) < max_arity and rng.random() < 0.4:
-            members.add(rng.randrange(n))
-        add(members)
-        covered.append(v)
-    while len(edges) < max_edges and rng.random() < 0.5:
-        size = rng.randint(1, max_arity)
-        add(rng.sample(range(n), min(size, n)))
-    edges = edges[:max_edges]
-
-    named = [(f"e{i}", [f"v{v}" for v in vs]) for i, vs in enumerate(edges)]
-    return Hypergraph.from_named_edges(named)
+from softdecomp import ConjunctiveQuery, Atom, StatsCatalog
+from softdecomp.gallery import random_connected_hypergraph  # noqa: F401  (tests import it from here)
 
 
 def brute_component_unions(edge_masks, sep):

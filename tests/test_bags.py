@@ -1,6 +1,8 @@
 import math
 import random
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from softdecomp.bags import (
     _first_seen,
     _separator_unions,
     cover_union_masks,
-    pairwise_intersections,
 )
 from softdecomp.gallery import cycle
 from softdecomp.hypergraph import ids_of, mask_of, parse_hypergraph
@@ -54,6 +55,19 @@ def brute_soft_bags(h, k):
     return bags
 
 
+def pairwise_intersections(sets_a, sets_b):
+    """All nonempty pairwise intersections of two families of masks."""
+    out = []
+    seen = set()
+    for a in sets_a:
+        for b in sets_b:
+            r = a & b
+            if r and r not in seen:
+                seen.add(r)
+                out.append(r)
+    return out
+
+
 def brute_cover_unions(edge_masks, k):
     out = set()
     for size in range(1, k + 1):
@@ -81,7 +95,8 @@ def test_level0_bags_match_definition(seed, k):
 def test_witnesses_reproduce_their_bags(seed, k):
     h = random_connected_hypergraph(random.Random(seed))
     bag_set = soft_bags(h, k)
-    for m, bag in bag_set.bags.items():
+    for m in bag_set.bags:
+        bag = bag_set.witness(m)
         cover = 0
         for i in bag.lambda1:
             cover |= bag_set.pool[i].vertices
@@ -91,6 +106,31 @@ def test_witnesses_reproduce_their_bags(seed, k):
         assert len(bag.lambda1) <= k and len(bag.lambda2) <= k
         assert bag.component in h.component_unions(sep)
         assert cover & bag.component == m
+
+
+def _first_witnesses(masks, k):
+    """Union -> its first index combination of at most ``k`` masks, by a plain loop."""
+    first = {}
+    for size in range(k + 1):
+        for combo in combinations(range(len(masks)), size):
+            first.setdefault(reduce(or_, (masks[i] for i in combo), 0), combo)
+    return first
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_witness_is_the_first_combination(k):
+    rng = random.Random(900 + k)
+    for _ in range(20):
+        h = random_connected_hypergraph(rng, max_vertices=8, max_edges=7)
+        seps = _first_witnesses(h.edge_masks, k)
+        for level in (0, 1):
+            bag_set = soft_bags_level(h, k, level)
+            covers = _first_witnesses([s.vertices for s in bag_set.pool], k)
+            for m in bag_set.bags:
+                bag = bag_set.witness(m)
+                cover = reduce(or_, (bag_set.pool[i].vertices for i in bag.lambda1))
+                sep = reduce(or_, (h.edge_masks[e] for e in bag.lambda2), 0)
+                assert covers[cover] == bag.lambda1 and seps[sep] == bag.lambda2
 
 
 def test_h3prime_level0_certificate():
@@ -104,7 +144,7 @@ def test_h3prime_level0_certificate():
     assert [s.vertices for s in bag_set.pool] == list(h.edge_masks)
     td = solve(h, bag_set).decomposition
     for m in td.bags:
-        bag = bag_set.bags[m]
+        bag = bag_set.witness(m)
         assert len(bag.lambda1) <= 3 and len(bag.lambda2) <= 3
         cover = 0
         for i in bag.lambda1:
@@ -254,11 +294,11 @@ def _both_paths(monkeypatch, build):
 def _python_component_entries(h, k):
     """The reference loop: components of each separator, first seen kept."""
     entries, seen = [], set()
-    for sep, combo in _separator_unions(h, k, DEFAULT_MAX_STEPS):
+    for sep in _separator_unions(h, k, DEFAULT_MAX_STEPS):
         for union in h.component_unions(sep):
             if union not in seen:
                 seen.add(union)
-                entries.append((union, combo))
+                entries.append((union, sep))
     return tuple(entries)
 
 
@@ -318,7 +358,7 @@ def test_separator_budget_boundary(name, k):
     h = gallery(name).hypergraph
     steps = sum(math.comb(h.n_edges, size) for size in range(k + 1))
     seps = _separator_unions(h, k, steps)
-    assert seps[0] == (0, ())
+    assert seps[0] == 0
     with pytest.raises(ResourceBudgetError):
         _separator_unions(h, k, steps - 1)
 
@@ -336,7 +376,7 @@ def test_separator_unions_match_a_plain_loop(monkeypatch):
                     m |= h.edge_masks[i]
                 if m not in seen:
                     seen.add(m)
-                    want.append((m, combo))
+                    want.append(m)
         assert _separator_unions(h, k, DEFAULT_MAX_STEPS) == want
 
 

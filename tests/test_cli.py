@@ -89,6 +89,29 @@ def test_run_plan_round_trip(tmp_path, capsys):
     assert "1,5" in out
 
 
+def test_malformed_plan_is_usage_error(tmp_path, capsys):
+    q = tmp_path / "q.cq"
+    q.write_text("ans(x,z) :- r(x,y), s(y,z).")
+    main([
+        "decompose", "--input", str(q), "--format", "cq", "--k", "1",
+        "--emit", "plan", "--out", str(tmp_path),
+    ])
+    plan = json.loads(next(tmp_path.glob("*.json")).read_text())
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "r.csv").write_text("c0,c1\n1,2\n")
+    (db / "s.csv").write_text("c0,c1\n2,5\n")
+    bad_op = dict(plan, steps=[{"op": "frobnicate"}])
+    no_output = {key: value for key, value in plan.items() if key != "output"}
+    not_a_list = dict(plan, steps=5)
+    for bad, named in ((bad_op, "frobnicate"), (no_output, "output"), (not_a_list, "int")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["run-plan", "--plan", str(path), "--db", str(db)]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_widths_reports_minimum(hg_file, capsys):
     for measure, k in [("shw", 1), ("hw", 1), ("ghw", 1), ("shw:1", 1)]:
         assert main(["widths", "--input", hg_file, "--measure", measure]) == 0

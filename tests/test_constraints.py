@@ -13,6 +13,7 @@ from softdecomp import (
     attach_covers,
     cost_order,
     cyclicity_order,
+    enumerate_all_ctds,
     enumerate_top_n,
     gallery,
     parse_hypergraph,
@@ -327,6 +328,30 @@ def _pairings(h, k, stats):
         (PartitionClustering(labels), partition_order(labels, k, stats)),
         (ConnectedCover() & ShallowCyclicity(1), cyclicity_order(h)),
     ]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="cost_order ranks each block's subtree as if it were a root")
+def test_cost_order_is_exact_with_real_join_sizes():
+    # Trial 54 of criterion 5's loop run with non-unit join sizes,
+    # replayed from its rng.  A tree scoring 53,434.36 exists; the
+    # optimizer returns one scoring 65,962.27.
+    rng = random.Random(3)
+    for _ in range(55):
+        h = random_connected_hypergraph(rng, max_vertices=6, max_edges=6)
+        k = rng.choice([2, 3])
+        bags = soft_bags(h, k)
+        stats = random_stats(rng, h, bags.masks())
+    costs = []
+    for td in enumerate_all_ctds(h, bags):
+        attach_covers(td, max_size=k)
+        if ConnectedCover().holds(h, td, k):
+            costs.append(subtree_cost(td, stats).total)
+    edges = "e0(v1,v5), e1(v1,v0), e2(v0,v3), e3(v0,v4), e4(v1,v5,v0,v2)"
+    if h != parse_hypergraph(edges) or k != 2 or round(min(costs), 2) != 53_434.36:
+        pytest.fail("the replayed instance is not trial 54")
+    res = solve_constrained(h, bags, ConnectedCover(), cost_order(stats))
+    assert res.key.cost == pytest.approx(min(costs))
 
 
 @pytest.mark.filterwarnings("ignore:constraint/order pairing")

@@ -183,7 +183,7 @@ class _ReferenceSearch:
                         ok = False
                         break
                 if ok:
-                    self.sat[block] = (x, tuple((x, y) for y in ys), len(self.sat))
+                    self.sat[block] = (x, tuple((x, y) for y in ys))
                     return True, False
         finally:
             path.remove(block)
