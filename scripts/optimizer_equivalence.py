@@ -72,8 +72,8 @@ def pairing(name, h, k, stats):
     if name == "ShallowCyclicity(1)+cyclicity":
         return ShallowCyclicity(1), cyclicity_order(h)
     if name == "PartitionClustering+partition":
-        return PartitionClustering(labels), partition_order(labels, k)
-    return PartitionClustering(labels), partition_order(labels, k, stats)
+        return PartitionClustering(labels), partition_order(h, labels, k)
+    return PartitionClustering(labels), partition_order(h, labels, k, stats)
 
 
 def cases(which):

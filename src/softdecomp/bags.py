@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 
@@ -90,7 +90,6 @@ class CandidateBagSet:
     bags: dict  # vertices mask -> (index into components, index into covers)
     components: tuple
     covers: list
-    fixpoint: bool = False
 
     def masks(self):
         return list(self.bags)
@@ -276,7 +275,6 @@ def _first_intersections(rows, cols, exclude=()):
     return out
 
 
-@lru_cache(maxsize=32)
 def _component_entries(h, k, max_steps):
     """Distinct component unions over all separators, masks only.
 
@@ -287,10 +285,6 @@ def _component_entries(h, k, max_steps):
     occurrence with that separator.  On up to 64 vertices and above a
     size gate, all separators are split at once in numpy, with the same
     result.
-
-    Cached because the separator side of the enumeration depends only on
-    the hypergraph and ``k``, not on the sub-edge pool, so iterated
-    levels can reuse it.
     """
     seps = _separator_unions(h, k, max_steps)
     # Measured crossover: at 18 vertices numpy wins from about 60
@@ -307,9 +301,8 @@ def _component_entries(h, k, max_steps):
     return tuple(entries.items())
 
 
-def _enumerate_bags(h, k, pool, level, max_bags, max_steps):
+def _enumerate_bags(h, k, pool, components, level, max_bags, max_steps):
     covers = _cover_unions(pool, k, max_steps)
-    components = _component_entries(h, k, max_steps)
     if len(covers) * len(components) > max_steps:
         raise ResourceBudgetError("bag enumeration exceeded step budget")
     found = _first_intersections([cm for cm, _ in components], covers)
@@ -322,7 +315,8 @@ def _enumerate_bags(h, k, pool, level, max_bags, max_steps):
 def soft_bags(h, k, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     """The level-0 candidate bag set for width parameter ``k``."""
     pool = [SubEdge(m, i, 0) for i, m in enumerate(h.edge_masks)]
-    return _enumerate_bags(h, k, pool, 0, max_bags, max_steps)
+    components = _component_entries(h, k, max_steps)
+    return _enumerate_bags(h, k, pool, components, 0, max_bags, max_steps)
 
 
 def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
@@ -330,8 +324,8 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
 
     The new cover pool is the old pool plus all nonempty intersections
     of old pool members with old bags, deduplicated by vertex set; the
-    separator side is unchanged.  Returns ``prev`` itself (with
-    ``fixpoint`` set) when neither the pool nor the bags grow.
+    separator side, ``prev.components``, is reused.  Returns ``prev``
+    itself when neither the pool nor the bags grow.
     """
     h = prev.hypergraph
     pool = list(prev.pool)
@@ -340,18 +334,19 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     for m, i, _ in found:
         pool.append(SubEdge(m, prev.pool[i].origin, prev.level + 1))
 
-    nxt = _enumerate_bags(h, prev.k, pool, prev.level + 1, max_bags, max_steps)
+    nxt = _enumerate_bags(
+        h, prev.k, pool, prev.components, prev.level + 1, max_bags, max_steps
+    )
     if len(pool) == len(prev.pool) and nxt.bags.keys() == prev.bags.keys():
-        prev.fixpoint = True
         return prev
     return nxt
 
 
-def trimmed_next_pool(prev, min_size=2):
+def trimmed_next_pool(prev):
     """A compact next-level cover pool for upper-bound probes.
 
     Keeps the previous pool plus, per origin edge, the inclusion-maximal
-    proper sub-edges (with at least ``min_size`` vertices) obtainable by
+    proper sub-edges (with at least two vertices) obtainable by
     intersecting with the previous bags.  Any solve accepting over bags
     built from this pool is sound, since the pool is a subset of the
     full next-level pool.
@@ -367,7 +362,7 @@ def trimmed_next_pool(prev, min_size=2):
         else:
             inters = {sub.vertices & bm for bm in prev.bags}
         for m in inters:
-            if m and m != sub.vertices and popcount(m) >= min_size:
+            if m and m != sub.vertices and popcount(m) >= 2:
                 by_origin.setdefault(sub.origin, set()).add(m)
     pool = list(prev.pool)
     seen = {s.vertices for s in pool}

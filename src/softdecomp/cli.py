@@ -98,7 +98,7 @@ def _pick_order(h, k, constraints, stats):
         if isinstance(c, ShallowCyclicity):
             return cyclicity_order(h)
         if isinstance(c, PartitionClustering):
-            return partition_order(c.labels, k)
+            return partition_order(h, c.labels, k)
     return trivial_order()
 
 

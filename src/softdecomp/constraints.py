@@ -9,9 +9,9 @@ the cheapest satisfying tree among those built from its bases and the
 kept trees of their sub-blocks.  The block graph is acyclic, so every
 kept tree is final once made.
 
-The optimizer never builds the trees it compares.  Constraints and
-orders each expose a *step* that judges or keys a subtree from its
-root node and a small state per child subtree, in O(children):
+The optimizer never builds the trees it compares.  Every constraint
+and order exposes a *step* that judges or keys a subtree from its root
+node and a small state per child subtree, in O(children):
 
 - ``Constraint.step(h, k, node, kids)`` returns the subtree's state,
   or None when the subtree fails;
@@ -20,19 +20,18 @@ root node and a small state per child subtree, in O(children):
   state)``.
 
 A node is the nested ``(bag, cover, children)`` form of a subtree.
-The built-in steps carry what their whole-tree forms read: the cost
+The steps carry what their whole-tree forms read: the cost
 recursion's :class:`~softdecomp.costs.CostSummary`, the deepest
-depth of a bag no single edge covers, node counts and canonical bag
-tuples.  The default steps, used by ``PartitionClustering``,
-``partition_order`` and any order without a ``step``, build the
-subtree and call ``holds`` or the order on it.
+depth of a bag no single edge covers, the ``(root label, labels
+used)`` pairs of a subtree's valid partition labellings, node counts
+and canonical bag tuples.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -55,20 +54,16 @@ COST_TOLERANCE = 1e-9
 
 
 class Constraint:
-    """Base class; subclasses implement ``holds(h, td, k)``.
+    """Base class; subclasses implement ``holds(h, td, k)`` and
+    ``step(h, k, node, kids)``.
 
-    ``step(h, k, node, kids)`` judges the subtree ``node`` from its
-    children's states ``kids`` (in child order) and returns its own
-    state, or None when it fails.  The default builds the subtree and
-    calls ``holds`` on it; its state is the node.  A subclass that
-    changes ``holds`` must give a matching ``step``.
+    ``step`` judges the subtree ``node`` from its children's states
+    ``kids`` (in child order) and returns its own state, or None when
+    it fails; it must agree with ``holds`` on the subtree.
     """
 
     def holds(self, h, td, k):
         raise NotImplementedError
-
-    def step(self, h, k, node, kids):
-        return node if self.holds(h, TreeDecomposition.from_nodes(h, [node]), k) else None
 
     def __and__(self, other):
         return Conjunction((self, other))
@@ -146,19 +141,29 @@ class PartitionClustering(Constraint):
     ``labels`` maps every edge id to a partition name.  A tree
     satisfies the constraint when some node labelling exists such that
     each bag has a cover of at most k same-partition edges and each
-    partition's nodes form one connected piece of the tree.
+    partition's nodes form one connected piece of the tree (of the
+    whole forest, on a disconnected input).  The step's state is the
+    set of ``(root label, labels used)`` pairs of the subtree's valid
+    labellings (see :func:`_label_pairs`).
     """
 
     labels: dict
+    _covering: dict = field(default_factory=dict, repr=False)  # (bag, k) -> labels covering it
+    _cached_for: object = field(default=None, repr=False, compare=False)  # its hypergraph
 
     def holds(self, h, td, k):
-        return partition_assignment(h, td, self.labels, k) is not None
+        return partitions_used(h, td, self.labels, k) is not None
+
+    def step(self, h, k, node, kids):
+        if h is not self._cached_for:
+            self._covering.clear()
+            self._cached_for = h
+        return _label_pairs(h, k, self.labels, node[0], kids, self._covering) or None
 
 
-def connected_cover(h, bag, k, exact=False):
+def connected_cover(h, bag, k):
     """A set of at most k edges covering the bag and forming a
-    connected subhypergraph, or None.  With ``exact`` the cover's
-    union must equal the bag."""
+    connected subhypergraph, or None."""
     masks = h.edge_masks
     cap = k if k is not None else h.n_edges
     for size in range(1, cap + 1):
@@ -166,11 +171,7 @@ def connected_cover(h, bag, k, exact=False):
             u = 0
             for e in combo:
                 u |= masks[e]
-            if bag & ~u:
-                continue
-            if exact and u != bag:
-                continue
-            if cover_is_connected([masks[e] for e in combo]):
+            if not bag & ~u and cover_is_connected([masks[e] for e in combo]):
                 return combo
     return None
 
@@ -196,47 +197,56 @@ def _bad_depth(h, bag, kids):
     return 0 if all(bag & ~m for m in h.edge_masks) else -1
 
 
-def partition_assignment(h, td, labels, k):
-    """A node→partition labelling satisfying the clustering rules, or
-    None.  Each node's bag needs a ≤k cover from one partition's
-    edges, and each used partition must label one connected piece."""
-    masks = h.edge_masks
-    parts = sorted(set(labels.values()))
-    by_part = {p: [e for e, q in labels.items() if q == p] for p in parts}
-    feasible = []
-    for bag in td.bags:
-        opts = []
-        for p in parts:
-            pool = [masks[e] for e in by_part[p]]
+def _label_pairs(h, k, labels, bag, kids, covering):
+    """The ``(root label, labels used)`` pairs of the valid labellings
+    of a subtree with root ``bag``, from its children's pair sets
+    ``kids``; empty when there is none.
+
+    The root takes any label ``p`` whose edges cover ``bag`` within
+    ``k`` edges, and one pair from each child (:func:`_merge_used`).
+    ``covering`` caches those labels per ``(bag, k)`` for ``h``.
+    """
+    if (bag, k) not in covering:
+        covering[bag, k] = [
+            p for p in sorted(set(labels.values()))
             if minimum_cover(
-                td.hypergraph, bag, pool_masks=pool, max_size=k
-            ) is not None:
-                opts.append(p)
-        if not opts:
-            return None
-        feasible.append(opts)
-    order = []
-    for r in td.roots():
-        order.extend(td.subtree(r))
+                h, bag, [m if labels.get(e) == p else 0 for e, m in enumerate(h.edge_masks)], k
+            ) is not None
+        ]
+    pairs = set()
+    for p in covering[bag, k]:
+        pairs.update((p, used) for used in _merge_used(p, kids))
+    return frozenset(pairs)
 
-    assignment = {}
 
-    def rec(idx):
-        if idx == len(order):
-            return True
-        u = order[idx]
-        parent = td.parents[u]
-        for p in feasible[u]:
-            # a second disjoint appearance of p would break contiguity
-            if p in assignment.values() and (parent < 0 or assignment[parent] != p):
-                continue
-            assignment[u] = p
-            if rec(idx + 1):
-                return True
-            del assignment[u]
-        return False
+def _merge_used(p, kids):
+    """The label sets used by a node labelled ``p`` over one pair from
+    each of ``kids``, or by a forest over its roots' pairs when ``p`` is
+    None.  A combination is dropped when a child whose root label is
+    not ``p`` uses ``p``, or when two children use the same label other
+    than ``p``: either would split that label's nodes."""
+    acc = {frozenset() if p is None else frozenset([p])}
+    for pairs in kids:
+        acc = {
+            used | u
+            for used in acc
+            for q, u in pairs
+            if not (q != p and p in u) and not (used & u) - {p}
+        }
+    return acc
 
-    return dict(assignment) if rec(0) else None
+
+def partitions_used(h, td, labels, k):
+    """The fewest partitions a valid labelling of ``td`` uses (see
+    :class:`PartitionClustering`), or None when there is none: the
+    fold of :func:`_label_pairs` over the tree, deepest first, with its
+    roots merged as a forest."""
+    pairs = [None] * len(td)
+    covering = {}
+    for u in sorted(range(len(td)), key=td.depth, reverse=True):
+        kids = [pairs[c] for c in td.children(u)]
+        pairs[u] = _label_pairs(h, k, labels, td.bags[u], kids, covering)
+    return min(map(len, _merge_used(None, [pairs[r] for r in td.roots()])), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +277,6 @@ class CostKey:
 
     def __le__(self, other):
         return self.sort_key <= other.sort_key
-
-    def same_cost(self, other):
-        return self.sort_key[:-2] == other.sort_key[:-2]
 
 
 def _canonical_bags(td):
@@ -339,20 +346,27 @@ def cyclicity_order(h):
     return key
 
 
-def partition_order(labels, k, stats=None):
-    """Order preferring fewer distinct partitions, then cost: the number
-    of partitions used is the key's rank, and its cost is the tree's
-    cost under ``stats`` (0 without).  It has no step, so the optimizer
-    keys each subtree whole."""
+def partition_order(h, labels, k, stats=None):
+    """Order preferring fewer distinct partitions, then cost: the key's
+    rank is the fewest partitions a valid labelling uses (the node
+    count plus one when there is none), and its cost is the tree's
+    cost under ``stats`` (0 without), as in :func:`cost_order`.  Its
+    step's state is the cost step's state and the subtree's label
+    pairs (see :func:`_label_pairs`)."""
+    base = trivial_order() if stats is None else cost_order(stats)
+    covering = {}
 
     def key(td):
-        assignment = partition_assignment(td.hypergraph, td, labels, k)
-        used = len(set(assignment.values())) if assignment else len(td.bags) + 1
-        cost = 0.0
-        if stats is not None:
-            cost = subtree_cost(td, stats).total
-        return CostKey(cost, len(td), _canonical_bags(td), rank=used)
+        used = partitions_used(h, td, labels, k)
+        return replace(base(td), rank=len(td) + 1 if used is None else used)
 
+    def step(node, kids):
+        plain, state = base.step(node, [(kid, s) for kid, (s, _) in kids])
+        pairs = _label_pairs(h, k, labels, node[0], [p for _, (_, p) in kids], covering)
+        rank = min((len(u) for _, u in pairs), default=plain.nodes + 1)
+        return replace(plain, rank=rank), (state, pairs)
+
+    key.step = step
     key.pairs_with = (PartitionClustering, AlwaysTrue)
     return key
 
@@ -399,8 +413,8 @@ def solve_constrained(h, bags, constraint, order):
 
     Each (root bag, sub-blocks) pair is judged and keyed once, by the
     constraint's and the order's steps (see the module docstring) over
-    the states stored in its sub-blocks' entries; with built-in steps
-    no tree is built until the answer.  With a preference-complete
+    the states stored in its sub-blocks' entries, so the only tree
+    built is the answer.  With a preference-complete
     (constraint, order) pairing the answer is ACCEPT iff any satisfying
     tree exists.
 
@@ -420,12 +434,6 @@ def solve_constrained(h, bags, constraint, order):
             stacklevel=2,
         )
     k = getattr(bags, "k", None)
-    order_step = getattr(order, "step", None)
-    if order_step is None:
-
-        def order_step(node, kids):
-            return order(TreeDecomposition.from_nodes(h, [node])), node
-
     search = _Search(h, _bag_masks(bags), DEFAULT_MAX_EVALS)
     entries = {}  # block -> Entry, or None if no tree satisfies
     scored = {}  # (root bag, sub-blocks) -> Entry, or None if it fails
@@ -440,7 +448,7 @@ def solve_constrained(h, bags, constraint, order):
         held = constraint.step(h, k, node, [p.holds_state for p in parts])
         if held is None:
             return None
-        key, state = order_step(node, [(p.key, p.order_state) for p in parts])
+        key, state = order.step(node, [(p.key, p.order_state) for p in parts])
         return Entry(key, node, held, state)
 
     def entry(block):
@@ -491,8 +499,9 @@ def enumerate_top_n(h, bags, constraint, order, n, max_trees=20_000, max_steps=2
 
     Exhausts the tree space below a configurable budget; when the
     budget interrupts enumeration the (possibly shorter) result is
-    flagged as truncated.  Distinctness is up to isomorphism of the
-    rooted bag-trees under canonical child ordering.
+    flagged as truncated.  The trees are distinct up to isomorphism
+    of the rooted bag-trees, as
+    :func:`~softdecomp.oracles.iter_all_ctds` yields each one once.
     """
     from .oracles import OracleBudgetError, enumerate_all_ctds
 
@@ -509,23 +518,11 @@ def enumerate_top_n(h, bags, constraint, order, n, max_trees=20_000, max_steps=2
             return TopNResult([], [], True)
         return TopNResult([head.decomposition], [head.key], True)
     scored = []
-    seen = set()
     for td in trees:
         attach_covers(td, max_size=k)
-        if not constraint.holds(h, td, k):
-            continue
-        canon = _canonical_tree(td)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        scored.append((order(td), td))
+        if constraint.holds(h, td, k):
+            scored.append((order(td), td))
     scored.sort(key=lambda pair: pair[0].sort_key)
     top = scored[:n]
     return TopNResult([td for _, td in top], [key for key, _ in top], truncated)
 
-
-def _canonical_tree(td):
-    def canon(u):
-        return (td.bags[u], tuple(sorted(canon(c) for c in td.children(u))))
-
-    return tuple(sorted(canon(r) for r in td.roots()))

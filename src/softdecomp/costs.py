@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .hypergraph import ids_of, mask_of, popcount
+from .hypergraph import mask_of, popcount
 
 
 class MissingStatisticError(KeyError):
-    """A required cardinality is absent and the fallback is disabled."""
+    """A required statistic is absent, or a catalog names an unknown relation."""
 
 
 def _xlog(x):
@@ -78,7 +78,7 @@ class StatsCatalog:
             bags[m] = int(entry["card"])
         return cls(h, rel, bags, keys, int(data.get("cap", 10**6)))
 
-    def join_card(self, bag, cover, allow_fallback=True):
+    def join_card(self, bag, cover):
         """|J| for a bag, falling back to a crude bound when unknown.
 
         Returns ``(value, fell_back)``.
@@ -88,9 +88,6 @@ class StatsCatalog:
         masks = self.hypergraph.edge_masks
         if len(cover) == 1 and masks[cover[0]] == bag:
             return self.relation_card[cover[0]], False
-        if not allow_fallback:
-            names = ",".join(self.hypergraph.vertex_names[v] for v in ids_of(bag))
-            raise MissingStatisticError(f"no join cardinality for bag {{{names}}}")
         return fallback_join_card(bag, cover, self), True
 
 
@@ -125,10 +122,10 @@ def _materialize(j, cover, stats):
     return float(j) + sum(_xlog(stats.relation_card[e]) for e in cover)
 
 
-def bag_cost(bag, cover, stats, allow_fallback=True):
+def bag_cost(bag, cover, stats):
     """Cost of materializing one bag (see :func:`_materialize`); a
     single-relation bag needs no join size."""
-    j = stats.join_card(bag, cover, allow_fallback)[0] if len(cover) > 1 else 0
+    j = stats.join_card(bag, cover)[0] if len(cover) > 1 else 0
     return _materialize(j, cover, stats)
 
 
@@ -178,7 +175,7 @@ def reduced_size(child, shrink):
     return child.join / (1 + popcount(shrink & child.bag))
 
 
-def node_cost(bag, cover, kids, stats, allow_fallback=True):
+def node_cost(bag, cover, kids, stats):
     """One node of the cost recursion, from its children's summaries.
 
     ``kids`` are the children's :class:`CostSummary` in child order.
@@ -190,7 +187,7 @@ def node_cost(bag, cover, kids, stats, allow_fallback=True):
     node scans itself against nonempty children; a child contributes
     ReducedSz·log(ReducedSz) for its semi-join into the node.
     """
-    j, fell_back = stats.join_card(bag, cover, allow_fallback)
+    j, fell_back = stats.join_card(bag, cover)
     bagc = _materialize(j, cover, stats)
     below = 0
     for kid in kids:
@@ -220,7 +217,7 @@ class CostReport:
     fallback_nodes: tuple = ()
 
 
-def subtree_cost(td, stats, allow_fallback=True):
+def subtree_cost(td, stats):
     """Evaluate the full cost recursion over a rooted decomposition.
 
     A fold of :func:`node_cost` over the nodes, deepest first: each
@@ -239,7 +236,7 @@ def subtree_cost(td, stats, allow_fallback=True):
     for u in sorted(range(n), key=td.depth, reverse=True):
         kids = td.children(u)
         summary[u], kid_reduced, bagc[u], scan[u], fb = node_cost(
-            td.bags[u], td.covers[u], [summary[c] for c in kids], stats, allow_fallback
+            td.bags[u], td.covers[u], [summary[c] for c in kids], stats
         )
         if fb:
             fellback.append(u)

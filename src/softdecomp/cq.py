@@ -259,14 +259,13 @@ def _resolve_column(token, items):
     return best[0], best[1]
 
 
-def sql_to_cq(sql, include_all_columns=False):
+def sql_to_cq(sql):
     """Extract a conjunctive query and hypergraph from equijoin SQL.
 
     One atom per FROM item; variables are the equivalence classes of
     equality-joined columns.  Columns outside every join condition are
-    dropped (they do not affect the join structure) unless
-    ``include_all_columns`` is set.  An optional MIN/MAX head is
-    treated as projection.
+    dropped (they do not affect the join structure).  An optional
+    MIN/MAX head is treated as projection.
     """
     q = _SqlQuery(sql)
     # union-find over (alias, column)
@@ -300,8 +299,6 @@ def sql_to_cq(sql, include_all_columns=False):
         if token.lower() in ("min", "max", "distinct", "count"):
             continue
         head_cols.append(_resolve_column(token, q.items))
-    if include_all_columns:
-        joined = joined | set(head_cols)
 
     # name variables v1, v2, ... in first-appearance order
     var_names = {}

@@ -53,8 +53,7 @@ class Hypergraph:
     """An immutable hypergraph with named vertices and named edges.
 
     Edges keep their declaration order; duplicate vertex sets are
-    allowed (the duplicates are recorded in ``duplicate_scheme_ids``)
-    but every vertex must occur in at least one edge.
+    allowed, but every vertex must occur in at least one edge.
     """
 
     vertex_names: tuple
@@ -86,29 +85,18 @@ class Hypergraph:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_named_edges(edges, allow_isolated=False, extra_vertices=()):
+    def from_named_edges(edges):
         """Build a hypergraph from ``(edge_name, [vertex names])`` pairs.
 
-        Vertex ids follow first appearance.  ``extra_vertices`` adds
-        vertices not covered by any edge; with ``allow_isolated`` these
-        are wrapped in fresh unary edges, otherwise they are an error.
+        Vertex ids follow first appearance.
         """
         order = {}
         for _, vs in edges:
             for v in vs:
                 order.setdefault(v, len(order))
-        wrapped = list(edges)
-        for v in extra_vertices:
-            if v in order:
-                continue
-            if not allow_isolated:
-                raise HypergraphError(f"isolated vertex {v!r}")
-            order.setdefault(v, len(order))
-            wrapped.append((_fresh_name("iso_" + v, {e for e, _ in wrapped}), [v]))
-        names = tuple(order)
-        edge_names = tuple(e for e, _ in wrapped)
-        edge_ids = tuple(tuple(sorted({order[v] for v in vs})) for _, vs in wrapped)
-        return Hypergraph(names, edge_names, edge_ids)
+        edge_names = tuple(e for e, _ in edges)
+        edge_ids = tuple(tuple(sorted({order[v] for v in vs})) for _, vs in edges)
+        return Hypergraph(tuple(order), edge_names, edge_ids)
 
     # -- cached geometry -----------------------------------------------------
 
@@ -155,18 +143,6 @@ class Hypergraph:
                 unions[x] = unions[x & (x - 1)] | (adj[v] if v < len(adj) else 0)
             row[:] = unions
         return table
-
-    @cached_property
-    def duplicate_scheme_ids(self):
-        """Edge ids whose vertex set repeats an earlier edge."""
-        seen = {}
-        dups = []
-        for i, m in enumerate(self.edge_masks):
-            if m in seen:
-                dups.append(i)
-            else:
-                seen[m] = i
-        return tuple(dups)
 
     def edge_id(self, name):
         try:
@@ -275,24 +251,6 @@ class Hypergraph:
         order = np.argsort(owner, kind="stable")
         return owner[order], np.concatenate(unions)[order]
 
-    # -- derived hypergraphs ---------------------------------------------
-
-    def induced(self, vertex_mask):
-        """The subhypergraph induced on ``vertex_mask``.
-
-        Edges become their (nonempty) intersections with the mask;
-        intersections with equal vertex sets are merged, keeping the
-        first edge's name.
-        """
-        seen = {}
-        edges = []
-        for name, m in zip(self.edge_names, self.edge_masks):
-            r = m & vertex_mask
-            if r and r not in seen:
-                seen[r] = name
-                edges.append((name, [self.vertex_names[v] for v in ids_of(r)]))
-        return Hypergraph.from_named_edges(edges)
-
     # -- text format ---------------------------------------------------------
 
     def serialize(self):
@@ -320,23 +278,12 @@ def cover_is_connected(cover_masks):
     return not pending
 
 
-def _fresh_name(base, taken):
-    name = base
-    i = 1
-    while name in taken:
-        name = f"{base}_{i}"
-        i += 1
-    return name
-
-
-def parse_hypergraph(text, allow_isolated=False):
+def parse_hypergraph(text):
     """Parse the ``name(v1,v2,...)`` statement format.
 
     Statements are separated by commas and/or newlines; ``%`` starts a
     comment running to end of line.  Vertex ids are assigned by first
-    appearance.  ``allow_isolated`` has no effect on well-formed input
-    (every parsed vertex occurs in an edge) but is accepted for
-    symmetry with programmatic construction.
+    appearance.
     """
     stripped = []
     for line in text.splitlines():
@@ -365,4 +312,4 @@ def parse_hypergraph(text, allow_isolated=False):
     if len(set(names)) != len(names):
         dup = next(n for i, n in enumerate(names) if n in names[:i])
         raise HypergraphError(f"duplicate edge name {dup!r}")
-    return Hypergraph.from_named_edges(edges, allow_isolated=allow_isolated)
+    return Hypergraph.from_named_edges(edges)

@@ -130,9 +130,8 @@ def validate_td(h, td, bag_masks=None, k=None, check_compnf=True, check_special=
 
 
 def _subtree_unions(td):
-    out = [0] * len(td.bags)
-    for i in reversed(range(len(td.bags))):  # children are created after parents
-        out[i] |= td.bags[i]
+    out = list(td.bags)
+    for i in sorted(range(len(td)), key=td.depth, reverse=True):  # children first
         p = td.parents[i]
         if p >= 0:
             out[p] |= out[i]

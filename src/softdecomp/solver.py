@@ -354,7 +354,8 @@ def td_from_text(h, text):
     """Parse the line format written by :meth:`TreeDecomposition.to_text`.
 
     Each line reads ``<id> <parent> {v1,v2,...} [cover{e1,...}]`` with node
-    ids in order and ``-1`` marking roots.
+    ids in order and ``-1`` marking roots.  A parent may come after its
+    child; a parent cycle is an error.
     """
     import re
 
@@ -391,6 +392,13 @@ def td_from_text(h, text):
         else:
             covers.append(())
     for i, p in enumerate(parents):
-        if p >= len(bags) or p == i:
+        if not -1 <= p < len(bags):
             raise ValueError(f"node {i} has invalid parent {p}")
+    for i in range(len(parents)):
+        seen = set()
+        while i >= 0:
+            if i in seen:
+                raise ValueError(f"parent cycle through node {i}")
+            seen.add(i)
+            i = parents[i]
     return TreeDecomposition(h, bags, parents, covers if saw_cover else None)

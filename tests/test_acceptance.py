@@ -40,7 +40,6 @@ from softdecomp import (
     trivial_order,
     validate_td,
 )
-from softdecomp import bags as bags_module
 from softdecomp.hypergraph import ids_of, mask_of
 from softdecomp.solver import TreeDecomposition, minimum_cover
 
@@ -189,7 +188,6 @@ def test_width_hierarchy(capsys, small_corpus):
         k_hw = _min_k(lambda k: hw_leq(h, k) is not None, kmax)
         if not (k_ghw <= k_soft0 <= k_hw and k_soft1 <= k_soft0):
             violations += 1
-        bags_module._component_entries.cache_clear()
     elapsed = time.process_time() - start
     if violations:
         failures.append(f"{violations} hierarchy violations in 200 graphs")
@@ -216,7 +214,6 @@ def test_solver_completeness(capsys, small_corpus):
                 nonempty = True
             if accepted != nonempty:
                 disagreements += 1
-        bags_module._component_entries.cache_clear()
     if disagreements:
         failures.append(f"{disagreements} disagreements in 600 runs")
     _emit(capsys, 4, "solver accept/reject matches exhaustive enumeration", failures)

@@ -137,6 +137,23 @@ def test_verify_valid_and_invalid(tmp_path, hg_file, capsys):
     assert "INVALID" in out and "FAIL" in out
 
 
+def test_verify_reads_parents_after_children(tmp_path, capsys):
+    # The path {a,b} -> {b,c} -> {c,d} -> {d,x}, written leaf first.
+    h = tmp_path / "path.hg"
+    h.write_text("e2(a,b), e3(b,c), e4(c,d), e5(d,x), e6(x)\n")
+    lines = ["0 3 {d,x} cover{e5}", "1 -1 {a,b} cover{e2}",
+             "2 1 {b,c} cover{e3}", "3 2 {c,d} cover{e4}"]
+    td = tmp_path / "path.td"
+    td.write_text("\n".join(lines) + "\n")
+    args = ["verify", "--td", str(td), "--hypergraph", str(h), "--mode", "hw", "--k", "2"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "result: VALID" in out and "FAIL" not in out
+    td.write_text("0 1 {d,x} cover{e5}\n1 0 {a,b} cover{e2}\n")
+    assert main(args) == 2
+    assert "parent cycle" in capsys.readouterr().err
+
+
 def test_sql_input(tmp_path, capsys):
     q = tmp_path / "q.sql"
     q.write_text(

@@ -1,5 +1,7 @@
 import random
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,7 @@ from softdecomp.constraints import (
     CostKey,
     connected_cover,
     cyclicity_depth,
-    partition_assignment,
+    partitions_used,
 )
 from softdecomp.solver import TreeDecomposition
 from softdecomp.hypergraph import mask_of
@@ -50,14 +52,6 @@ def test_connected_cover_basic():
     assert connected_cover(h, h.all_vertices_mask, 3) == (0, 1, 2)
 
 
-def test_connected_cover_exact_mode():
-    h = parse_hypergraph("r(a,b), s(b,c)")
-    bag = mask_of([0, 1])
-    assert connected_cover(h, bag, 2, exact=True) == (0,)
-    # {b,c,a} minus nothing: the exact union must match, so {a,c} fails
-    assert connected_cover(h, mask_of([0, 2]), 2, exact=True) is None
-
-
 def test_cyclicity_depth():
     h = parse_hypergraph("r(a,b), s(b,c), t(c,a)")
     single = TreeDecomposition(h, [mask_of([0, 1]), mask_of([1, 2])], [-1, 0])
@@ -70,7 +64,7 @@ def test_cyclicity_depth():
     assert not ShallowCyclicity(0).holds(h, cyclic_leaf, None)
 
 
-def test_partition_assignment_respects_contiguity():
+def test_partitions_used_respects_contiguity():
     h = parse_hypergraph("r(a,b), s(b,c), t(c,d), u(d,e)")
     labels = {0: "left", 1: "left", 2: "right", 3: "right"}
     chain = TreeDecomposition(
@@ -78,16 +72,62 @@ def test_partition_assignment_respects_contiguity():
         [mask_of([0, 1]), mask_of([1, 2]), mask_of([2, 3]), mask_of([3, 4])],
         [-1, 0, 1, 2],
     )
-    got = partition_assignment(h, chain, labels, 1)
-    assert got is not None
-    assert len({got[0], got[1]}) == 1 or len({got[2], got[3]}) == 1
+    assert partitions_used(h, chain, labels, 1) == 2
     # interleaving the two partitions along the chain is impossible
     twisted = TreeDecomposition(
         h,
         [mask_of([0, 1]), mask_of([2, 3]), mask_of([1, 2]), mask_of([3, 4])],
         [-1, 0, 1, 2],
     )
+    assert partitions_used(h, twisted, labels, 1) is None
     assert not PartitionClustering(labels).holds(h, twisted, 1)
+
+
+def _brute_partitions_used(h, td, labels, k):
+    """Fewest labels over all node labellings where each bag has a cover
+    of at most k edges of its label and each label's nodes are connected."""
+
+    def covers(bag, p):
+        edges = [h.edge_masks[e] for e, q in labels.items() if q == p]
+        return any(
+            not bag & ~reduce(or_, combo)
+            for size in range(1, k + 1)
+            for combo in combinations(edges, size)
+        )
+
+    best = None
+    n = len(td)
+    for labelling in product(sorted(set(labels.values())), repeat=n):
+        if not all(covers(td.bags[u], labelling[u]) for u in range(n)):
+            continue
+        # A node set of a forest is connected iff all but one of its
+        # nodes have their parent in the set.
+        if all(
+            sum(td.parents[u] >= 0 and labelling[td.parents[u]] == p
+                for u in range(n) if labelling[u] == p) == labelling.count(p) - 1
+            for p in set(labelling)
+        ):
+            used = len(set(labelling))
+            best = used if best is None else min(best, used)
+    return best
+
+
+def test_partitions_used_matches_brute_force():
+    rng = random.Random(61)
+    found = set()
+    for _ in range(300):
+        h = random_connected_hypergraph(rng, max_vertices=6, max_edges=6)
+        labels = {e: rng.choice("pqr") for e in range(h.n_edges)}
+        n = rng.randint(1, 6)
+        bags = [rng.choice(h.edge_masks) | (rng.choice(h.edge_masks) if rng.random() < 0.3 else 0)
+                for _ in range(n)]
+        parents = [rng.randrange(-1, u) if u else -1 for u in range(n)]
+        td = TreeDecomposition(h, bags, parents)
+        for k in (1, 2):
+            want = _brute_partitions_used(h, td, labels, k)
+            assert partitions_used(h, td, labels, k) == want
+            found.add(want)
+    assert found >= {None, 1, 2, 3}
 
 
 def test_concov_distinguishes_covers():
@@ -126,7 +166,6 @@ def test_cost_key_order_is_transitive():
     for x, y, z in permutations([a, b, c]):
         assert not (x < y and y < z and z < x)
     assert {tuple(sorted(p)) for p in permutations([a, b, c])} == {(a, c, b)}
-    assert b.same_cost(c) and not a.same_cost(b)
 
 
 # --- the optimizing solver ----------------------------------------------------
@@ -166,14 +205,15 @@ def test_optimizer_scores_each_tree_once(name):
     rng = random.Random(name)
     order = cost_order(StatsCatalog(h, {e: rng.randint(10, 1000) for e in range(h.n_edges)}))
     trees = []
+    step = order.step
 
-    def recording_order(td):
-        trees.append((tuple(td.bags), tuple(td.parents)))
-        return order(td)
+    def recording_step(node, kids):
+        trees.append(node)
+        return step(node, kids)
 
-    recording_order.pairs_with = order.pairs_with
+    order.step = recording_step
     k = gallery(name).widths["concov_shw"]
-    res = solve_constrained(h, soft_bags(h, k), ConnectedCover(), recording_order)
+    res = solve_constrained(h, soft_bags(h, k), ConnectedCover(), order)
     assert res.accepted
     assert len(trees) == len(set(trees))
 
@@ -206,15 +246,18 @@ def test_reject_scores_no_tree():
     calls = []
 
     class CountingCover(ConnectedCover):
-        def holds(self, h, td, k):
-            calls.append(td)
-            return super().holds(h, td, k)
+        def step(self, h, k, node, kids):
+            calls.append(node)
+            return super().step(h, k, node, kids)
 
-    def order(td):
-        calls.append(td)
-        return trivial_order()(td)
+    order = trivial_order()
+    step = order.step
 
-    order.pairs_with = trivial_order().pairs_with
+    def counting_step(node, kids):
+        calls.append(node)
+        return step(node, kids)
+
+    order.step = counting_step
     rng = random.Random(43)
     # The first component has trees; the second rejects at k=1.
     cases = [(parse_hypergraph("r(a,b), s(c,d), t(d,e), u(e,c)"), 1)]
@@ -294,28 +337,58 @@ def test_partition_order_prefers_fewer_partitions():
     labels = {0: "p", 1: "p", 2: "q"}
     bags = soft_bags(h, 2)
     res = solve_constrained(
-        h, bags, PartitionClustering(labels), partition_order(labels, 2)
+        h, bags, PartitionClustering(labels), partition_order(h, labels, 2)
     )
     assert res.accepted
-    assignment = partition_assignment(h, res.decomposition, labels, 2)
-    assert assignment is not None
+    assert partitions_used(h, res.decomposition, labels, 2) == res.key.rank
+
+
+def test_partition_order_counts_the_fewest_partitions():
+    # {a,b} is covered by e0 (p) or e1 (q), {b,c} only by e2 (q): the
+    # tree {a,b} -> {b,c} needs q alone, whichever cover is attached.
+    h = parse_hypergraph("e0(a,b), e1(a,b), e2(b,c)")
+    labels = {0: "p", 1: "q", 2: "q"}
+    order = partition_order(h, labels, 1)
+    path = TreeDecomposition(h, [mask_of([0, 1]), mask_of([1, 2])], [-1, 0])
+    assert partitions_used(h, path, labels, 1) == 1
+    assert order(path).rank == 1
+    res = solve_constrained(h, soft_bags(h, 1), PartitionClustering(labels), order)
+    assert res.accepted and res.key.rank == 1
+
+
+def test_partition_spread_over_components_rejects():
+    # Each triangle alone has a one-partition tree, but the one label
+    # would then cover two separate trees of the forest.
+    h = parse_hypergraph("a(x,y), b(y,z), c(z,x), d(u,v), e(v,w), f(w,u)")
+    labels = {e: "p" for e in range(h.n_edges)}
+    bags = soft_bags(h, 2)
+    assert solve(h, bags).accepted
+    res = solve_constrained(h, bags, PartitionClustering(labels), partition_order(h, labels, 2))
+    assert not res.accepted
 
 
 def test_partition_order_ranks_partitions_before_cost():
-    # Fewer partitions win whatever the cost gap: the cheapest tree uses
-    # two partitions (cost 18,753), a one-partition tree costs 1,037,594.
-    h = parse_hypergraph("e0(v3,v4), e1(v3,v4,v0), e2(v3,v1,v2), e3(v3,v0,v1)")
-    labels = {0: "p", 1: "q", 2: "q", 3: "p"}
-    stats = StatsCatalog(h, {0: 4862, 1: 2422, 2: 1035, 3: 830})
+    # Fewer partitions win whatever the cost gap.  The join sizes make
+    # {v1} -> {v0,v1,v3,v4} -> {v1,v2,v3,v4} cheap, and it needs both
+    # partitions; every one-partition tree holds a bag of join size 1e8.
+    h = parse_hypergraph("e0(v0,v1), e1(v1,v2,v3), e2(v2,v4), e3(v1,v3,v4), e4(v0,v3)")
+    labels = {0: "p", 1: "q", 2: "q", 3: "p", 4: "q"}
+    cheap = [mask_of([1]), mask_of([0, 1, 3, 4]), mask_of([1, 2, 3, 4])]
     bags = soft_bags(h, 2)
-    order = partition_order(labels, 2, stats)
+    joins = {m: 2 if m in cheap else 10**8 for m in bags.masks()}
+    stats = StatsCatalog(h, {e: 10 for e in range(h.n_edges)}, joins, cap=10**9)
+    order = partition_order(h, labels, 2, stats)
+    path = attach_covers(TreeDecomposition(h, cheap, [-1, 0, 1]), max_size=2)
+    assert order(path).rank == 2 and order(path).cost < 1_000
     top = enumerate_top_n(h, bags, PartitionClustering(labels), order, 1)
+    assert top.keys[0].cost == pytest.approx(714_385_755.85)
+    # The optimizer keeps one subtree per block, which is not exact
+    # under this order, so only its rank is pinned.
     res = solve_constrained(h, bags, PartitionClustering(labels), order)
     for key, td in [(top.keys[0], top.decompositions[0]), (res.key, res.decomposition)]:
-        assert len(set(partition_assignment(h, td, labels, 2).values())) == 1
+        assert partitions_used(h, td, labels, 2) == 1
         assert key.rank == 1
         assert key.cost == subtree_cost(td, stats).total
-        assert key.cost == pytest.approx(1_037_594.04)
 
 
 def _pairings(h, k, stats):
@@ -324,8 +397,8 @@ def _pairings(h, k, stats):
         (AlwaysTrue(), trivial_order()),
         (ConnectedCover(), cost_order(stats)),
         (ShallowCyclicity(1), cyclicity_order(h)),
-        (PartitionClustering(labels), partition_order(labels, k)),
-        (PartitionClustering(labels), partition_order(labels, k, stats)),
+        (PartitionClustering(labels), partition_order(h, labels, k)),
+        (PartitionClustering(labels), partition_order(h, labels, k, stats)),
         (ConnectedCover() & ShallowCyclicity(1), cyclicity_order(h)),
     ]
 
@@ -383,6 +456,7 @@ def test_composed_keys_match_whole_tree_scoring():
     assert entries > 2000
 
 
+@pytest.mark.filterwarnings("ignore:constraint/order pairing")
 def test_optimizer_builds_only_the_answer_tree(monkeypatch):
     built = []
     from_nodes = TreeDecomposition.from_nodes.__func__
@@ -394,14 +468,15 @@ def test_optimizer_builds_only_the_answer_tree(monkeypatch):
     monkeypatch.setattr(TreeDecomposition, "from_nodes", classmethod(counting))
     for name, sql in SQL_QUERIES.items():
         _, h = sql_to_cq(sql)
-        order = cost_order(StatsCatalog(h, {e: 10 + 7 * e for e in range(h.n_edges)}))
-        built.clear()
-        res = solve_constrained(
-            h, soft_bags(h, gallery(name).widths["concov_shw"]), ConnectedCover(), order
-        )
-        assert res.accepted
-        assert built == [1]
-        assert res.pairs > 1
+        k = gallery(name).widths["concov_shw"]
+        stats = StatsCatalog(h, {e: 10 + 7 * e for e in range(h.n_edges)})
+        bags = soft_bags(h, k)
+        for constraint, order in _pairings(h, k, stats):
+            built.clear()
+            res = solve_constrained(h, bags, constraint, order)
+            assert res.accepted
+            assert built == [1]
+            assert res.pairs > 1
 
 
 def test_constrained_result_counters():

