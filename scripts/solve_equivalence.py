@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Fingerprint the block search's answers.
+
+The script runs ``solve`` on three inputs and prints one sha256 digest
+per input:
+
+- ``gallery``: the ten single-k ops of perfbench's ``gallery-widths``
+  workload (H2, H3, H3prime and C5 at the listed levels and widths);
+- ``random``: 150 graphs of ``random_connected_hypergraph(
+  random.Random(606), 7, 7)``, each at k = 1, 2, 3 and levels 0, 1;
+- ``cycles``: ``cycle(64)``, ``cycle(65)`` and ``cycle(66)`` at k = 2,
+  on both sides of the 64-vertex mark.
+
+Each run hashes (verdict, ``evals``, the sorted ``table.entries``,
+``to_text()`` of the tree).  Two commits give the same answers, find
+the same bases and decide as many blocks when their digests agree.
+Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/solve_equivalence.py
+"""
+
+import argparse
+import hashlib
+import random
+import time
+
+from softdecomp import gallery, soft_bags_level, solve
+from softdecomp.gallery import cycle, random_connected_hypergraph
+
+GALLERY_OPS = (
+    ("H2", 0, 1), ("H2", 0, 2),
+    ("H3", 0, 2), ("H3", 0, 3),
+    ("H3prime", 0, 2), ("H3prime", 0, 3),
+    ("H3prime", 1, 2), ("H3prime", 1, 3),
+    ("C5", 0, 1), ("C5", 0, 2),
+)
+
+
+def cases(which):
+    """(hypergraph, k, level) for one input."""
+    if which == "gallery":
+        for name, level, k in GALLERY_OPS:
+            yield gallery(name).hypergraph, k, level
+    elif which == "random":
+        rng = random.Random(606)
+        for _ in range(150):
+            h = random_connected_hypergraph(rng, 7, 7)
+            for k in (1, 2, 3):
+                for level in (0, 1):
+                    yield h, k, level
+    else:
+        for n in (64, 65, 66):
+            yield cycle(n), 2, 0
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    for which in ("gallery", "random", "cycles"):
+        digest = hashlib.sha256()
+        runs = 0
+        elapsed = 0.0
+        for h, k, level in cases(which):
+            bags = soft_bags_level(h, k, level)
+            start = time.process_time()
+            res = solve(h, bags)
+            elapsed += time.process_time() - start
+            runs += 1
+            text = res.decomposition.to_text() if res.accepted else ""
+            entries = sorted(res.table.entries.items())
+            digest.update(repr((res.accepted, res.evals, entries, text)).encode())
+        print(f"{which:8} {runs:4} runs  solve {elapsed:6.2f} s CPU  {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

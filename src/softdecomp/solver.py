@@ -25,6 +25,17 @@ meeting ``C`` lies inside ``C``, conditions 1 and 2 always hold, and
 components ``Y`` whose block ``(X, Y)`` failed, and drops ``X`` at once
 when that union meets ``C``.
 
+The filter runs on a per-vertex bitset index over the sorted bags: bit
+``i`` of an index set stands for the ``i``-th candidate.  Per vertex
+``v`` the search holds the bags that contain ``v``, the bags that do
+not, and the bags whose failed components miss ``v``; the last is
+updated wherever a failed block is recorded.  The candidates of
+``(S, C)`` are the AND of the first over ``S ∩ N(C)``, the second over
+the vertices outside ``S ∪ C`` and the third over ``C``, without ``S``
+itself.  That is O(n) big-int operations per block, whatever the number
+of bags, and once the set is empty every further AND is O(1).  The
+surviving bits are read in index order, a byte at a time.
+
 The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
 ``Y ⊊ C``, or ``Y = C`` and ``X ⊊ S``, so ``(|C|, |S|)`` falls
 lexicographically at every step.  Each block is therefore decided once,
@@ -41,13 +52,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .hypergraph import Hypergraph, ids_of, mask_of, popcount
+from .hypergraph import Hypergraph, ids_of, mask_of
 
 DEFAULT_MAX_EVALS = 5_000_000
 
-_NUMPY_THRESHOLD = 2_000
+# Byte tables for the bitset index.  Reading a set: _NONZERO maps every
+# nonzero byte to 1, and _BYTE_BITS[x] lists the bits set in byte x.
+# Building one: _BIT_DIGITS[b] maps byte x to the digit "1" or "0" of
+# its bit b.
+_NONZERO = bytes([0] + [1] * 255)
+_BYTE_BITS = tuple(ids_of(x) for x in range(256))
+_BIT_DIGITS = tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
 
 
 class SolverBudgetError(RuntimeError):
@@ -190,23 +205,37 @@ def _bag_masks(bags):
     return list(bags)
 
 
+def _bag_index(n, bag_masks):
+    """The bags in candidate order and their per-vertex bitset index.
+
+    Returns ``(bags, has)``: ``bags`` sorted largest first, ties by
+    mask value, without duplicates, and ``has[v]`` the int whose bit
+    ``i`` is set when ``bags[i]`` contains vertex ``v``.
+    """
+    bags = sorted(set(bag_masks))
+    bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
+    if not bags:
+        return bags, [0] * n
+    # One byte string of all masks, last bag first; column v is every
+    # mask's byte holding v, spelled in binary digits by _BIT_DIGITS.
+    mask_bytes = (n + 7) // 8
+    rows = b"".join([m.to_bytes(mask_bytes, "little") for m in reversed(bags)])
+    return bags, [int(rows[v >> 3::mask_bytes].translate(_BIT_DIGITS[v & 7]), 2) for v in range(n)]
+
+
 class _Search:
     def __init__(self, h, bag_masks, max_evals):
         self.h = h
-        # Candidate order: large bags first, ties by mask value.
-        if len(bag_masks) > _NUMPY_THRESHOLD and h.n_vertices <= 64:
-            arr = np.unique(np.array(bag_masks, dtype=np.uint64))
-            arr = arr[np.lexsort((arr, -np.bitwise_count(arr).astype(np.int64)))]
-            self.bags_np = arr
-            self.bags_np_not = ~arr
-            self.bags = arr.tolist()
-            self.dead = np.zeros(len(arr), dtype=np.uint64)
-        else:
-            self.bags_np = None
-            self.bags = sorted(set(bag_masks), key=lambda m: (-popcount(m), m))
-            self.dead = [0] * len(self.bags)
+        # Candidate order: large bags first, ties by mask value.  Bit i
+        # of every index set below stands for bags[i].
+        self.bags, self.has = _bag_index(h.n_vertices, bag_masks)
+        self.every = every = (1 << len(self.bags)) - 1
+        self.lacks = [every ^ has for has in self.has]
         # dead[i]: union of the components Y of bags[i] whose block
-        # (bags[i], Y) has no basis.
+        # (bags[i], Y) has no basis; live[v]: the bags i with v not in
+        # dead[i].
+        self.dead = [0] * len(self.bags)
+        self.live = [every] * h.n_vertices
         self.max_evals = max_evals
         self.evals = 0
         self.sat = {}  # block -> (X, subs)
@@ -220,32 +249,43 @@ class _Search:
         return comps
 
     def candidates(self, s, c, conn):
-        """``(index, mask)`` of the bags X != s with X inside s | c,
-        ``conn`` inside X, and no failed sub-block (X, Y) with Y inside c."""
-        dead = self.dead
-        outside = ~(s | c)
-        if self.bags_np is not None:
-            b = self.bags_np
-            # One zero test for all three conditions.
-            bad = (
-                (b & np.uint64(outside & self.h.all_vertices_mask))
-                | (self.bags_np_not & np.uint64(conn))
-                | (dead & np.uint64(c))
-            )
-            idx = (bad == 0).nonzero()[0]
-            return [(i, m) for i, m in zip(idx.tolist(), b[idx].tolist()) if m != s]
-        return [
-            (i, m) for i, m in enumerate(self.bags)
-            if m != s and not (m & outside) and not (conn & ~m) and not (dead[i] & c)
-        ]
+        """Yield ``(index, mask)`` of the bags X != s with X inside s | c,
+        ``conn`` inside X, and no failed sub-block (X, Y) with Y inside c,
+        in candidate order."""
+        sel = self.every
+        has, lacks, live = self.has, self.lacks, self.live
+        while conn:
+            sel &= has[(conn & -conn).bit_length() - 1]
+            conn &= conn - 1
+        vs = self.h.all_vertices_mask & ~(s | c)
+        while vs:
+            sel &= lacks[(vs & -vs).bit_length() - 1]
+            vs &= vs - 1
+        vs = c
+        while vs:
+            sel &= live[(vs & -vs).bit_length() - 1]
+            vs &= vs - 1
+        if not sel:
+            return
+        bags = self.bags
+        raw = sel.to_bytes((sel.bit_length() + 7) // 8, "little")
+        marks = raw.translate(_NONZERO)
+        j = marks.find(1)
+        while j >= 0:
+            for i in _BYTE_BITS[raw[j]]:
+                i += 8 * j
+                if bags[i] != s:
+                    yield i, bags[i]
+            j = marks.find(1, j + 1)
 
     def bases(self, block):
         """Yield ``(X, sub_blocks)`` for each basis of ``block``, in
-        candidate order, marking failed sub-blocks in ``dead`` on the way."""
+        candidate order, marking failed sub-blocks in ``dead`` and
+        ``live`` on the way."""
         s, c = block
-        dead = self.dead
+        dead, live = self.dead, self.live
         for i, x in self.candidates(s, c, s & self.h.neighborhood(c)):
-            # A sub-block of x may have failed since the list was made.
+            # A sub-block of x may have failed since the index was read.
             if dead[i] & c:
                 continue
             # Every component of x that meets c lies inside c.
@@ -253,6 +293,10 @@ class _Search:
             for y in ys:
                 if not self.evaluate((x, y)):
                     dead[i] |= y
+                    drop = ~(1 << i)
+                    while y:
+                        live[(y & -y).bit_length() - 1] &= drop
+                        y &= y - 1
                     break
             else:
                 yield x, tuple((x, y) for y in ys)
@@ -363,6 +407,8 @@ def td_from_text(h, text):
     parents = []
     covers = []
     saw_cover = False
+    vertex_index = {name: i for i, name in enumerate(h.vertex_names)}
+    edge_index = {name: i for i, name in enumerate(h.edge_names)}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -375,7 +421,6 @@ def td_from_text(h, text):
         if int(m.group(1)) != len(bags):
             raise ValueError(f"node ids must be consecutive from 0: {line!r}")
         names = [s.strip() for s in m.group(3).split(",") if s.strip()]
-        vertex_index = {name: i for i, name in enumerate(h.vertex_names)}
         unknown = [s for s in names if s not in vertex_index]
         if unknown:
             raise ValueError(f"unknown vertex {unknown[0]!r} in line: {line!r}")
@@ -383,7 +428,6 @@ def td_from_text(h, text):
         parents.append(int(m.group(2)))
         if m.group(4) is not None:
             saw_cover = True
-            edge_index = {name: i for i, name in enumerate(h.edge_names)}
             enames = [s.strip() for s in m.group(4).split(",") if s.strip()]
             bad = [s for s in enames if s not in edge_index]
             if bad:

@@ -427,6 +427,43 @@ def test_cost_order_is_exact_with_real_join_sizes():
     assert res.key.cost == pytest.approx(min(costs))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="each component keeps only its least-key tree, and the forest "
+                          "check never tries another")
+def test_partition_clustering_accepts_a_satisfiable_forest():
+    # The triangle can take label p and the other component label q:
+    # root {w}, children {u,w} and {w,t}, {u,v,w} under {u,w}.  The
+    # second component's least-key tree is the one node {u,v,w,t},
+    # which only p1 and p2 (label p) cover, so the forest fails.
+    h = parse_hypergraph(
+        "a(x,y), b(y,z), c(z,x), p1(u,v,w), p2(w,t), q1(u,w), q2(v,w), q3(w,t)")
+    labels = {e: "q" if name.startswith("q") else "p" for e, name in enumerate(h.edge_names)}
+    bags = soft_bags(h, 2)
+    satisfying = [td for td in enumerate_all_ctds(h, bags)
+                  if PartitionClustering(labels).holds(h, td, 2)]
+    if len(satisfying) != 132:
+        pytest.fail("the instance no longer has its 132 satisfying forests")
+    res = solve_constrained(h, bags, PartitionClustering(labels), partition_order(h, labels, 2))
+    assert res.accepted
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="cyclicity_order's key ties a two-edge root bag (depth 0) "
+                          "with a subtree whose bags each fit one edge")
+def test_cyclicity_order_finds_the_least_depth():
+    # One tree of depth 0 puts {v0,v5,v4} at the root with every other
+    # bag inside one edge; 84 of the 5,414 trees have depth 0.
+    h = parse_hypergraph(
+        "e0(v0,v5), e1(v0,v2), e2(v0,v1), e3(v0,v2,v4), e4(v5,v4,v3), e5(v5)")
+    bags = soft_bags(h, 2)
+    depths = [cyclicity_depth(h, td) for td in enumerate_all_ctds(h, bags)]
+    if (len(depths), depths.count(0)) != (5_414, 84):
+        pytest.fail("the instance no longer has 84 trees of depth 0 among 5,414")
+    best = solve_constrained(h, bags, AlwaysTrue(), cyclicity_order(h))
+    shallow = solve_constrained(h, bags, ShallowCyclicity(0), cyclicity_order(h))
+    assert (cyclicity_depth(h, best.decomposition), shallow.accepted) == (0, True)
+
+
 @pytest.mark.filterwarnings("ignore:constraint/order pairing")
 def test_composed_keys_match_whole_tree_scoring():
     # Every table entry's key is composed from its children's step states;

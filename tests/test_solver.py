@@ -18,6 +18,7 @@ from softdecomp import (
     validate_td,
 )
 from softdecomp import solver as solver_module
+from softdecomp.gallery import cycle
 from softdecomp.solver import BasisTable, extract_decomposition, minimum_cover, td_from_text
 from softdecomp.hypergraph import ids_of, mask_of, popcount
 
@@ -124,10 +125,6 @@ def test_accepted_trees_always_validate(seed, k):
 
 # --- the block search against an unfiltered reference ---------------------
 
-_FORCE_NUMPY, _FORCE_PYTHON = 0, 10**9
-_PATHS = pytest.mark.parametrize("threshold", [_FORCE_NUMPY, _FORCE_PYTHON],
-                                 ids=["numpy", "python"])
-
 
 class _ReferenceSearch:
     """The block search without the dead-component filter.
@@ -217,9 +214,7 @@ def _random_bag_sets(seed, n_graphs):
                 yield h, list(soft_bags_level(h, k, level).bags)
 
 
-@_PATHS
-def test_solve_matches_reference_search(monkeypatch, threshold):
-    monkeypatch.setattr(solver_module, "_NUMPY_THRESHOLD", threshold)
+def test_solve_matches_reference_search():
     fewer = 0
     for h, masks in _random_bag_sets(500, 300):
         res = solve(h, masks)
@@ -237,26 +232,25 @@ def test_solve_matches_reference_search(monkeypatch, threshold):
 
 
 def test_solve_matches_reference_on_the_gallery():
-    for name in ("H2", "H3", "C5"):
-        h = gallery(name).hypergraph
-        for k in (1, 2, 3):
-            masks = list(soft_bags_level(h, k, 0).bags)
-            res = solve(h, masks)
-            accepted, td, evals = reference_solve(h, masks)
-            assert res.accepted == accepted
-            if accepted:
-                assert (res.decomposition.bags, res.decomposition.parents) == (td.bags, td.parents)
-            # Equal where the reference never searches its root again,
-            # e.g. the H3 k=2 reject, which satisfies no block.
-            assert 0 < res.evals <= evals
+    cases = [(gallery(name).hypergraph, k) for name in ("H2", "H3", "C5") for k in (1, 2, 3)]
+    # Past 64 vertices a bag no longer fits one machine word.
+    cases += [(cycle(65), 2), (cycle(66), 2)]
+    for h, k in cases:
+        masks = list(soft_bags_level(h, k, 0).bags)
+        res = solve(h, masks)
+        accepted, td, evals = reference_solve(h, masks)
+        assert res.accepted == accepted
+        if accepted:
+            assert (res.decomposition.bags, res.decomposition.parents) == (td.bags, td.parents)
+        # Equal where the reference never searches its root again,
+        # e.g. the H3 k=2 reject, which satisfies no block.
+        assert 0 < res.evals <= evals
 
 
-@_PATHS
-def test_nested_blocks_shrink(monkeypatch, threshold):
+def test_nested_blocks_shrink(monkeypatch):
     # Every sub-block lowers (|C|, |S|) lexicographically, so the search
     # has no cycles, and each block is decided at most once.  ``dead``
     # holds exactly the components of the failed bag-headed blocks.
-    monkeypatch.setattr(solver_module, "_NUMPY_THRESHOLD", threshold)
     original = solver_module._Search.evaluate
     stack, decided, searches, failed = [], [], [], {}
 
@@ -290,12 +284,10 @@ def test_nested_blocks_shrink(monkeypatch, threshold):
         res = solve(h, soft_bags(h, k))
         assert len(decided) == len(set(decided)) == res.evals
         search = searches[0]
-        assert [int(d) for d in search.dead] == [failed.get(x, 0) for x in search.bags]
+        assert search.dead == [failed.get(x, 0) for x in search.bags]
 
 
-@_PATHS
-def test_solve_ignores_bag_order(monkeypatch, threshold):
-    monkeypatch.setattr(solver_module, "_NUMPY_THRESHOLD", threshold)
+def test_solve_ignores_bag_order():
     rng = random.Random(5)
     for name, k in [("H2", 2), ("C5", 2), ("H3", 3)]:
         h = gallery(name).hypergraph
@@ -309,18 +301,45 @@ def test_solve_ignores_bag_order(monkeypatch, threshold):
         assert len(trees) == 1
 
 
-def test_candidate_order_is_the_same_on_both_paths(monkeypatch):
-    h = gallery("H3").hypergraph
-    masks = list(soft_bags(h, 2).bags)
-    orders = []
-    for threshold in (_FORCE_NUMPY, _FORCE_PYTHON):
-        monkeypatch.setattr(solver_module, "_NUMPY_THRESHOLD", threshold)
-        for given in (masks, masks[::-1], masks + masks[:50]):
-            search = solver_module._Search(h, given, 1)
-            assert (search.bags_np is not None) == (threshold == _FORCE_NUMPY)
-            orders.append(search.bags)
-    assert all(order == orders[0] for order in orders)
-    assert orders[0] == sorted(set(masks), key=lambda m: (-popcount(m), m))
+def test_candidate_order_ignores_input_order_and_duplicates():
+    rng = random.Random(9)
+    for h, k in [(gallery("H3").hypergraph, 2), (cycle(65), 1)]:
+        masks = list(soft_bags(h, k).bags)
+        shuffled = masks[:]
+        rng.shuffle(shuffled)
+        want = sorted(set(masks), key=lambda m: (-popcount(m), m))
+        for given in (masks, masks[::-1], masks + masks[:50], shuffled):
+            assert solver_module._Search(h, given, 1).bags == want
+
+
+def _filtered(search, s, c):
+    """The candidates of block ``(s, c)`` by the module docstring's
+    conditions, one bag at a time."""
+    conn = s & search.h.neighborhood(c)
+    return [(i, x) for i, x in enumerate(search.bags)
+            if x != s and not x & ~(s | c) and not conn & ~x and not search.dead[i] & c]
+
+
+def test_candidates_match_the_filter():
+    rng = random.Random(31)
+    cases = [(random_connected_hypergraph(rng, max_vertices=9), k)
+             for _ in range(40) for k in (1, 2, 3)]
+    cases += [(gallery("H2").hypergraph, 2), (gallery("C5").hypergraph, 1), (cycle(65), 1)]
+    marked = 0
+    for h, k in cases:
+        search = solver_module._Search(h, soft_bags(h, k).bags, 10**6)
+        for when in ("fresh", "searched"):
+            if when == "searched":
+                # Decide the root blocks, which marks failed sub-blocks.
+                for comp in h.vertex_components(0):
+                    search.evaluate((0, comp))
+                marked += any(search.dead)
+            heads = [0] + rng.sample(search.bags, min(8, len(search.bags)))
+            for s in heads:
+                for c in h.vertex_components(s):
+                    got = list(search.candidates(s, c, s & h.neighborhood(c)))
+                    assert got == _filtered(search, s, c)
+    assert marked > 10
 
 
 def test_solve_reports_evals():
@@ -397,6 +416,17 @@ def test_td_text_rejects_bad_ids():
         td_from_text(h, "1 -1 {a,b}\n")
     with pytest.raises(ValueError):
         td_from_text(h, "0 -1 {a,zzz}\n")
+
+
+def test_td_text_names_the_line_with_an_unknown_name():
+    h = parse_hypergraph("r(a,b), s(b,c)")
+    head = "0 -1 {a,b} cover{r}\n"
+    with pytest.raises(ValueError, match=r"unknown vertex 'zzz' in line: '1 0 \{b,zzz\}'"):
+        td_from_text(h, head + "1 0 {b,zzz}\n")
+    with pytest.raises(ValueError, match=r"unknown edge 'q' in line: '1 0 \{b,c\} cover\{q\}'"):
+        td_from_text(h, head + "1 0 {b,c} cover{q}\n")
+    td = td_from_text(h, head + "1 0 {b,c}\n")
+    assert td.covers == [(0,), ()]
 
 
 def test_gml_mentions_every_node():
