@@ -17,6 +17,7 @@ from softdecomp import (
     solve,
     validate_td,
 )
+from softdecomp import bags as bags_module
 from softdecomp import solver as solver_module
 from softdecomp.gallery import cycle
 from softdecomp.solver import BasisTable, extract_decomposition, minimum_cover, td_from_text
@@ -125,6 +126,13 @@ def test_accepted_trees_always_validate(seed, k):
 
 # --- the block search against an unfiltered reference ---------------------
 
+# The candidate bags come from either bag-enumeration path: the numpy one
+# above its size gate or the pure-Python one below it.  The search must
+# answer alike on both.
+_FORCE_NUMPY, _FORCE_PYTHON = 0, 10**9
+_BAG_PATHS = pytest.mark.parametrize("threshold", [_FORCE_NUMPY, _FORCE_PYTHON],
+                                     ids=["numpy", "python"])
+
 
 class _ReferenceSearch:
     """The block search without the dead-component filter.
@@ -214,9 +222,12 @@ def _random_bag_sets(seed, n_graphs):
                 yield h, list(soft_bags_level(h, k, level).bags)
 
 
-def test_solve_matches_reference_search():
+@_BAG_PATHS
+def test_solve_matches_reference_search(monkeypatch, threshold):
+    monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
     fewer = 0
     for h, masks in _random_bag_sets(500, 300):
+        assert all(type(m) is int for m in masks)
         res = solve(h, masks)
         accepted, td, evals = reference_solve(h, masks)
         assert res.accepted == accepted
@@ -247,7 +258,8 @@ def test_solve_matches_reference_on_the_gallery():
         assert 0 < res.evals <= evals
 
 
-def test_nested_blocks_shrink(monkeypatch):
+@_BAG_PATHS
+def test_nested_blocks_shrink(monkeypatch, threshold):
     # Every sub-block lowers (|C|, |S|) lexicographically, so the search
     # has no cycles, and each block is decided at most once.  ``dead``
     # holds exactly the components of the failed bag-headed blocks.
@@ -272,6 +284,7 @@ def test_nested_blocks_shrink(monkeypatch):
             failed[s] = failed.get(s, 0) | c
         return ok
 
+    monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
     monkeypatch.setattr(solver_module._Search, "evaluate", evaluate)
     cases = [(gallery(name).hypergraph, k) for name in ("H2", "H3", "C5") for k in (1, 2, 3)]
     rng = random.Random(77)
@@ -287,7 +300,9 @@ def test_nested_blocks_shrink(monkeypatch):
         assert search.dead == [failed.get(x, 0) for x in search.bags]
 
 
-def test_solve_ignores_bag_order():
+@_BAG_PATHS
+def test_solve_ignores_bag_order(monkeypatch, threshold):
+    monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
     rng = random.Random(5)
     for name, k in [("H2", 2), ("C5", 2), ("H3", 3)]:
         h = gallery(name).hypergraph
