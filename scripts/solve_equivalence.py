@@ -14,6 +14,17 @@ per input:
 Each run hashes (verdict, ``evals``, the sorted ``table.entries``,
 ``to_text()`` of the tree).  Two commits give the same answers, find
 the same bases and decide as many blocks when their digests agree.
+
+Two more digests cover the layers under and beside the search:
+
+- ``bags``: every bag set those runs solve over, as its pool, its bags
+  with their witness indices, its components and its covers, plus the
+  pool ``trimmed_next_pool`` makes from it;
+- ``hw``: ``hw_leq(h, k).to_text()`` (or None) on 946 cases: every
+  gallery entry at k = 1..4, ``cycle(64)``, ``cycle(65)`` and
+  ``cycle(70)`` at k = 1, 2, and 300 graphs of the same random stream
+  at k = 1..3.
+
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/solve_equivalence.py
@@ -24,8 +35,9 @@ import hashlib
 import random
 import time
 
-from softdecomp import gallery, soft_bags_level, solve
-from softdecomp.gallery import cycle, random_connected_hypergraph
+from softdecomp import gallery, hw_leq, soft_bags_level, solve
+from softdecomp.bags import trimmed_next_pool
+from softdecomp.gallery import cycle, gallery_names, random_connected_hypergraph
 
 GALLERY_OPS = (
     ("H2", 0, 1), ("H2", 0, 2),
@@ -53,14 +65,41 @@ def cases(which):
             yield cycle(n), 2, 0
 
 
+def hw_cases():
+    """(hypergraph, k) for the ``hw`` digest."""
+    for name in gallery_names():
+        for k in (1, 2, 3, 4):
+            yield gallery(name).hypergraph, k
+    for n in (64, 65, 70):
+        for k in (1, 2):
+            yield cycle(n), k
+    rng = random.Random(606)
+    for _ in range(300):
+        h = random_connected_hypergraph(rng, 7, 7)
+        for k in (1, 2, 3):
+            yield h, k
+
+
+def bag_fingerprint(bags):
+    def pool(subs):
+        return [(s.vertices, s.origin, s.level) for s in subs]
+
+    return (pool(bags.pool), list(bags.bags.items()), bags.components, bags.covers,
+            pool(trimmed_next_pool(bags)))
+
+
 def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
+    bag_digest = hashlib.sha256()
+    bag_sets = 0
     for which in ("gallery", "random", "cycles"):
         digest = hashlib.sha256()
         runs = 0
         elapsed = 0.0
         for h, k, level in cases(which):
             bags = soft_bags_level(h, k, level)
+            bag_digest.update(repr(bag_fingerprint(bags)).encode())
+            bag_sets += 1
             start = time.process_time()
             res = solve(h, bags)
             elapsed += time.process_time() - start
@@ -69,6 +108,16 @@ def main():
             entries = sorted(res.table.entries.items())
             digest.update(repr((res.accepted, res.evals, entries, text)).encode())
         print(f"{which:8} {runs:4} runs  solve {elapsed:6.2f} s CPU  {digest.hexdigest()}")
+    print(f"{'bags':8} {bag_sets:4} sets{'':22}{bag_digest.hexdigest()}")
+    digest = hashlib.sha256()
+    runs = 0
+    start = time.process_time()
+    for h, k in hw_cases():
+        td = hw_leq(h, k)
+        digest.update(repr(None if td is None else td.to_text()).encode())
+        runs += 1
+    elapsed = time.process_time() - start
+    print(f"{'hw':8} {runs:4} runs  hw_leq {elapsed:5.2f} s CPU  {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

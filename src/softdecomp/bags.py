@@ -15,8 +15,10 @@ Everything is produced in one order, the first-witness order of plain
 loops: edge and pool combinations by size, then lexicographically;
 component unions by separator, then by smallest member vertex; bags
 and new pool members by the (row, column) position at which they are
-first found.  Above a size gate the enumeration runs in numpy, with
-the same results in the same order.
+first found.  Above a size gate, and while every mask fits one uint64
+word, the enumeration runs in numpy, with the same results in the same
+order.  This is the package's only vectorized module: everything else
+runs on Python-int masks.
 
 Enumeration carries masks only.  A bag keeps the indices of the first
 component and cover union that made it; the edge and pool ids of its
@@ -172,6 +174,12 @@ def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
 _cover_unions = cover_union_masks  # the name enumeration calls and perfbench times
 
 
+def _fits_uint64(*mask_lists):
+    """Whether every mask in the lists fits one uint64 word, as the
+    vectorized paths need."""
+    return all(max(masks, default=0) >> 64 == 0 for masks in mask_lists)
+
+
 def _n_combos(n, k):
     """The number of combinations of 1..k of n items."""
     return sum(math.comb(n, size) for size in range(1, k + 1))
@@ -185,11 +193,7 @@ def _combo_unions(masks, k):
     path when masks do not fit 64 bits.
     """
     n = len(masks)
-    if (
-        _n_combos(n, k) > _NUMPY_THRESHOLD
-        and k <= 3
-        and (not masks or max(masks) < 1 << 63)
-    ):
+    if _n_combos(n, k) > _NUMPY_THRESHOLD and k <= 3 and _fits_uint64(masks):
         arr = np.array(masks, dtype=np.uint64)
         # All unions in first-witness order in one array: the n singles,
         # the pairs (a, b), then the triples (i, a, b) with i < a < b.
@@ -246,10 +250,7 @@ def _first_intersections(rows, cols, exclude=()):
     fits 64 bits, the loop runs in numpy, in blocks of at most
     ``_BLOCK`` intersections to bound memory.
     """
-    if (
-        len(rows) * len(cols) <= _NUMPY_THRESHOLD
-        or max(max(rows, default=0), max(cols, default=0)) >> 64
-    ):
+    if len(rows) * len(cols) <= _NUMPY_THRESHOLD or not _fits_uint64(rows, cols):
         seen = set(exclude)
         out = []
         for i, row in enumerate(rows):
@@ -290,8 +291,8 @@ def _component_entries(h, k, max_steps):
     # Measured crossover: at 18 vertices numpy wins from about 60
     # separators, and the pure-Python split of one separator costs more
     # the more vertices it has.
-    if h.n_vertices <= 64 and len(seps) * h.n_vertices ** 2 > _NUMPY_THRESHOLD:
-        owner, unions = h.component_unions_batch(seps)
+    if len(seps) * h.n_vertices ** 2 > _NUMPY_THRESHOLD and _fits_uint64([h.all_vertices_mask]):
+        owner, unions = _component_unions_batch(h, seps)
         uniq, pos = _first_seen(unions)
         return tuple(zip(uniq.tolist(), [seps[i] for i in owner[pos].tolist()]))
     entries = {}  # component union -> its first separator
@@ -299,6 +300,69 @@ def _component_entries(h, k, max_steps):
         for union in h.component_unions(sep):
             entries.setdefault(union, sep)
     return tuple(entries.items())
+
+
+def _component_unions_batch(h, seps):
+    """``h.component_unions`` of many separators at once, in numpy.
+
+    ``seps`` is a sequence of separator masks; ``h`` has at most 64
+    vertices.  Returns ``(owner, unions)``, two arrays in (separator,
+    component) order: ``unions`` concatenates
+    ``h.component_unions(seps[i])`` over ``i``, and ``owner`` holds the
+    ``i`` of each entry.  All separators advance together: each round
+    seeds one component per separator at its lowest remaining vertex
+    and grows it to its closure, so components come in order of
+    smallest member vertex, as in ``component_unions``.
+    """
+    table = _adjacency_bytes(h)
+
+    def neighbourhoods(masks):  # union of the edges meeting each mask
+        out = np.zeros_like(masks)
+        for b, row in enumerate(table):
+            out |= row[(masks >> np.uint64(8 * b)) & np.uint64(0xFF)]
+        return out
+
+    one = np.uint64(1)
+    free = ~np.asarray(seps, dtype=np.uint64) & np.uint64(h.all_vertices_mask)
+    rest = free.copy()
+    owner = np.arange(len(free))
+    owners, unions = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
+    while True:
+        live = rest != 0
+        owner, free, rest = owner[live], free[live], rest[live]
+        if not len(owner):
+            break
+        comp = rest & (~rest + one)  # lowest remaining vertex
+        grow = np.arange(len(comp))
+        while len(grow):
+            grown = neighbourhoods(comp[grow]) & free[grow]
+            moved = grown != comp[grow]
+            grow = grow[moved]
+            comp[grow] = grown[moved]
+        owners.append(owner)
+        unions.append(neighbourhoods(comp))
+        rest &= ~comp
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return owner[order], np.concatenate(unions)[order]
+
+
+def _adjacency_bytes(h):
+    """``h.adjacency`` as per-byte lookup tables, for up to 64 vertices.
+
+    A uint64 array of shape ``(ceil(n / 8), 256)``: row ``b``, column
+    ``x`` is the union of ``adjacency[8 * b + i]`` over the bits ``i``
+    set in ``x``.
+    """
+    adj = h.adjacency
+    table = np.zeros(((h.n_vertices + 7) // 8, 256), dtype=np.uint64)
+    for b, row in enumerate(table):
+        unions = [0] * 256
+        for x in range(1, 256):
+            v = 8 * b + (x & -x).bit_length() - 1
+            unions[x] = unions[x & (x - 1)] | (adj[v] if v < len(adj) else 0)
+        row[:] = unions
+    return table
 
 
 def _enumerate_bags(h, k, pool, components, level, max_bags, max_steps):
@@ -351,17 +415,9 @@ def trimmed_next_pool(prev):
     built from this pool is sound, since the pool is a subset of the
     full next-level pool.
     """
-    h = prev.hypergraph
     by_origin = {}
-    bag_arr = None
-    if len(prev.bags) > 1_000 and h.n_vertices <= 64:
-        bag_arr = np.fromiter(prev.bags, dtype=np.uint64, count=len(prev.bags))
     for sub in prev.pool:
-        if bag_arr is not None:
-            inters = np.unique(bag_arr & np.uint64(sub.vertices)).tolist()
-        else:
-            inters = {sub.vertices & bm for bm in prev.bags}
-        for m in inters:
+        for m in {sub.vertices & bm for bm in prev.bags}:
             if m and m != sub.vertices and popcount(m) >= 2:
                 by_origin.setdefault(sub.origin, set()).add(m)
     pool = list(prev.pool)

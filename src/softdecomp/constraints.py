@@ -179,13 +179,15 @@ def connected_cover(h, bag, k):
 def cyclicity_depth(h, td):
     """Greatest depth of a node whose bag fits in no single edge (0 if
     every bag is single-edge-coverable)."""
+    return max(_depth_state(h, td), 0)
+
+
+def _depth_state(h, td):
+    """Greatest depth of a node whose bag fits in no single edge, or -1
+    if there is none: the state :func:`_bad_depth` carries."""
     masks = h.edge_masks
-    depths = [
-        td.depth(i)
-        for i, bag in enumerate(td.bags)
-        if not any(not bag & ~m for m in masks)
-    ]
-    return max(depths, default=0)
+    bad = [i for i, bag in enumerate(td.bags) if all(bag & ~m for m in masks)]
+    return max(map(td.depth, bad), default=-1)
 
 
 def _bad_depth(h, bag, kids):
@@ -330,16 +332,20 @@ def cost_order(stats):
 
 def cyclicity_order(h):
     """Order by cyclicity depth; the companion of the shallow-cyclicity
-    constraint (all globally minimal trees share the least depth).  Its
-    step's state is the depth of the deepest bag no single edge covers,
-    or -1."""
+    constraint.  Its step's state is the depth of the deepest bag no
+    single edge covers, or -1 when every bag fits one edge.  The key's
+    rank is that state plus one: a parent's state only grows with its
+    children's, so keeping each block's least state gives the least
+    depth."""
 
     def key(td):
-        return CostKey(float(cyclicity_depth(h, td)), len(td), _canonical_bags(td))
+        depth = _depth_state(h, td)
+        return CostKey(float(max(depth, 0)), len(td), _canonical_bags(td), rank=depth + 1)
 
     def step(node, kids):
         depth = _bad_depth(h, node[0], [state for _, state in kids])
-        return _compose(float(max(depth, 0)), node[0], [key for key, _ in kids]), depth
+        plain = _compose(float(max(depth, 0)), node[0], [key for key, _ in kids])
+        return replace(plain, rank=depth + 1), depth
 
     key.step = step
     key.pairs_with = (ShallowCyclicity, AlwaysTrue)

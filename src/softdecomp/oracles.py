@@ -2,16 +2,14 @@
 and exhaustive enumeration of decompositions over a candidate bag set.
 
 These are deliberately simple and separate from the solver so they can
-serve as ground truth in tests.
+serve as ground truth in tests.  Each runs one pure-Python path on
+Python-int masks, whatever the number of vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .hypergraph import Hypergraph, ids_of, popcount
 from .solver import TreeDecomposition, minimum_cover
 
 DEFAULT_SUBSET_VERTEX_CAP = 14
@@ -241,40 +239,31 @@ class _HwSearch:
         """Distinct bags for a state, largest first (ties by mask)."""
         bags = self._unions.get(region)
         if bags is None:
-            bags = self._region_unions(region)
-            self._unions[region] = bags
-        if isinstance(bags, list):
-            return [b for b in bags if not conn & ~b and b & comp]
-        keep = (bags & np.uint64(conn)) == np.uint64(conn)
-        keep &= (bags & np.uint64(comp)) != 0
-        return bags[keep].tolist()
+            bags = self._unions[region] = self._region_unions(region)
+        return [b for b in bags if not conn & ~b and b & comp]
 
     def _region_unions(self, region):
-        """Distinct ``union(lambda) & region`` over ``|lambda| <= k``.
+        """Distinct ``union(lambda) & region`` over ``|lambda| <= k``,
+        largest first (ties by mask).
 
         Built level by level: the unions of at most ``j`` edges are the
-        unions of at most ``j - 1`` edges, each or-ed with every edge.
+        unions of at most ``j - 1`` edges, each or-ed with every edge;
+        only the unions new in the last round can make new ones.  Each
+        round is charged as if it or-ed every union with every edge; a
+        round that adds nothing ends the build.
         """
-        parts = sorted({m & region for m in self.h.edge_masks if m & region})
-        if region >= 1 << 63:
-            unions = set(parts)
-            for _ in range(self.k - 1):
-                self._tick(len(unions) * len(parts))
-                unions = {u | p for u in unions for p in parts}
-            return sorted(unions, key=lambda m: (-popcount(m), m))
-        edges = np.array(parts, dtype=np.uint64)
-        unions = edges
+        parts = {m & region for m in self.h.edge_masks if m & region}
+        unions = set(parts)
+        new = parts
         for _ in range(self.k - 1):
-            self._tick(len(unions) * len(edges))
-            # Sort and drop repeats: np.unique hashes here, which is
-            # several times slower on millions of entries.
-            grown = np.sort((unions[:, None] | edges[None, :]).ravel())
-            grown = grown[np.concatenate(([True], grown[1:] != grown[:-1]))]
-            if len(grown) == len(unions):
+            self._tick(len(unions) * len(parts))
+            new = {u | p for u in new for p in parts} - unions
+            if not new:
                 break
-            unions = grown
-        order = np.lexsort((unions, -np.bitwise_count(unions).astype(np.int64)))
-        return unions[order]
+            unions |= new
+        bags = sorted(unions)
+        bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
+        return bags
 
     def _split(self, rest):
         """The connected components of the vertex set ``rest``."""

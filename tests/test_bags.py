@@ -21,6 +21,7 @@ from softdecomp import (
 from softdecomp import bags as bags_module
 from softdecomp.bags import (
     DEFAULT_MAX_STEPS,
+    _component_unions_batch,
     _first_seen,
     _separator_unions,
     cover_union_masks,
@@ -313,6 +314,26 @@ def test_twins_keep_discovery_order(monkeypatch, k):
 
         numpy_side, python_side = _both_paths(monkeypatch, build)
         assert numpy_side == python_side
+
+
+@pytest.mark.parametrize("max_vertices", [6, 20, 64])
+def test_component_unions_batch_matches_one_by_one(max_vertices):
+    rng = random.Random(max_vertices)
+    for _ in range(10):
+        h = random_connected_hypergraph(rng, max_vertices=max_vertices, max_edges=80)
+        full = h.all_vertices_mask
+        seps = [0, full] + [rng.getrandbits(h.n_vertices) & full for _ in range(40)]
+        owner, unions = _component_unions_batch(h, np.array(seps, dtype=np.uint64))
+        want = [(i, u) for i, sep in enumerate(seps) for u in h.component_unions(sep)]
+        assert list(zip(owner.tolist(), unions.tolist())) == want
+
+
+def test_component_unions_batch_of_nothing():
+    h = parse_hypergraph("r(a,b), s(b,c)")
+    owner, unions = _component_unions_batch(h, np.array([h.all_vertices_mask], dtype=np.uint64))
+    assert len(owner) == len(unions) == 0
+    owner, unions = _component_unions_batch(h, np.zeros(0, dtype=np.uint64))
+    assert len(owner) == len(unions) == 0
 
 
 def _component_entry_graphs():

@@ -29,6 +29,7 @@ from softdecomp import (
     validate_td,
 )
 from softdecomp.gallery import SQL_QUERIES
+from softdecomp.oracles import OracleBudgetError
 from softdecomp.constraints import (
     CostKey,
     connected_cover,
@@ -447,9 +448,6 @@ def test_partition_clustering_accepts_a_satisfiable_forest():
     assert res.accepted
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="cyclicity_order's key ties a two-edge root bag (depth 0) "
-                          "with a subtree whose bags each fit one edge")
 def test_cyclicity_order_finds_the_least_depth():
     # One tree of depth 0 puts {v0,v5,v4} at the root with every other
     # bag inside one edge; 84 of the 5,414 trees have depth 0.
@@ -462,6 +460,35 @@ def test_cyclicity_order_finds_the_least_depth():
     best = solve_constrained(h, bags, AlwaysTrue(), cyclicity_order(h))
     shallow = solve_constrained(h, bags, ShallowCyclicity(0), cyclicity_order(h))
     assert (cyclicity_depth(h, best.decomposition), shallow.accepted) == (0, True)
+
+
+def test_cyclicity_order_matches_the_exhaustive_minimum():
+    # The least depth over all trees, and the verdicts of
+    # ShallowCyclicity(d) for d = 0..2, against enumeration.  Inputs with
+    # more than 20 bags or 700 trees are skipped to keep the sweep short.
+    rng = random.Random(5)
+    runs = 0
+    for _ in range(200):
+        h = random_connected_hypergraph(rng, 7, 7)
+        order = cyclicity_order(h)
+        for k in (1, 2, 3):
+            bags = soft_bags(h, k)
+            if len(bags) > 20:
+                continue
+            try:
+                trees = enumerate_all_ctds(h, bags, max_trees=700)
+            except OracleBudgetError:
+                continue
+            if not trees:
+                continue
+            runs += 1
+            depth = min(cyclicity_depth(h, td) for td in trees)
+            best = solve_constrained(h, bags, AlwaysTrue(), order)
+            assert cyclicity_depth(h, best.decomposition) == depth
+            for d in range(3):
+                res = solve_constrained(h, bags, ShallowCyclicity(d), order)
+                assert res.accepted == (depth <= d)
+    assert runs > 350
 
 
 @pytest.mark.filterwarnings("ignore:constraint/order pairing")

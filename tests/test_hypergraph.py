@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,26 +79,6 @@ def test_component_unions_match_edge_components(seed, sep_bits):
     # Ordered by smallest member vertex outside the separator.
     firsts = [(u & ~sep & -(u & ~sep)) for u in got]
     assert firsts == sorted(firsts)
-
-
-@pytest.mark.parametrize("max_vertices", [6, 20, 64])
-def test_component_unions_batch_matches_one_by_one(max_vertices):
-    rng = random.Random(max_vertices)
-    for _ in range(10):
-        h = random_connected_hypergraph(rng, max_vertices=max_vertices, max_edges=80)
-        full = h.all_vertices_mask
-        seps = [0, full] + [rng.getrandbits(h.n_vertices) & full for _ in range(40)]
-        owner, unions = h.component_unions_batch(np.array(seps, dtype=np.uint64))
-        want = [(i, u) for i, sep in enumerate(seps) for u in h.component_unions(sep)]
-        assert list(zip(owner.tolist(), unions.tolist())) == want
-
-
-def test_component_unions_batch_of_nothing():
-    h = parse_hypergraph("r(a,b), s(b,c)")
-    owner, unions = h.component_unions_batch(np.array([h.all_vertices_mask], dtype=np.uint64))
-    assert len(owner) == len(unions) == 0
-    owner, unions = h.component_unions_batch(np.zeros(0, dtype=np.uint64))
-    assert len(owner) == len(unions) == 0
 
 
 @given(st.integers(0, 10_000), st.integers(0, 255))

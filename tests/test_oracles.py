@@ -121,7 +121,7 @@ def test_cycle_widths():
     h = _cycle(6)
     assert ghw_leq(h, 1) is None and hw_leq(h, 1) is None
     assert ghw_leq(h, 2) is not None and hw_leq(h, 2) is not None
-    # masks wider than 64 bits take the hw search's pure-Python union path
+    # 70 vertices: masks wider than one 64-bit word
     h = _cycle(70)
     assert hw_leq(h, 1) is None
     rep = validate_td(h, hw_leq(h, 2), k=2, check_special=True)
