@@ -27,7 +27,7 @@ from .constraints import (
     solve_constrained,
     trivial_order,
 )
-from .costs import EstimateCatalog, MissingStatisticError, StatsCatalog, subtree_cost
+from .costs import MissingStatisticError, StatsCatalog, subtree_cost
 from .cq import (
     Atom,
     ConjunctiveQuery,
@@ -71,7 +71,6 @@ __all__ = [
     "ConjunctiveQuery",
     "ConnectedCover",
     "CostKey",
-    "EstimateCatalog",
     "EvalPlan",
     "GalleryEntry",
     "Hypergraph",

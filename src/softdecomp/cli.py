@@ -3,7 +3,8 @@
 Subcommands: ``decompose`` (build a constrained decomposition of a
 hypergraph or query), ``widths`` (compute width measures), ``verify``
 (validate a decomposition file), ``run-plan`` (execute a saved
-evaluation plan against a CSV directory).
+evaluation plan, which holds the query, each node's atoms and variables
+and the tree's ``parents``, against a CSV directory).
 
 Exit codes: 0 success/ACCEPT, 1 REJECT or failed validation, 2 usage
 error (including a statistics file that names an unknown relation),

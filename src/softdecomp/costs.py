@@ -60,22 +60,41 @@ class StatsCatalog:
 
     @classmethod
     def from_json(cls, h, text):
-        """Load the JSON stats format (relations / bags / cap)."""
+        """Load the JSON stats format (relations / bags / cap).
+
+        A file that is not a JSON object, a relation or bag without
+        ``card``, a bag without ``vars``, or a name that is no relation
+        or variable of ``h`` raises :class:`MissingStatisticError`.
+        """
         data = json.loads(text) if isinstance(text, str) else text
+        if not isinstance(data, dict):
+            raise MissingStatisticError("statistics must be a JSON object")
         name_to_id = {n: i for i, n in enumerate(h.edge_names)}
         vname_to_id = {n: i for i, n in enumerate(h.vertex_names)}
+
+        def need(entry, key, what):
+            if key not in entry:
+                raise MissingStatisticError(f"no {key!r} for {what}")
+            return entry[key]
+
+        def vars_mask(names, what):
+            unknown = [v for v in names if v not in vname_to_id]
+            if unknown:
+                raise MissingStatisticError(f"unknown variable {unknown[0]!r} in {what}")
+            return mask_of(vname_to_id[v] for v in names)
+
         rel = {}
         keys = {}
         for name, entry in data.get("relations", {}).items():
             if name not in name_to_id:
                 raise MissingStatisticError(f"unknown relation {name!r}")
             e = name_to_id[name]
-            rel[e] = int(entry["card"])
-            keys[e] = mask_of(vname_to_id[v] for v in entry.get("key", []))
+            rel[e] = int(need(entry, "card", f"relation {name!r}"))
+            keys[e] = vars_mask(entry.get("key", []), f"the key of relation {name!r}")
         bags = {}
         for entry in data.get("bags", []):
-            m = mask_of(vname_to_id[v] for v in entry["vars"])
-            bags[m] = int(entry["card"])
+            names = need(entry, "vars", "a bag")
+            bags[vars_mask(names, f"bag {names!r}")] = int(need(entry, "card", f"bag {names!r}"))
         return cls(h, rel, bags, keys, int(data.get("cap", 10**6)))
 
     def join_card(self, bag, cover):
@@ -248,55 +267,3 @@ def subtree_cost(td, stats):
     total = [s.total for s in summary]
     grand = sum(total[r] for r in roots)
     return CostReport(bagc, reduced, scan, total, grand, tuple(fellback))
-
-
-@dataclass
-class EstimateCatalog:
-    """Pre-exported engine estimates: per-bag plan costs and optional
-    semi-join costs, replayed offline.
-
-    The subtree recursion charges each child its estimated semi-join
-    cost net of the two scans the estimate already includes, floored
-    at 1.
-    """
-
-    hypergraph: object
-    bag_costs: dict
-    semijoin_costs: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_json(cls, h, text):
-        data = json.loads(text) if isinstance(text, str) else text
-        vname_to_id = {n: i for i, n in enumerate(h.vertex_names)}
-        bags = {}
-        for entry in data.get("bags", []):
-            m = mask_of(vname_to_id[v] for v in entry["vars"])
-            bags[m] = float(entry["cost"])
-        sjs = {}
-        for entry in data.get("semijoins", []):
-            a = mask_of(vname_to_id[v] for v in entry["parent"])
-            b = mask_of(vname_to_id[v] for v in entry["child"])
-            sjs[(a, b)] = float(entry["cost"])
-        return cls(h, bags, sjs)
-
-    def node_cost(self, bag, cover):
-        if len(cover) == 1:
-            return 0.0
-        if bag not in self.bag_costs:
-            raise MissingStatisticError("no estimate for bag")
-        return self.bag_costs[bag]
-
-    def total(self, td):
-        if td.covers is None:
-            raise ValueError("no covers attached")
-        out = 0.0
-        for u in range(len(td)):
-            cu = self.node_cost(td.bags[u], td.covers[u])
-            out += cu
-            p = td.parents[u]
-            if p >= 0:
-                sj = self.semijoin_costs.get((td.bags[p], td.bags[u]))
-                if sj is not None:
-                    cp = self.node_cost(td.bags[p], td.covers[p])
-                    out += max(sj - cp - cu, 1.0)
-        return out

@@ -139,20 +139,15 @@ def _subtree_unions(td):
 # -- exact hypertree width ----------------------------------------------------
 
 
-def hw_leq(h, k, max_edges=None, max_steps=20_000_000):
+def hw_leq(h, k, max_steps=20_000_000):
     """A width-``k`` hypertree decomposition of ``h``, or None.
 
     Exact search in the style of det-k-decomp (see :class:`_HwSearch`),
     bounded by ``max_steps`` (bag tries plus edge-union work); past it,
-    or past an explicit ``max_edges`` cap, it raises
-    :class:`OracleBudgetError`.  The returned decomposition has covers
-    attached, one root per connected component, and satisfies the
-    descendant condition by construction.
+    it raises :class:`OracleBudgetError`.  The returned decomposition
+    has covers attached, one root per connected component, and
+    satisfies the descendant condition by construction.
     """
-    if max_edges is not None and h.n_edges > max_edges:
-        raise OracleBudgetError(
-            f"hypertree width check capped at {max_edges} edges; pass max_edges to raise"
-        )
     searcher = _HwSearch(h, k, max_steps)
     nodes = []
     for comp in h.vertex_components(0):
@@ -189,7 +184,7 @@ class _HwSearch:
         self.h = h
         self.k = k
         self.max_steps = max_steps
-        self.steps = 0
+        self.spent = 0
         self.memo = {}  # (component, connector) -> node or None
         self._components = {}  # free vertex set -> its components
         self._regions = {}  # component -> vertex union of the edges meeting it
@@ -280,8 +275,8 @@ class _HwSearch:
         return region
 
     def _tick(self, n):
-        self.steps += n
-        if self.steps > self.max_steps:
+        self.spent += n
+        if self.spent > self.max_steps:
             raise OracleBudgetError("hypertree width search exceeded step budget")
 
 

@@ -1,10 +1,12 @@
 """Semi-join evaluation plans over a decomposition (Yannakakis style).
 
-A plan materializes one relation per decomposition node (the join of
-the atoms assigned to it, projected to the bag), runs bottom-up
-semi-joins, then — for queries with output variables — top-down
-semi-joins and a final join.  Boolean queries stop after the up phase
-with a root nonemptiness probe.
+A plan is the decomposition plus, per node, the relation it
+materializes: the join of the atoms assigned to it, projected to the
+bag.  The evaluation schedule is a fixed function of the tree (see
+:func:`_schedule`): bottom-up semi-joins, then, for queries with output
+variables, top-down semi-joins and a final join.  Boolean queries stop
+after the up phase with a root nonemptiness probe.  The interpreter and
+the SQL emitter both walk that schedule.
 
 The interpreter picks its own join order; the plan text does not fix
 one.  A node's table, and the final join, start from the first listed
@@ -17,69 +19,48 @@ relation still to join are projected away.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import json
+from dataclasses import dataclass
 from operator import itemgetter
 
-from .hypergraph import cover_is_connected
+from .hypergraph import cover_is_connected, ids_of, mask_of
+from .solver import TreeDecomposition, check_parents
 
 
 class PlanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MaterializeBag:
-    node: int
-    atoms: tuple  # atom names joined at this node
-    bag_vars: tuple
-
-
-@dataclass(frozen=True)
-class SemijoinUp:
-    child: int
-    parent: int
-
-
-@dataclass(frozen=True)
-class SemijoinDown:
-    parent: int
-    child: int
-
-
-@dataclass(frozen=True)
-class FinalJoin:
-    nodes: tuple  # root-up (parents before children)
-    output: tuple
-
-
-@dataclass(frozen=True)
-class BooleanProbe:
-    roots: tuple
-
-
-# Step classes by JSON ``op``; a step's other JSON keys are its fields.
-_STEP_OPS = {"materialize": MaterializeBag, "semijoin_up": SemijoinUp,
-             "semijoin_down": SemijoinDown, "final_join": FinalJoin,
-             "boolean_probe": BooleanProbe}
-
-
 @dataclass
 class EvalPlan:
     query: object
-    decomposition: object
-    steps: list
+    decomposition: object  # its parents fix the schedule
     node_vars: list  # per node: ordered bag variable names
     node_atoms: list  # per node: tuple of atom indices
     cartesian_nodes: tuple = ()  # nodes whose cover is disconnected
 
 
+def _schedule(td):
+    """The Yannakakis schedule of a decomposition: ``(up, down, order)``.
+
+    ``up`` lists the ``(child, parent)`` pairs deepest first, ties by
+    node index; ``down`` lists them shallowest first, ties by node
+    index; ``order`` is every node, root by root, each subtree in
+    ``td.subtree`` order (parents before children).
+    """
+    pairs = [(u, p) for u, p in enumerate(td.parents) if p >= 0]
+    up = sorted(pairs, key=lambda pair: td.depth(pair[0]), reverse=True)
+    down = sorted(pairs, key=lambda pair: td.depth(pair[0]))
+    order = [u for r in td.roots() for u in td.subtree(r)]
+    return up, down, order
+
+
 def compile_plan(cq, td):
     """Compile a decomposition of the query's hypergraph into a plan.
 
-    Every atom is assigned to the first node whose bag contains all its
-    variables; a node joins its cover atoms plus its assigned atoms.
-    Single-atom nodes skip the materialization step (the interpreter
-    projects the base relation itself).
+    Every atom is assigned to the first node, in the final join's
+    order, whose bag contains all its variables; a node joins its cover
+    atoms plus its assigned atoms.
     """
     if td.covers is None:
         raise PlanError("decomposition has no covers attached")
@@ -91,14 +72,8 @@ def compile_plan(cq, td):
             raise PlanError(f"atom {a.name!r} is not an edge of the hypergraph")
         atom_masks.append(h.edge_masks[name_to_edge[a.name]])
 
-    order = []
-    for r in td.roots():
-        order.extend(td.subtree(r))
-
-    node_atoms = [[] for _ in range(len(td))]
-    for u in range(len(td)):
-        for e in td.covers[u]:
-            node_atoms[u].append(e)
+    order = _schedule(td)[2]
+    node_atoms = [list(cover) for cover in td.covers]
     for i, am in enumerate(atom_masks):
         host = next((u for u in order if not am & ~td.bags[u]), None)
         if host is None:
@@ -106,40 +81,12 @@ def compile_plan(cq, td):
         if i not in node_atoms[host]:
             node_atoms[host].append(i)
 
-    vname = h.vertex_names
-    node_vars = []
-    from .hypergraph import ids_of
-
-    for u in range(len(td)):
-        node_vars.append(tuple(vname[v] for v in ids_of(td.bags[u])))
-
-    cartesian = []
-    for u in range(len(td)):
-        masks = [atom_masks[i] for i in node_atoms[u]]
-        if len(masks) > 1 and not cover_is_connected(masks):
-            cartesian.append(u)
-
-    steps = []
-    for u in order:
-        if len(node_atoms[u]) > 1:
-            steps.append(
-                MaterializeBag(
-                    u,
-                    tuple(cq.atoms[i].name for i in node_atoms[u]),
-                    node_vars[u],
-                )
-            )
-    for u in sorted(range(len(td)), key=td.depth, reverse=True):
-        if td.parents[u] >= 0:
-            steps.append(SemijoinUp(u, td.parents[u]))
-    if cq.boolean:
-        steps.append(BooleanProbe(tuple(td.roots())))
-    else:
-        for u in sorted(range(len(td)), key=td.depth):
-            if td.parents[u] >= 0:
-                steps.append(SemijoinDown(td.parents[u], u))
-        steps.append(FinalJoin(tuple(order), tuple(cq.output)))
-    return EvalPlan(cq, td, steps, node_vars, [tuple(a) for a in node_atoms], tuple(cartesian))
+    node_vars = [tuple(h.vertex_names[v] for v in ids_of(bag)) for bag in td.bags]
+    cartesian = tuple(
+        u for u, atoms in enumerate(node_atoms)
+        if len(atoms) > 1 and not cover_is_connected([atom_masks[i] for i in atoms])
+    )
+    return EvalPlan(cq, td, node_vars, [tuple(a) for a in node_atoms], cartesian)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +192,10 @@ def execute_plan(plan, db):
 
     Each atom's relation is read once, in node order, so a missing
     relation or a wrong arity raises ``PlanError`` for the first such
-    atom.  Every node's table is built before the steps run: its atoms
-    are joined in a connected order with early projection (see the
-    module docstring), so ``MaterializeBag`` steps need no action here.
-    The final join orders and projects the node tables the same way.
+    atom.  Every node's table is built first: its atoms are joined in a
+    connected order with early projection (see the module docstring).
+    Then the schedule's semi-joins run, and the final join orders and
+    projects the node tables the same way.
     """
     cq = plan.query
     atom_tables = {}
@@ -256,35 +203,25 @@ def execute_plan(plan, db):
         for i in atoms:
             if i not in atom_tables:
                 atom_tables[i] = _atom_table(cq.atoms[i], db)
-    tables = {
-        u: _join_connected([atom_tables[i] for i in plan.node_atoms[u]], vars_u)
-        for u, vars_u in enumerate(plan.node_vars)
-    }
+    tables = [
+        _join_connected([atom_tables[i] for i in atoms], vars_u)
+        for atoms, vars_u in zip(plan.node_atoms, plan.node_vars)
+    ]
+    node_vars = plan.node_vars
 
-    result = None
-    for step in plan.steps:
-        if isinstance(step, SemijoinUp):
-            tables[step.parent] = _semijoin(
-                tables[step.parent],
-                plan.node_vars[step.parent],
-                tables[step.child],
-                plan.node_vars[step.child],
-            )
-        elif isinstance(step, SemijoinDown):
-            tables[step.child] = _semijoin(
-                tables[step.child],
-                plan.node_vars[step.child],
-                tables[step.parent],
-                plan.node_vars[step.parent],
-            )
-        elif isinstance(step, BooleanProbe):
-            result = all(tables[r] for r in step.roots)
-        elif isinstance(step, FinalJoin):
-            rows = _join_connected(
-                [(tables[u], plan.node_vars[u]) for u in step.nodes], step.output
-            )
-            result = sorted(rows)
-    return result
+    def semijoin(target, source):
+        tables[target] = _semijoin(
+            tables[target], node_vars[target], tables[source], node_vars[source]
+        )
+
+    up, down, order = _schedule(plan.decomposition)
+    for child, parent in up:
+        semijoin(parent, child)
+    if cq.boolean:
+        return all(tables[r] for r in plan.decomposition.roots())
+    for child, parent in down:
+        semijoin(child, parent)
+    return sorted(_join_connected([(tables[u], node_vars[u]) for u in order], cq.output))
 
 
 def naive_evaluate(cq, db):
@@ -308,7 +245,6 @@ def emit_sql(plan):
     phases, and a final SELECT (or a 1-row probe for Boolean queries).
     """
     cq = plan.query
-    atom_by_name = {a.name: a for a in cq.atoms}
     cols = cq.column_names
 
     def base_select(u):
@@ -355,35 +291,33 @@ def emit_sql(plan):
         )
         current[target] = new
 
-    final = None
-    for step in plan.steps:
-        if isinstance(step, SemijoinUp):
-            semijoin(step.parent, step.child)
-        elif isinstance(step, SemijoinDown):
-            semijoin(step.child, step.parent)
-        elif isinstance(step, BooleanProbe):
-            probes = " AND ".join(
-                f"EXISTS (SELECT 1 FROM {current[r]})" for r in step.roots
-            )
-            final = f"SELECT {probes} AS nonempty;"
-        elif isinstance(step, FinalJoin):
-            source = {}
-            conds = []
-            items = []
-            for u in step.nodes:
-                alias = f"n{u}"
-                items.append(f"{current[u]} AS {alias}")
-                for v in plan.node_vars[u]:
-                    if v in source:
-                        conds.append(f"{source[v]} = {alias}.{v}")
-                    else:
-                        source[v] = f"{alias}.{v}"
-            out = ", ".join(f"{source[v]} AS {v}" for v in step.output) or "1"
-            final = f"SELECT DISTINCT {out} FROM " + ", ".join(items)
-            if conds:
-                final += " WHERE " + " AND ".join(conds)
-            final += ";"
-    statements.append(final)
+    up, down, order = _schedule(plan.decomposition)
+    for child, parent in up:
+        semijoin(parent, child)
+    if cq.boolean:
+        probes = " AND ".join(
+            f"EXISTS (SELECT 1 FROM {current[r]})" for r in plan.decomposition.roots()
+        )
+        statements.append(f"SELECT {probes} AS nonempty;")
+        return "\n".join(statements) + "\n"
+    for child, parent in down:
+        semijoin(child, parent)
+    source = {}
+    conds = []
+    items = []
+    for u in order:
+        alias = f"n{u}"
+        items.append(f"{current[u]} AS {alias}")
+        for v in plan.node_vars[u]:
+            if v in source:
+                conds.append(f"{source[v]} = {alias}.{v}")
+            else:
+                source[v] = f"{alias}.{v}"
+    out = ", ".join(f"{source[v]} AS {v}" for v in cq.output)
+    final = f"SELECT DISTINCT {out} FROM " + ", ".join(items)
+    if conds:
+        final += " WHERE " + " AND ".join(conds)
+    statements.append(final + ";")
     return "\n".join(statements) + "\n"
 
 
@@ -392,10 +326,7 @@ def emit_sql(plan):
 
 
 def plan_to_json(plan):
-    """Serialize a plan (query, per-node tables, steps) to JSON text."""
-    import json
-
-    op_of = {cls: op for op, cls in _STEP_OPS.items()}
+    """Serialize a plan (query, per-node tables, tree parents) to JSON text."""
     cq = plan.query
     return json.dumps(
         {
@@ -408,42 +339,59 @@ def plan_to_json(plan):
             "node_vars": [list(v) for v in plan.node_vars],
             "node_atoms": [list(a) for a in plan.node_atoms],
             "cartesian_nodes": list(plan.cartesian_nodes),
-            "steps": [{"op": op_of[type(s)], **asdict(s)} for s in plan.steps],
+            "parents": list(plan.decomposition.parents),
         },
         indent=2,
     )
 
 
 def plan_from_json(text):
-    """Rebuild an executable plan from its JSON form; a missing key, a
-    mistyped value or an unknown step ``op`` raises :class:`PlanError`."""
-    import json
+    """Rebuild an executable plan from its JSON form.
 
+    The decomposition is rebuilt over the query's hypergraph, with the
+    bags read from ``node_vars``.  A missing key, a mistyped value, a
+    bad parent (out of range, or a cycle), a node with no atom or an
+    atom index out of range, a variable that none of its node's atoms
+    (or, for the output, of the query's atoms) uses, or a plan in the
+    old format with ``steps`` raises :class:`PlanError`.
+    """
     from .cq import Atom, ConjunctiveQuery
 
     data = json.loads(text)
     try:
+        if "steps" in data:
+            raise PlanError("plan holds 'steps', an old format: emit the plan again")
         atoms = [
             Atom(a["name"], a["relation"], tuple(a["variables"])) for a in data["atoms"]
         ]
-        columns = {
-            a["name"]: tuple(a.get("columns", ())) for a in data["atoms"]
-        }
+        columns = {a["name"]: tuple(a["columns"]) for a in data["atoms"] if a.get("columns")}
         cq = ConjunctiveQuery(atoms, tuple(data["output"]), columns)
-        steps = []
-        for s in data["steps"]:
-            cls = _STEP_OPS.get(s["op"])
-            if cls is None:
-                raise PlanError(f"unknown plan step op {s['op']!r}")
-            args = [s[f.name] for f in fields(cls)]
-            steps.append(cls(*(tuple(a) if isinstance(a, list) else a for a in args)))
-        return EvalPlan(
-            cq,
-            None,
-            steps,
-            [tuple(v) for v in data["node_vars"]],
-            [tuple(a) for a in data["node_atoms"]],
-            tuple(data.get("cartesian_nodes", ())),
-        )
+        node_vars = [tuple(v) for v in data["node_vars"]]
+        node_atoms = [tuple(a) for a in data["node_atoms"]]
+        parents = list(data["parents"])
+        if not len(node_vars) == len(node_atoms) == len(parents):
+            raise PlanError("node_vars, node_atoms and parents differ in length")
+        try:
+            check_parents(parents)
+        except ValueError as exc:
+            raise PlanError(f"malformed plan: {exc}") from None
+        for u, (vs, atoms_u) in enumerate(zip(node_vars, node_atoms)):
+            if not atoms_u:
+                raise PlanError(f"node {u} names no atom")
+            bad = [i for i in atoms_u if not 0 <= i < len(atoms)]
+            if bad:
+                raise PlanError(f"node {u} names atom {bad[0]}; the query has {len(atoms)}")
+            used = set().union(*(atoms[i].variables for i in atoms_u))
+            for v in vs:
+                if v not in used:
+                    raise PlanError(f"unknown variable {v!r}: no atom of node {u} uses it")
+        for v in cq.output:
+            if v not in cq.variables():
+                raise PlanError(f"unknown output variable {v!r}")
+        h = cq.hypergraph()
+        vertex = {v: i for i, v in enumerate(h.vertex_names)}
+        bags = [mask_of(vertex[v] for v in vs) for vs in node_vars]
+        td = TreeDecomposition(h, bags, parents)
+        return EvalPlan(cq, td, node_vars, node_atoms, tuple(data.get("cartesian_nodes", ())))
     except (KeyError, TypeError) as exc:
         raise PlanError(f"malformed plan: {exc!r}") from None

@@ -435,8 +435,15 @@ def td_from_text(h, text):
             covers.append(tuple(sorted(edge_index[s] for s in enames)))
         else:
             covers.append(())
+    check_parents(parents)
+    return TreeDecomposition(h, bags, parents, covers if saw_cover else None)
+
+
+def check_parents(parents):
+    """Raise ``ValueError`` unless every parent is -1 or a node index
+    and following parents from any node reaches a root."""
     for i, p in enumerate(parents):
-        if not -1 <= p < len(bags):
+        if not -1 <= p < len(parents):
             raise ValueError(f"node {i} has invalid parent {p}")
     for i in range(len(parents)):
         seen = set()
@@ -445,4 +452,3 @@ def td_from_text(h, text):
                 raise ValueError(f"parent cycle through node {i}")
             seen.add(i)
             i = parents[i]
-    return TreeDecomposition(h, bags, parents, covers if saw_cover else None)

@@ -87,8 +87,8 @@ def test_width_table(capsys):
 
     _timed(failures, "H2 accept k=2", True, lambda: solve(h2, soft_bags(h2, 2)).accepted)
     _timed(failures, "H2 reject k=1", False, lambda: solve(h2, soft_bags(h2, 1)).accepted)
-    _timed(failures, "H2 hw>2", True, lambda: hw_leq(h2, 2, max_edges=20) is None)
-    _timed(failures, "H2 hw<=3", True, lambda: hw_leq(h2, 3, max_edges=20) is not None)
+    _timed(failures, "H2 hw>2", True, lambda: hw_leq(h2, 2) is None)
+    _timed(failures, "H2 hw<=3", True, lambda: hw_leq(h2, 3) is not None)
     _timed(failures, "H2 ghw<=2", True, lambda: ghw_leq(h2, 2) is not None)
 
     _timed(failures, "H3 accept k=3", True, lambda: solve(h3, soft_bags(h3, 3)).accepted)
@@ -97,7 +97,7 @@ def test_width_table(capsys):
     # tries each distinct bag once per state and cuts states that repeat
     # the root problem.
     _timed(failures, "H3 hw>3", True, lambda: hw_leq(h3, 3) is None)
-    _timed(failures, "H3 hw<=4", True, lambda: hw_leq(h3, 4, max_edges=100) is not None)
+    _timed(failures, "H3 hw<=4", True, lambda: hw_leq(h3, 4) is not None)
 
     level0 = {}
 

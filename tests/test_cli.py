@@ -64,7 +64,8 @@ def test_decompose_emits_plan_for_queries(tmp_path, capsys):
     plan_files = list(tmp_path.glob("*.json"))
     assert plan_files
     data = json.loads(plan_files[0].read_text())
-    assert data["steps"]
+    assert len(data["parents"]) == len(data["node_vars"]) == 2
+    assert "steps" not in data
 
 
 def test_plan_emission_needs_a_query(hg_file):
@@ -101,10 +102,15 @@ def test_malformed_plan_is_usage_error(tmp_path, capsys):
     db.mkdir()
     (db / "r.csv").write_text("c0,c1\n1,2\n")
     (db / "s.csv").write_text("c0,c1\n2,5\n")
-    bad_op = dict(plan, steps=[{"op": "frobnicate"}])
+    assert len(plan["parents"]) == 2
     no_output = {key: value for key, value in plan.items() if key != "output"}
-    not_a_list = dict(plan, steps=5)
-    for bad, named in ((bad_op, "frobnicate"), (no_output, "output"), (not_a_list, "int")):
+    out_of_range = dict(plan, parents=[-1, 99])
+    cycle = dict(plan, parents=[1, 0])
+    bad_atom = dict(plan, node_atoms=[[0], [7]])
+    unknown_var = dict(plan, node_vars=[plan["node_vars"][0] + ["nope"], plan["node_vars"][1]])
+    old_format = dict(plan, steps=[{"op": "final_join", "nodes": [0, 1], "output": ["x"]}])
+    for bad, named in ((no_output, "output"), (out_of_range, "99"), (cycle, "cycle"),
+                       (bad_atom, "atom 7"), (unknown_var, "'nope'"), (old_format, "steps")):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         capsys.readouterr()
@@ -194,6 +200,26 @@ def test_unknown_statistics_relation_is_usage_error(tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown relation 'nosuch'" in capsys.readouterr().err
+
+
+def test_malformed_statistics_are_usage_errors(tmp_path, capsys):
+    q = tmp_path / "q.cq"
+    q.write_text("ans(x,z) :- r(x,y), s(y,z).")
+    stats = tmp_path / "st.json"
+    no_card = {"relations": {"r": {"key": ["x"]}, "s": {"card": 3}}}
+    relations = {"r": {"card": 2}, "s": {"card": 3}}
+    bad_key = {"relations": dict(relations, s={"card": 3, "key": ["nokey"]})}
+    bad_bag = {"relations": relations, "bags": [{"vars": ["x", "nobag"], "card": 4}]}
+    for bad, named in ((no_card, "'card' for relation 'r'"), (bad_key, "'nokey'"),
+                       (bad_bag, "'nobag'"), ([relations], "JSON object")):
+        stats.write_text(json.dumps(bad))
+        capsys.readouterr()
+        rc = main([
+            "decompose", "--input", str(q), "--format", "cq", "--k", "1",
+            "--constraint", "concov", "--stats", str(stats),
+        ])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
 
 def test_decompose_reject_on_h3_is_fast(tmp_path):

@@ -13,7 +13,7 @@ from softdecomp import (
     solve,
     subtree_cost,
 )
-from softdecomp.costs import EstimateCatalog, bag_cost, fallback_join_card, reduce_attrs
+from softdecomp.costs import bag_cost, fallback_join_card, reduce_attrs
 from softdecomp.solver import TreeDecomposition
 from softdecomp.hypergraph import mask_of, popcount
 
@@ -185,18 +185,3 @@ def test_stats_catalog_from_json():
     assert stats.bag_join_card[mask_of([0, 1, 2])] == 12
     with pytest.raises(MissingStatisticError):
         StatsCatalog.from_json(h, '{"relations": {"zzz": {"card": 1}}}')
-
-
-def test_estimate_catalog_from_json():
-    h = parse_hypergraph("r(a,b), s(b,c)")
-    est = EstimateCatalog.from_json(
-        h,
-        """
-        {"bags": [{"vars": ["a", "b", "c"], "cost": 3.5}],
-         "semijoins": [{"parent": ["a", "b"], "child": ["b", "c"], "cost": 1.0}]}
-        """,
-    )
-    assert est.node_cost(mask_of([0, 1, 2]), (0, 1)) == 3.5
-    assert est.node_cost(mask_of([0, 1]), (0,)) == 0.0
-    with pytest.raises(MissingStatisticError):
-        est.node_cost(mask_of([1, 2]), (0, 1))

@@ -175,8 +175,6 @@ def test_oracle_budget_errors():
     with pytest.raises(OracleBudgetError):
         hw_leq(h, 3, max_steps=1_000)  # the search runs out of steps
     with pytest.raises(OracleBudgetError):
-        hw_leq(h, 3, max_edges=12)  # 95 edges is past an explicit edge cap
-    with pytest.raises(OracleBudgetError):
         ghw_leq(gallery("H2").hypergraph, 2, max_vertices=4, method="subsets")
 
 

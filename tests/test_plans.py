@@ -24,7 +24,7 @@ from softdecomp import (
 )
 from softdecomp import plans
 from softdecomp.gallery import SQL_QUERIES, gallery
-from softdecomp.plans import BooleanProbe, FinalJoin, PlanError
+from softdecomp.plans import PlanError, _schedule
 from softdecomp.solver import TreeDecomposition
 
 from conftest import random_cq, random_database
@@ -53,7 +53,6 @@ def test_path_query_matches_naive():
 
 def test_boolean_query_probes():
     cq, plan = _plan("r(x,y), s(y,z)")
-    assert isinstance(plan.steps[-1], BooleanProbe)
     assert execute_plan(plan, {"r": [(1, 2)], "s": [(2, 3)]}) is True
     assert execute_plan(plan, {"r": [(1, 2)], "s": [(3, 4)]}) is False
 
@@ -74,10 +73,20 @@ def test_repeated_variable_filters_diagonal():
 
 
 def test_semijoins_precede_final_join():
-    cq, plan = _plan("ans(x,w) :- r(x,y), s(y,z), t(z,w).")
-    kinds = [type(s).__name__ for s in plan.steps]
-    assert kinds[-1] == "FinalJoin"
-    assert kinds.index("SemijoinDown") > kinds.index("SemijoinUp")
+    # Three levels, numbered so that some children come before their parents.
+    _, h = parse_cq("r(x,y)")
+    parents = [3, -1, 3, 1, 1]
+    td = TreeDecomposition(h, [h.all_vertices_mask] * len(parents), parents)
+    up, down, order = _schedule(td)
+    pairs = {(u, p) for u, p in enumerate(parents) if p >= 0}
+    assert len(up) == len(down) == len(pairs) and set(up) == set(down) == pairs
+    # Up: a node's semi-joins from its children come before it passes
+    # itself to its parent.  Down: the reverse.
+    for c, p in up:
+        assert all(up.index((x, c)) < up.index((c, p)) for x in td.children(c))
+    for c, p in down:
+        assert all(down.index((x, c)) > down.index((c, p)) for x in td.children(c))
+    assert order == [1, 3, 4, 0, 2]
 
 
 def test_missing_covers_rejected():
@@ -179,8 +188,10 @@ def test_plan_json_roundtrip_executes_identically():
         plan = compile_plan(cq, _decompose(cq))
         back = plan_from_json(plan_to_json(plan))
         assert back.node_vars == plan.node_vars
-        assert back.steps == plan.steps
+        assert back.node_atoms == plan.node_atoms
+        assert back.decomposition.parents == plan.decomposition.parents
         assert execute_plan(back, db) == execute_plan(plan, db)
+        assert emit_sql(back) == emit_sql(plan)
 
 
 def test_plan_json_is_stable():
