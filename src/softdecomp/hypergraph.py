@@ -9,6 +9,7 @@ queries be cached safely.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +17,9 @@ from functools import cached_property
 _IDENT = r"[A-Za-z0-9_']+"
 _STMT_RE = re.compile(rf"({_IDENT})\s*\(([^()]*)\)")
 _IDENT_RE = re.compile(rf"^{_IDENT}$")
+
+# _BIT_DIGITS[b] maps byte x to the digit "1" or "0" of its bit b.
+_BIT_DIGITS = tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
 
 
 class HypergraphError(ValueError):
@@ -44,6 +48,31 @@ def ids_of(mask):
 
 def popcount(mask):
     return mask.bit_count()
+
+
+def bit_columns(n, masks):
+    """The per-vertex bitset index of a list of masks over ``n`` vertices.
+
+    Entry ``v`` is the int whose bit ``j`` is set when ``masks[j]``
+    contains vertex ``v``.
+    """
+    if not masks:
+        return [0] * n
+    # One byte string of all masks, last mask first, ``step`` bytes
+    # each (packed as little-endian uint64 words up to 64 vertices);
+    # column v is every mask's byte holding v, spelled in binary digits
+    # by _BIT_DIGITS.
+    if n <= 64:
+        rows, step = struct.pack(f"<{len(masks)}Q", *reversed(masks)), 8
+    else:
+        step = (n + 7) // 8
+        rows = b"".join([m.to_bytes(step, "little") for m in reversed(masks)])
+    columns = []
+    for b in range((n + 7) // 8):
+        digits = rows[b::step]
+        columns += [int(digits.translate(_BIT_DIGITS[i]), 2)
+                    for i in range(min(8, n - 8 * b))]
+    return columns
 
 
 @dataclass(frozen=True)

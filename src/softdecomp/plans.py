@@ -58,9 +58,10 @@ def _schedule(td):
 def compile_plan(cq, td):
     """Compile a decomposition of the query's hypergraph into a plan.
 
-    Every atom is assigned to the first node, in the final join's
-    order, whose bag contains all its variables; a node joins its cover
-    atoms plus its assigned atoms.
+    A node's cover edges are its cover atoms, matched by name.  Every
+    atom is assigned to the first node, in the final join's order,
+    whose bag contains all its variables; a node joins its cover atoms
+    plus its assigned atoms.
     """
     if td.covers is None:
         raise PlanError("decomposition has no covers attached")
@@ -71,9 +72,13 @@ def compile_plan(cq, td):
         if a.name not in name_to_edge:
             raise PlanError(f"atom {a.name!r} is not an edge of the hypergraph")
         atom_masks.append(h.edge_masks[name_to_edge[a.name]])
+    atom_of_edge = {name_to_edge[a.name]: i for i, a in enumerate(cq.atoms)}
+    foreign = {e for cover in td.covers for e in cover} - atom_of_edge.keys()
+    if foreign:
+        raise PlanError(f"cover edge {h.edge_names[min(foreign)]!r} is not an atom of the query")
 
     order = _schedule(td)[2]
-    node_atoms = [list(cover) for cover in td.covers]
+    node_atoms = [[atom_of_edge[e] for e in cover] for cover in td.covers]
     for i, am in enumerate(atom_masks):
         host = next((u for u in order if not am & ~td.bags[u]), None)
         if host is None:

@@ -52,17 +52,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hypergraph import Hypergraph, ids_of, mask_of
+from .hypergraph import Hypergraph, bit_columns, ids_of, mask_of
 
 DEFAULT_MAX_EVALS = 5_000_000
 
-# Byte tables for the bitset index.  Reading a set: _NONZERO maps every
-# nonzero byte to 1, and _BYTE_BITS[x] lists the bits set in byte x.
-# Building one: _BIT_DIGITS[b] maps byte x to the digit "1" or "0" of
-# its bit b.
+# Byte tables for reading the bitset index: _NONZERO maps every nonzero
+# byte to 1, and _BYTE_BITS[x] lists the bits set in byte x.
 _NONZERO = bytes([0] + [1] * 255)
 _BYTE_BITS = tuple(ids_of(x) for x in range(256))
-_BIT_DIGITS = tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
 
 
 class SolverBudgetError(RuntimeError):
@@ -214,13 +211,7 @@ def _bag_index(n, bag_masks):
     """
     bags = sorted(set(bag_masks))
     bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
-    if not bags:
-        return bags, [0] * n
-    # One byte string of all masks, last bag first; column v is every
-    # mask's byte holding v, spelled in binary digits by _BIT_DIGITS.
-    mask_bytes = (n + 7) // 8
-    rows = b"".join([m.to_bytes(mask_bytes, "little") for m in reversed(bags)])
-    return bags, [int(rows[v >> 3::mask_bytes].translate(_BIT_DIGITS[v & 7]), 2) for v in range(n)]
+    return bags, bit_columns(n, bags)
 
 
 class _Search:

@@ -25,9 +25,10 @@ from softdecomp.bags import (
     _first_seen,
     _separator_unions,
     cover_union_masks,
+    trimmed_next_pool,
 )
-from softdecomp.gallery import cycle
-from softdecomp.hypergraph import ids_of, mask_of, parse_hypergraph
+from softdecomp.gallery import cycle, gallery_names
+from softdecomp.hypergraph import Hypergraph, ids_of, mask_of, parse_hypergraph
 
 from conftest import brute_component_unions, random_connected_hypergraph
 
@@ -54,19 +55,6 @@ def brute_soft_bags(h, k):
                         if b:
                             bags.add(b)
     return bags
-
-
-def pairwise_intersections(sets_a, sets_b):
-    """All nonempty pairwise intersections of two families of masks."""
-    out = []
-    seen = set()
-    for a in sets_a:
-        for b in sets_b:
-            r = a & b
-            if r and r not in seen:
-                seen.add(r)
-                out.append(r)
-    return out
 
 
 def brute_cover_unions(edge_masks, k):
@@ -198,15 +186,133 @@ def test_soft_bags_level_matches_manual_iteration():
     assert soft_bags_level(h, 2, 0).level == 0
 
 
+def reference_next_pool(prev):
+    """The next level's pool as a plain double loop over members and bags."""
+    pool = [(s.vertices, s.origin, s.level) for s in prev.pool]
+    seen = {s.vertices for s in prev.pool}
+    for sub in prev.pool:
+        for b in prev.bags:
+            m = sub.vertices & b
+            if m and m not in seen:
+                seen.add(m)
+                pool.append((m, sub.origin, prev.level + 1))
+    return pool
+
+
+def reference_trimmed_pool(prev):
+    """``trimmed_next_pool`` with one set comprehension over all bags per member."""
+    by_origin = {}
+    for sub in prev.pool:
+        for m in {sub.vertices & bm for bm in prev.bags}:
+            if m and m != sub.vertices and m.bit_count() >= 2:
+                by_origin.setdefault(sub.origin, set()).add(m)
+    pool = [(s.vertices, s.origin, s.level) for s in prev.pool]
+    seen = {s.vertices for s in prev.pool}
+    for orig in sorted(by_origin):
+        cands = by_origin[orig]
+        for m in sorted(cands, key=ids_of):
+            if m not in seen and not any(o != m and not m & ~o for o in cands):
+                seen.add(m)
+                pool.append((m, orig, prev.level + 1))
+    return pool
+
+
+def reference_sub_edges(members, bags):
+    """Per member, its distinct nonzero intersections with the bags, each
+    mapped to its first bag index."""
+    out = []
+    for p in members:
+        first = {}
+        for j, b in enumerate(bags):
+            if p & b:
+                first.setdefault(p & b, j)
+        out.append(first)
+    return out
+
+
+def h3prime_all():
+    """H3prime plus one edge over all its vertices."""
+    h = gallery("H3prime").hypergraph
+    edges = [(e, [h.vertex_names[v] for v in vs])
+             for e, vs in zip(h.edge_names, h.edge_vertex_ids)]
+    return Hypergraph.from_named_edges([*edges, ("all", list(h.vertex_names))])
+
+
+def wide12():
+    """14 edges of 12 vertices each, drawn from 30."""
+    rng = random.Random(7)
+    names = [f"v{i}" for i in range(30)]
+    return Hypergraph.from_named_edges([(f"e{i}", rng.sample(names, 12)) for i in range(14)])
+
+
+def _pool_cases():
+    """(name, level-0 bag set): the gallery at k = 2, 3 and two inputs
+    whose wide edges take the per-row path."""
+    for name in gallery_names():
+        for k in (2, 3):
+            yield f"{name} k={k}", soft_bags(gallery(name).hypergraph, k)
+    yield "H3prime+all k=3", soft_bags(h3prime_all(), 3)
+    for k in (2, 3):
+        yield f"wide12 k={k}", soft_bags(wide12(), k)
+
+
 def test_next_level_pool_is_intersection_closure():
-    h = gallery("C5").hypergraph
-    lvl0 = soft_bags(h, 2)
-    lvl1 = iterate_level(lvl0)
-    fresh = {s.vertices for s in lvl1.pool} - {s.vertices for s in lvl0.pool}
-    allowed = set(
-        pairwise_intersections([s.vertices for s in lvl0.pool], list(lvl0.bags))
-    )
-    assert fresh <= allowed
+    # Same members, origins and order as the double loop over (member, bag).
+    for name, lvl0 in _pool_cases():
+        got = [(s.vertices, s.origin, s.level) for s in bags_module._next_pool(lvl0)]
+        assert got == reference_next_pool(lvl0), name
+
+
+def test_next_level_pool_on_random_graphs_over_two_levels():
+    rng = random.Random(1515)
+    for _ in range(40):
+        h = random_connected_hypergraph(rng, max_vertices=9, max_edges=8, max_arity=8)
+        k = rng.randint(1, 3)
+        cur = soft_bags(h, k)
+        for _ in range(2):
+            nxt = iterate_level(cur)
+            want = reference_next_pool(cur)
+            assert [(s.vertices, s.origin, s.level) for s in nxt.pool] == want
+            cur = nxt
+
+
+@pytest.mark.parametrize("split_arity", [0, bags_module._SPLIT_ARITY, 64])
+def test_sub_edges_match_a_plain_loop(monkeypatch, split_arity):
+    # Every member split, the default rule, and every member per row,
+    # each with the row path in numpy and in pure Python.
+    monkeypatch.setattr(bags_module, "_SPLIT_ARITY", split_arity)
+    rng = random.Random(split_arity)
+    graphs = [random_connected_hypergraph(rng, max_vertices=12, max_edges=10, max_arity=9)
+              for _ in range(15)]
+    for h in graphs + [wide12(), gallery("H2").hypergraph]:
+        bs = soft_bags(h, 2)
+        members, masks = [s.vertices for s in bs.pool], list(bs.bags)
+        want = [list(d.items()) for d in reference_sub_edges(members, masks)]
+        for got in _both_paths(
+            monkeypatch, lambda: bags_module._sub_edges(members, masks, h.n_vertices)
+        ):
+            assert [list(d.items()) for d in got] == want
+
+
+def test_sub_edges_above_64_vertices():
+    bs = soft_bags(cycle(65), 2)
+    members, masks = [s.vertices for s in bs.pool], list(bs.bags)
+    got = bags_module._sub_edges(members, masks, 65)
+    want = reference_sub_edges(members, masks)
+    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+
+def test_trimmed_next_pool_matches_the_comprehension():
+    # Not on H3prime+all: the oracle's pairwise maximality check is
+    # quadratic in the 27k sub-edges of its edge over all vertices.
+    cases = [(name, bs) for name, bs in _pool_cases() if name != "H3prime+all k=3"]
+    rng = random.Random(2024)
+    for i in range(20):
+        h = random_connected_hypergraph(rng, max_vertices=9, max_edges=8, max_arity=8)
+        cases.append((f"random {i}", soft_bags(h, rng.randint(1, 3))))
+    for name, lvl0 in cases:
+        got = [(s.vertices, s.origin, s.level) for s in trimmed_next_pool(lvl0)]
+        assert got == reference_trimmed_pool(lvl0), name
 
 
 # --- cover unions and counting views ----------------------------------------
@@ -265,11 +371,6 @@ def test_first_seen_keeps_first_occurrences():
             want.setdefault(v, i)
         assert uniq.tolist() == list(want)
         assert pos.tolist() == list(want.values())
-
-
-def test_pairwise_intersections_dedup_and_nonempty():
-    out = pairwise_intersections([0b1100, 0b0110], [0b0100, 0b0011])
-    assert out == [0b0100, 0b0010]
 
 
 # --- numpy and pure-Python twins ---------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from softdecomp import Hypergraph, HypergraphError, parse_hypergraph
-from softdecomp.hypergraph import ids_of, mask_of, popcount
+from softdecomp.hypergraph import bit_columns, ids_of, mask_of, popcount
 
 from conftest import brute_component_unions, random_connected_hypergraph
 
@@ -14,6 +14,21 @@ def test_mask_helpers_roundtrip():
     assert ids_of(0b101001) == (0, 3, 5)
     assert popcount(0b101001) == 3
     assert ids_of(0) == ()
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 65, 130])
+def test_bit_columns_match_a_per_bit_comprehension(n):
+    rng = random.Random(n)
+    for count in (0, 1, 7, 300):
+        masks = [rng.getrandbits(n) for _ in range(count)]
+        masks += masks[: count // 3] + [0, (1 << n) - 1] * (count > 0)  # duplicates, extremes
+        want = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+        assert bit_columns(n, masks) == want
+
+
+def test_bit_columns_of_no_masks():
+    assert bit_columns(5, []) == [0] * 5
+    assert bit_columns(0, []) == []
 
 
 def test_parse_and_serialize_roundtrip():

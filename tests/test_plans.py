@@ -15,6 +15,7 @@ from softdecomp import (
     execute_plan,
     naive_evaluate,
     parse_cq,
+    parse_hypergraph,
     plan_from_json,
     plan_to_json,
     soft_bags,
@@ -101,6 +102,26 @@ def test_foreign_decomposition_rejected():
     other_cq, other_h = parse_cq("a(p,q), b(q,p)")
     with pytest.raises(PlanError):
         compile_plan(cq, _decompose(other_cq, other_h))
+
+
+def test_cover_edges_map_to_atoms_by_name():
+    # The decomposition's hypergraph lists the atoms in reverse order.
+    cq, _ = parse_cq("ans(x,w) :- r(x,y), s(y,z), t(z,w).")
+    h = parse_hypergraph("t(z,w), s(y,z), r(x,y)")
+    plan = compile_plan(cq, _decompose(cq, h))
+    zw = plan.node_vars.index(("z", "w"))
+    assert plan.node_atoms[zw] == (2,)
+    assert plan.cartesian_nodes == ()
+    db = {"r": [(1, 2), (3, 4)], "s": [(2, 5), (4, 6)], "t": [(5, 7), (8, 9)]}
+    assert execute_plan(plan, db) == naive_evaluate(cq, db) == [(1, 7)]
+
+
+def test_cover_edge_outside_the_query_rejected():
+    cq, _ = parse_cq("r(x,y), s(y,z)")
+    h = parse_hypergraph("r(x,y), s(y,z), u(x,z)")
+    td = TreeDecomposition(h, [h.all_vertices_mask], [-1], [(2, 0)])
+    with pytest.raises(PlanError, match="'u' is not an atom"):
+        compile_plan(cq, td)
 
 
 @settings(deadline=None, max_examples=60)
