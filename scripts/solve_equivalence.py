@@ -25,7 +25,8 @@ Two more digests cover the layers under and beside the search:
   ``cycle(70)`` at k = 1, 2, and 300 graphs of the same random stream
   at k = 1..3.
 
-Run from the repository root:
+``tests/test_scripts.py`` pins every digest but ``hw`` through
+:func:`solve_digests`.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/solve_equivalence.py
 """
@@ -88,8 +89,13 @@ def bag_fingerprint(bags):
             pool(trimmed_next_pool(bags)))
 
 
-def main():
-    argparse.ArgumentParser(description=__doc__).parse_args()
+def solve_digests():
+    """The ``gallery``, ``random``, ``cycles`` and ``bags`` digests.
+
+    Returns ``{input: (runs, solve CPU seconds, hex digest)}``, the
+    ``bags`` entry counting bag sets, with no time.
+    """
+    out = {}
     bag_digest = hashlib.sha256()
     bag_sets = 0
     for which in ("gallery", "random", "cycles"):
@@ -107,8 +113,18 @@ def main():
             text = res.decomposition.to_text() if res.accepted else ""
             entries = sorted(res.table.entries.items())
             digest.update(repr((res.accepted, res.evals, entries, text)).encode())
-        print(f"{which:8} {runs:4} runs  solve {elapsed:6.2f} s CPU  {digest.hexdigest()}")
-    print(f"{'bags':8} {bag_sets:4} sets{'':22}{bag_digest.hexdigest()}")
+        out[which] = (runs, elapsed, digest.hexdigest())
+    out["bags"] = (bag_sets, None, bag_digest.hexdigest())
+    return out
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    for which, (runs, elapsed, digest) in solve_digests().items():
+        if elapsed is None:
+            print(f"{which:8} {runs:4} sets{'':22}{digest}")
+        else:
+            print(f"{which:8} {runs:4} runs  solve {elapsed:6.2f} s CPU  {digest}")
     digest = hashlib.sha256()
     runs = 0
     start = time.process_time()

@@ -24,7 +24,9 @@ and new pool members by the (row, column) position at which they are
 first found.  Above a size gate, and while every mask fits one uint64
 word, the enumerations over all pairs run in numpy, with the same
 results in the same order.  This is the package's only vectorized
-module: everything else runs on Python-int masks.
+module: everything else runs on Python-int masks, and the block search
+fills its component tables of long searches through
+:func:`_component_unions_batch`.
 
 Enumeration carries masks only.  A bag keeps the indices of the first
 component and cover union that made it; the edge and pool ids of its
@@ -178,7 +180,7 @@ def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
     return _combo_unions([s.vertices for s in pool], k)
 
 
-_cover_unions = cover_union_masks  # the name enumeration calls and perfbench times
+_cover_unions = cover_union_masks  # the name iterate_level calls and perfbench times
 
 
 def _fits_uint64(*mask_lists):
@@ -372,8 +374,8 @@ def _row_sub_edges(rows, bags, n):
     return out
 
 
-def _component_entries(h, k, max_steps):
-    """Distinct component unions over all separators, masks only.
+def _component_entries(h, seps):
+    """Distinct component unions over the separators ``seps``, masks only.
 
     Returns ``(union, separator)`` mask pairs in first-witness order: the
     unions of the components of each separator from
@@ -383,12 +385,11 @@ def _component_entries(h, k, max_steps):
     size gate, all separators are split at once in numpy, with the same
     result.
     """
-    seps = _separator_unions(h, k, max_steps)
     # Measured crossover: at 18 vertices numpy wins from about 60
     # separators, and the pure-Python split of one separator costs more
     # the more vertices it has.
     if len(seps) * h.n_vertices ** 2 > _NUMPY_THRESHOLD and _fits_uint64([h.all_vertices_mask]):
-        owner, unions = _component_unions_batch(h, seps)
+        owner, _, unions = _component_unions_batch(h, seps)
         uniq, pos = _first_seen(unions)
         return tuple(zip(uniq.tolist(), [seps[i] for i in owner[pos].tolist()]))
     entries = {}  # component union -> its first separator
@@ -399,16 +400,19 @@ def _component_entries(h, k, max_steps):
 
 
 def _component_unions_batch(h, seps):
-    """``h.component_unions`` of many separators at once, in numpy.
+    """``h.component_neighborhoods`` of many separators at once, in numpy.
 
     ``seps`` is a sequence of separator masks; ``h`` has at most 64
-    vertices.  Returns ``(owner, unions)``, two arrays in (separator,
-    component) order: ``unions`` concatenates
-    ``h.component_unions(seps[i])`` over ``i``, and ``owner`` holds the
-    ``i`` of each entry.  All separators advance together: each round
-    seeds one component per separator at its lowest remaining vertex
-    and grows it to its closure, so components come in order of
-    smallest member vertex, as in ``component_unions``.
+    vertices.  Returns ``(owner, comps, unions)``, three arrays in
+    (separator, component) order: ``comps`` and ``unions`` concatenate
+    the components and neighbourhoods of ``seps[i]`` over ``i``, and
+    ``owner`` holds the ``i`` of each entry.  All separators advance
+    together: each round seeds one component per separator at its
+    lowest remaining vertex and grows it to its closure, so components
+    come in order of smallest member vertex, as in
+    ``component_neighborhoods``.  The bag layer reads the unions of its
+    separators; the block search reads components and unions of its
+    bags (see :mod:`softdecomp.solver`).
     """
     table = _adjacency_bytes(h)
 
@@ -422,7 +426,7 @@ def _component_unions_batch(h, seps):
     free = ~np.asarray(seps, dtype=np.uint64) & np.uint64(h.all_vertices_mask)
     rest = free.copy()
     owner = np.arange(len(free))
-    owners, unions = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint64)]
+    owners, comps, unions = [np.zeros(0, dtype=np.int64)], [], []
     while True:
         live = rest != 0
         owner, free, rest = owner[live], free[live], rest[live]
@@ -436,11 +440,14 @@ def _component_unions_batch(h, seps):
             grow = grow[moved]
             comp[grow] = grown[moved]
         owners.append(owner)
+        comps.append(comp)
         unions.append(neighbourhoods(comp))
         rest &= ~comp
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
-    return owner[order], np.concatenate(unions)[order]
+    empty = np.zeros(0, dtype=np.uint64)
+    return (owner[order], np.concatenate([empty, *comps])[order],
+            np.concatenate([empty, *unions])[order])
 
 
 def _adjacency_bytes(h):
@@ -461,8 +468,7 @@ def _adjacency_bytes(h):
     return table
 
 
-def _enumerate_bags(h, k, pool, components, level, max_bags, max_steps):
-    covers = _cover_unions(pool, k, max_steps)
+def _enumerate_bags(h, k, pool, components, covers, level, max_bags, max_steps):
     if len(covers) * len(components) > max_steps:
         raise ResourceBudgetError("bag enumeration exceeded step budget")
     found = _first_intersections([cm for cm, _ in components], covers)
@@ -475,8 +481,11 @@ def _enumerate_bags(h, k, pool, components, level, max_bags, max_steps):
 def soft_bags(h, k, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     """The level-0 candidate bag set for width parameter ``k``."""
     pool = [SubEdge(m, i, 0) for i, m in enumerate(h.edge_masks)]
-    components = _component_entries(h, k, max_steps)
-    return _enumerate_bags(h, k, pool, components, 0, max_bags, max_steps)
+    seps = _separator_unions(h, k, max_steps)
+    # The level-0 pool is the edges in order, so its cover unions are
+    # the separators without the empty one.
+    return _enumerate_bags(h, k, pool, _component_entries(h, seps), seps[1:], 0,
+                           max_bags, max_steps)
 
 
 def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
@@ -491,29 +500,51 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     intersection per bag for wider ones.  Returns ``prev`` itself when
     neither the pool nor the bags grow.
     """
-    pool = _next_pool(prev)
-    nxt = _enumerate_bags(
-        prev.hypergraph, prev.k, pool, prev.components, prev.level + 1, max_bags, max_steps
-    )
+    pool = _next_pool(prev, max_steps)
+    covers = _cover_unions(pool, prev.k, max_steps)
+    nxt = _enumerate_bags(prev.hypergraph, prev.k, pool, prev.components, covers,
+                          prev.level + 1, max_bags, max_steps)
     if len(pool) == len(prev.pool) and nxt.bags.keys() == prev.bags.keys():
         return prev
     return nxt
 
 
-def _next_pool(prev):
+def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):
     """The old pool plus, in discovery order, every new nonempty
-    intersection of an old pool member with an old bag."""
+    intersection of an old pool member with an old bag.
+
+    Raises, as :func:`cover_union_masks` would on the whole pool, as
+    soon as the pool has more cover combinations than ``max_steps``.
+    """
     pool = list(prev.pool)
     members = [s.vertices for s in pool]
     seen = set(members)
     level = prev.level + 1
+    cap = _max_pool(prev.k, max_steps)
     found = _sub_edges(members, list(prev.bags), prev.hypergraph.n_vertices)
     for sub, subs in zip(prev.pool, found):
         for m in subs:
             if m not in seen:
+                if cap is not None and len(pool) >= cap:
+                    raise ResourceBudgetError("cover enumeration exceeded step budget")
                 seen.add(m)
                 pool.append(SubEdge(m, sub.origin, level))
     return pool
+
+
+def _max_pool(k, max_steps):
+    """The largest pool size ``n`` with ``_n_combos(n, k) <= max_steps``,
+    or None when ``k < 1`` leaves no combination to count."""
+    if k < 1:
+        return None
+    lo, hi = 0, max_steps + 1  # _n_combos(n, k) >= n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _n_combos(mid, k) <= max_steps:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def trimmed_next_pool(prev):

@@ -176,37 +176,41 @@ class Hypergraph:
             mask &= mask - 1
         return out
 
-    def closure(self, seed, sep):
-        """Vertices [sep]-reachable from ``seed & ~sep`` (a bitmask)."""
-        free = ~sep
-        comp = seed & free
-        frontier = comp
+    def component_neighborhoods(self, sep):
+        """Maximal [sep]-connected vertex sets, each with the union of
+        the edges meeting it, as ``(component, neighborhood)`` mask pairs.
+
+        The pairs are ordered by smallest member vertex.  Both masks
+        come from one walk: each vertex of a component is in exactly one
+        frontier, so the union of the frontiers' adjacency is the
+        component's neighborhood.
+        """
+        free = self.all_vertices_mask & ~sep
+        rest = free
         adj = self.adjacency
-        # Inlined: calling ``neighborhood`` here measured ~13 % slower on the bundled queries.
-        while frontier:
-            grown = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                grown |= adj[v]
-                m &= m - 1
-            frontier = grown & free & ~comp
-            comp |= frontier
-        return comp
+        out = []
+        while rest:
+            comp = frontier = rest & -rest
+            reach = 0
+            while frontier:
+                grown = 0
+                m = frontier
+                while m:
+                    grown |= adj[(m & -m).bit_length() - 1]
+                    m &= m - 1
+                reach |= grown
+                frontier = grown & free & ~comp
+                comp |= frontier
+            out.append((comp, reach))
+            rest &= ~comp
+        return out
 
     def vertex_components(self, sep):
         """Maximal [sep]-connected vertex sets, as bitmasks.
 
         The result is ordered by smallest member vertex id.
         """
-        rest = self.all_vertices_mask & ~sep
-        comps = []
-        while rest:
-            v = rest & -rest
-            comp = self.closure(v, sep)
-            comps.append(comp)
-            rest &= ~comp
-        return comps
+        return [comp for comp, _ in self.component_neighborhoods(sep)]
 
     def component_unions(self, sep):
         """Vertex unions of the edges meeting each [sep]-component, in
@@ -214,7 +218,7 @@ class Hypergraph:
 
         Edges inside ``sep`` meet no component and are in no union.
         """
-        return [self.neighborhood(comp) for comp in self.vertex_components(sep)]
+        return [reach for _, reach in self.component_neighborhoods(sep)]
 
     # -- text format ---------------------------------------------------------
 

@@ -33,8 +33,33 @@ updated wherever a failed block is recorded.  The candidates of
 ``(S, C)`` are the AND of the first over ``S ∩ N(C)``, the second over
 the vertices outside ``S ∪ C`` and the third over ``C``, without ``S``
 itself.  That is O(n) big-int operations per block, whatever the number
-of bags, and once the set is empty every further AND is O(1).  The
+of bags, and each filter loop stops once the set is empty.  The
 surviving bits are read in index order, a byte at a time.
+
+The search keeps one table per head: for a bag ``X``, its index in the
+candidate order and its [X]-components ``Y``, by smallest vertex, each
+with ``N(Y)``, all from one walk of the hypergraph
+(``Hypergraph.component_neighborhoods``).  A block ``(X, Y)`` reads
+``N(Y)`` and the index of ``X`` from the table its parent filled, so
+deciding a block walks no edges, and ``S`` is dropped from the
+candidates by clearing its bit before the filter.  In a long reject
+most blocks fail at once: in the benchmark gallery's rejects (H3 and
+H3prime at k=2, levels 0 and 1) every non-root block's only candidate
+is its own head, so once that bit is cleared the filter empties after
+a few ANDs and the block fails without reading a byte of the set.
+
+The tables are filled one bag at a time until ``_BATCH_AFTER`` = 512
+bags have missed, then, on up to 64 vertices, by the aligned chunk of
+``_BATCH`` = 1024 bags holding the missed one, in the bag layer's
+numpy batch (``bags._component_unions_batch``).  Measured on the bags
+of H3 and H3prime (k = 2 and 3, levels 0 and 1, CPython 3.11 on a
+2-vCPU Xeon VM), one bag costs 2.2-4.1 us one at a time and 0.5-1.1 us
+in a chunk of 1024 (1.0-2.0 us in chunks of 256, 12-21 us in chunks of
+16), so a chunk costs about what 150-350 single bags do.  A search that
+has missed 512 bags is a long one: the gallery's accepts miss at most
+159 and never batch, and its rejects batch all but their first 512
+bags.  Each chunk is filled at most once, so the batch adds at most
+about 1.5 us per bag of the set to any search.
 
 The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
 ``Y ⊊ C``, or ``Y = C`` and ``X ⊊ S``, so ``(|C|, |S|)`` falls
@@ -52,9 +77,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .bags import _component_unions_batch
 from .hypergraph import Hypergraph, bit_columns, ids_of, mask_of
 
 DEFAULT_MAX_EVALS = 5_000_000
+
+# When the block search batches its component tables; the module
+# docstring gives the measurement behind both.
+_BATCH_AFTER = 512
+_BATCH = 1024
 
 # Byte tables for reading the bitset index: _NONZERO maps every nonzero
 # byte to 1, and _BYTE_BITS[x] lists the bits set in byte x.
@@ -206,10 +237,14 @@ def _bag_index(n, bag_masks):
     """The bags in candidate order and their per-vertex bitset index.
 
     Returns ``(bags, has)``: ``bags`` sorted largest first, ties by
-    mask value, without duplicates, and ``has[v]`` the int whose bit
-    ``i`` is set when ``bags[i]`` contains vertex ``v``.
+    mask value, without duplicates and without the empty set (never a
+    basis: a root block's head is empty itself, and any other block
+    needs a vertex of its head), and ``has[v]`` the int whose bit ``i``
+    is set when ``bags[i]`` contains vertex ``v``.
     """
     bags = sorted(set(bag_masks))
+    if bags and not bags[0]:
+        bags.pop(0)
     bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
     return bags, bit_columns(n, bags)
 
@@ -230,30 +265,61 @@ class _Search:
         self.max_evals = max_evals
         self.evals = 0
         self.sat = {}  # block -> (X, subs)
-        self.comp_cache = {}
+        # heads[x]: (index of x in bags, {Y: N(Y)} over the [x]-components
+        # Y by smallest vertex); the root head, the empty set, has index -1.
+        self.heads = {0: (-1, dict(h.component_neighborhoods(0)))}
+        self.misses = 0  # lookups that found no table
+        self.batched = h.n_vertices <= 64
 
-    def components_of(self, x):
-        comps = self.comp_cache.get(x)
-        if comps is None:
-            comps = tuple(self.h.vertex_components(x))
-            self.comp_cache[x] = comps
-        return comps
+    def components_of(self, i):
+        """``{Y: N(Y)}`` over the components ``Y`` of ``bags[i]``, filled
+        on first use: one bag at a time, then, after ``_BATCH_AFTER``
+        misses and on up to 64 vertices, with the aligned chunk of
+        ``_BATCH`` bags that holds ``i``."""
+        x = self.bags[i]
+        entry = self.heads.get(x)
+        if entry is None:
+            self.misses += 1
+            if self.batched and self.misses > _BATCH_AFTER:
+                self._fill_chunk(i)
+                entry = self.heads[x]
+            else:
+                entry = self.heads[x] = (i, dict(self.h.component_neighborhoods(x)))
+        return entry[1]
 
-    def candidates(self, s, c, conn):
-        """Yield ``(index, mask)`` of the bags X != s with X inside s | c,
-        ``conn`` inside X, and no failed sub-block (X, Y) with Y inside c,
-        in candidate order."""
+    def _fill_chunk(self, i):
+        """Fill the tables of the chunk of bags holding ``i`` in the bag
+        layer's numpy batch."""
+        bags, heads = self.bags, self.heads
+        lo = i - i % _BATCH
+        todo = [j for j in range(lo, min(lo + _BATCH, len(bags))) if bags[j] not in heads]
+        tables = [{} for _ in todo]
+        owner, comps, unions = _component_unions_batch(self.h, [bags[j] for j in todo])
+        for o, y, reach in zip(owner.tolist(), comps.tolist(), unions.tolist()):
+            tables[o][y] = reach
+        for j, table in zip(todo, tables):
+            heads[bags[j]] = (j, table)
+
+    def candidates(self, head, c, conn):
+        """Yield ``(index, mask)`` of the bags X other than the head
+        ``bags[head]`` (-1: the root, whose head is empty) with X inside
+        ``bags[head] | c``, ``conn`` inside X, and no failed sub-block
+        (X, Y) with Y inside c, in candidate order."""
         sel = self.every
+        s = 0
+        if head >= 0:
+            sel ^= 1 << head
+            s = self.bags[head]
         has, lacks, live = self.has, self.lacks, self.live
-        while conn:
+        while conn and sel:
             sel &= has[(conn & -conn).bit_length() - 1]
             conn &= conn - 1
         vs = self.h.all_vertices_mask & ~(s | c)
-        while vs:
+        while vs and sel:
             sel &= lacks[(vs & -vs).bit_length() - 1]
             vs &= vs - 1
         vs = c
-        while vs:
+        while vs and sel:
             sel &= live[(vs & -vs).bit_length() - 1]
             vs &= vs - 1
         if not sel:
@@ -265,8 +331,7 @@ class _Search:
         while j >= 0:
             for i in _BYTE_BITS[raw[j]]:
                 i += 8 * j
-                if bags[i] != s:
-                    yield i, bags[i]
+                yield i, bags[i]
             j = marks.find(1, j + 1)
 
     def bases(self, block):
@@ -274,13 +339,14 @@ class _Search:
         candidate order, marking failed sub-blocks in ``dead`` and
         ``live`` on the way."""
         s, c = block
+        head, comps = self.heads[s]  # filled by the block's parent
         dead, live = self.dead, self.live
-        for i, x in self.candidates(s, c, s & self.h.neighborhood(c)):
+        for i, x in self.candidates(head, c, s & comps[c]):
             # A sub-block of x may have failed since the index was read.
             if dead[i] & c:
                 continue
             # Every component of x that meets c lies inside c.
-            ys = [y for y in self.components_of(x) if y & c]
+            ys = [y for y in self.components_of(i) if y & c]
             for y in ys:
                 if not self.evaluate((x, y)):
                     dead[i] |= y

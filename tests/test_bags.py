@@ -258,9 +258,15 @@ def _pool_cases():
 
 def test_next_level_pool_is_intersection_closure():
     # Same members, origins and order as the double loop over (member, bag).
+    # The step budget is set to what the whole pool needs.
     for name, lvl0 in _pool_cases():
-        got = [(s.vertices, s.origin, s.level) for s in bags_module._next_pool(lvl0)]
-        assert got == reference_next_pool(lvl0), name
+        want = reference_next_pool(lvl0)
+        steps = bags_module._n_combos(len(want), lvl0.k)
+        got = [(s.vertices, s.origin, s.level) for s in bags_module._next_pool(lvl0, steps)]
+        assert got == want, name
+        if len(want) > len(lvl0.pool):
+            with pytest.raises(ResourceBudgetError):
+                bags_module._next_pool(lvl0, steps - 1)
 
 
 def test_next_level_pool_on_random_graphs_over_two_levels():
@@ -424,17 +430,17 @@ def test_component_unions_batch_matches_one_by_one(max_vertices):
         h = random_connected_hypergraph(rng, max_vertices=max_vertices, max_edges=80)
         full = h.all_vertices_mask
         seps = [0, full] + [rng.getrandbits(h.n_vertices) & full for _ in range(40)]
-        owner, unions = _component_unions_batch(h, np.array(seps, dtype=np.uint64))
-        want = [(i, u) for i, sep in enumerate(seps) for u in h.component_unions(sep)]
-        assert list(zip(owner.tolist(), unions.tolist())) == want
+        owner, comps, unions = _component_unions_batch(h, np.array(seps, dtype=np.uint64))
+        want = [(i, c, u) for i, sep in enumerate(seps)
+                for c, u in h.component_neighborhoods(sep)]
+        assert list(zip(owner.tolist(), comps.tolist(), unions.tolist())) == want
 
 
 def test_component_unions_batch_of_nothing():
     h = parse_hypergraph("r(a,b), s(b,c)")
-    owner, unions = _component_unions_batch(h, np.array([h.all_vertices_mask], dtype=np.uint64))
-    assert len(owner) == len(unions) == 0
-    owner, unions = _component_unions_batch(h, np.zeros(0, dtype=np.uint64))
-    assert len(owner) == len(unions) == 0
+    for seps in ([h.all_vertices_mask], []):
+        owner, comps, unions = _component_unions_batch(h, np.array(seps, dtype=np.uint64))
+        assert len(owner) == len(comps) == len(unions) == 0
 
 
 def _component_entry_graphs():
@@ -454,8 +460,9 @@ def test_component_entries_twins_agree(monkeypatch):
     for h, kmax in _component_entry_graphs():
         assert h.n_vertices <= 64
         for k in range(1, kmax + 1):
+            seps = _separator_unions(h, k, DEFAULT_MAX_STEPS)
             numpy_side, python_side = _both_paths(
-                monkeypatch, lambda: bags_module._component_entries(h, k, DEFAULT_MAX_STEPS)
+                monkeypatch, lambda: bags_module._component_entries(h, seps)
             )
             assert numpy_side == python_side == _python_component_entries(h, k)
 
@@ -463,8 +470,9 @@ def test_component_entries_twins_agree(monkeypatch):
 def test_component_entries_above_64_vertices_use_python(monkeypatch):
     h = cycle(70)
     for k in (1, 2):
+        seps = _separator_unions(h, k, DEFAULT_MAX_STEPS)
         numpy_side, python_side = _both_paths(
-            monkeypatch, lambda: bags_module._component_entries(h, k, DEFAULT_MAX_STEPS)
+            monkeypatch, lambda: bags_module._component_entries(h, seps)
         )
         assert numpy_side == python_side == _python_component_entries(h, k)
 
@@ -505,6 +513,24 @@ def test_step_budget_raises():
         soft_bags(h, 2, max_steps=3)
     with pytest.raises(ResourceBudgetError):
         edge_cover_bags(h, 2, max_steps=3)
+
+
+def test_next_pool_stops_at_the_step_budget(monkeypatch):
+    # The next pool of H3prime plus an edge over all its vertices has
+    # 27,836 members at k=3, but the combinations of 1..3 of 392 members
+    # already exceed the default budget: the pool stops growing at 391.
+    lvl0 = soft_bags(h3prime_all(), 3)
+    made = []
+    real = bags_module.SubEdge
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bags_module, "SubEdge", counted)
+    with pytest.raises(ResourceBudgetError, match="cover enumeration exceeded step budget"):
+        iterate_level(lvl0)
+    assert len(lvl0.pool) + len(made) == 391
 
 
 def test_bag_budget_raises():

@@ -323,7 +323,8 @@ def test_candidate_order_ignores_input_order_and_duplicates():
         shuffled = masks[:]
         rng.shuffle(shuffled)
         want = sorted(set(masks), key=lambda m: (-popcount(m), m))
-        for given in (masks, masks[::-1], masks + masks[:50], shuffled):
+        # The empty set is never a basis and is no candidate.
+        for given in (masks, masks[::-1], masks + masks[:50], shuffled, [0, *masks]):
             assert solver_module._Search(h, given, 1).bags == want
 
 
@@ -349,12 +350,66 @@ def test_candidates_match_the_filter():
                 for comp in h.vertex_components(0):
                     search.evaluate((0, comp))
                 marked += any(search.dead)
-            heads = [0] + rng.sample(search.bags, min(8, len(search.bags)))
-            for s in heads:
+            heads = [-1] + rng.sample(range(len(search.bags)), min(8, len(search.bags)))
+            for head in heads:
+                s = search.bags[head] if head >= 0 else 0
                 for c in h.vertex_components(s):
-                    got = list(search.candidates(s, c, s & h.neighborhood(c)))
+                    got = list(search.candidates(head, c, s & h.neighborhood(c)))
                     assert got == _filtered(search, s, c)
     assert marked > 10
+
+
+def test_batched_component_table_matches_one_by_one():
+    # Every bag's {component: neighbourhood} table, in order, whether
+    # filled from the numpy batch or one bag at a time.
+    rng = random.Random(64)
+    graphs = [random_connected_hypergraph(rng, max_vertices=n, max_edges=30)
+              for n in (6, 20, 64) for _ in range(5)]
+    for h in graphs:
+        masks = list(soft_bags(h, 2).bags) + [h.all_vertices_mask]
+        masks += [rng.getrandbits(h.n_vertices) | 1 for _ in range(50)]
+        one, batched = (solver_module._Search(h, masks, 1) for _ in range(2))
+        one.batched = False
+        tables = [one.components_of(i) for i in range(len(one.bags))]
+        for lo in range(0, len(batched.bags), solver_module._BATCH):
+            batched._fill_chunk(lo)
+        assert one.bags == batched.bags
+        assert [list(batched.heads[x][1].items()) for x in batched.bags] == \
+            [list(t.items()) for t in tables]
+        assert [batched.heads[x][0] for x in batched.bags] == list(range(len(batched.bags)))
+        assert tables[one.bags.index(h.all_vertices_mask)] == {}
+
+
+def _solve_counting_batches(monkeypatch, h, bags):
+    calls = []
+    real = solver_module._component_unions_batch
+
+    def counted(h, seps):
+        calls.append(len(seps))
+        return real(h, seps)
+
+    monkeypatch.setattr(solver_module, "_component_unions_batch", counted)
+    return solve(h, bags), calls
+
+
+@pytest.mark.parametrize("name,level,k", [("H3", 0, 2), ("H3", 0, 3), ("H2", 1, 2)])
+def test_batch_from_the_first_miss_gives_the_same_search(monkeypatch, name, level, k):
+    h = gallery(name).hypergraph
+    bags = soft_bags_level(h, k, level)
+    default = solve(h, bags)
+    monkeypatch.setattr(solver_module, "_BATCH_AFTER", 0)
+    forced, calls = _solve_counting_batches(monkeypatch, h, bags)
+    assert calls
+    assert (forced.accepted, forced.evals) == (default.accepted, default.evals)
+    assert list(forced.table.entries.items()) == list(default.table.entries.items())
+
+
+def test_batch_stays_off_above_64_vertices(monkeypatch):
+    monkeypatch.setattr(solver_module, "_BATCH_AFTER", 0)
+    for n in (65, 66):
+        h = cycle(n)
+        res, calls = _solve_counting_batches(monkeypatch, h, soft_bags(h, 2))
+        assert res.accepted and calls == []
 
 
 def test_solve_reports_evals():
