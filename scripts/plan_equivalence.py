@@ -16,6 +16,7 @@ digests of what it got:
 what ``execute_plan`` returned.  An exception is hashed as its type
 and message, so a run that fails the same way on two commits still
 agrees.  Two commits compile the same plans when their digests agree.
+``tests/test_scripts.py`` pins both pairs through :func:`plan_digests`.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/plan_equivalence.py
@@ -90,8 +91,13 @@ def outcome(fn):
         return f"{type(exc).__name__}: {exc}", True
 
 
-def main():
-    argparse.ArgumentParser(description=__doc__).parse_args()
+def plan_digests():
+    """The ``sql`` and ``answers`` digests of each input.
+
+    Returns ``{input: (plans, failed calls, CPU seconds, sql digest,
+    answers digest)}``, each digest cut to 16 hex digits.
+    """
+    out = {}
     for which in ("queries", "random"):
         sql = hashlib.sha256()
         answers = hashlib.sha256()
@@ -108,9 +114,16 @@ def main():
             for digest, (text, bad) in zip((sql, answers), texts):
                 digest.update(text.encode())
                 failed += bad
-        elapsed = time.process_time() - start
+        out[which] = (runs, failed, time.process_time() - start,
+                      sql.hexdigest()[:16], answers.hexdigest()[:16])
+    return out
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    for which, (runs, failed, elapsed, sql, answers) in plan_digests().items():
         print(f"# {which}: {runs} plans, {failed} failed calls, {elapsed:.1f} s CPU")
-        print(f"{which:8} sql {sql.hexdigest()[:16]}  answers {answers.hexdigest()[:16]}")
+        print(f"{which:8} sql {sql}  answers {answers}")
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ import argparse
 import hashlib
 import random
 import time
+from bisect import bisect_right
 
 from softdecomp import gallery, hw_leq, soft_bags_level, solve
 from softdecomp.bags import trimmed_next_pool
@@ -82,11 +83,18 @@ def hw_cases():
 
 
 def bag_fingerprint(bags):
-    def pool(subs):
-        return [(s.vertices, s.origin, s.level) for s in subs]
+    # Each pool member as (mask, origin, level).  The runs stop at level
+    # 1, so a set's pool is the edges and at most one level of
+    # sub-edges, and ``trimmed_next_pool`` appends the next level: a
+    # member's level is the number of these starts at or before it.
+    assert bags.level <= 1
+    starts = [bags.hypergraph.n_edges] * bags.level + [len(bags.pool)]
 
-    return (pool(bags.pool), list(bags.bags.items()), bags.components, bags.covers,
-            pool(trimmed_next_pool(bags)))
+    def pool(masks, origins):
+        return [(m, o, bisect_right(starts, i)) for i, (m, o) in enumerate(zip(masks, origins))]
+
+    return (pool(bags.pool, bags.origins), list(bags.bags.items()), bags.components,
+            bags.covers, pool(*trimmed_next_pool(bags)))
 
 
 def solve_digests():

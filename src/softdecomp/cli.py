@@ -7,8 +7,9 @@ evaluation plan, which holds the query, each node's atoms and variables
 and the tree's ``parents``, against a CSV directory).
 
 Exit codes: 0 success/ACCEPT, 1 REJECT or failed validation, 2 usage
-error (including a statistics file that names an unknown relation),
-3 resource budget exceeded.
+error (including a statistics file that names an unknown relation, an
+out-of-range count and a file that cannot be read or written), 3
+resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -178,6 +179,8 @@ def _cmd_widths(args):
     measure = args.measure
     if measure == "shw" or measure.startswith("shw:"):
         level = int(measure[4:]) if measure.startswith("shw:") else 0
+        if level < 0:
+            raise UsageError(f"shw level must be at least 0, got {level}")
         found = _min_k(
             lambda k: solve(h, soft_bags_level(h, k, level)).accepted, args.max_k
         )
@@ -236,6 +239,16 @@ def _cmd_run_plan(args):
     return EXIT_ACCEPT
 
 
+def _int_from(lo):
+    """An argparse type: an integer of at least ``lo``."""
+    def parse(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="softdecomp")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,12 +257,12 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["hg", "cq", "sql"], default="hg")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=_int_from(0), default=0)
     p.add_argument("--constraint", action="append", default=[],
                    metavar="SPEC",
                    help="concov | shallowcyc:d=D | partclust:labels=FILE")
     p.add_argument("--stats", help="statistics catalog (JSON)")
-    p.add_argument("--top", type=int, help="emit the N best decompositions")
+    p.add_argument("--top", type=_int_from(1), help="emit the N best decompositions")
     p.add_argument("--out", help="output directory (default: stdout)")
     p.add_argument("--emit", choices=["txt", "gml", "plan", "sql"], default="txt")
     p.set_defaults(func=_cmd_decompose)
@@ -287,7 +300,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UsageError, QuerySyntaxError, UnsupportedSqlError, ValueError,
-            FileNotFoundError, MissingStatisticError) as exc:
+            OSError, MissingStatisticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceBudgetError, SolverBudgetError, OracleBudgetError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .solver import TreeDecomposition, minimum_cover
+from .solver import TreeDecomposition, _bag_masks, minimum_cover
 
 DEFAULT_SUBSET_VERTEX_CAP = 14
 
@@ -330,21 +330,17 @@ def _ghw_probe(h, k, max_steps):
 
     level0 = bagmod.soft_bags(h, k, max_bags=2_000_000, max_steps=max_steps)
     res = solve(h, level0)
+    pool, origins = level0.pool, level0.origins
     if not res.accepted:
-        pool = bagmod.trimmed_next_pool(level0)
+        pool, origins = bagmod.trimmed_next_pool(level0)
         masks = set(level0.bags)
         masks.update(bagmod.cover_union_masks(pool, k, max_steps))
         res = solve(h, sorted(masks))
         if not res.accepted:
             raise OracleBudgetError("upper-bound probe found no certificate")
-        cover_pool = [s.vertices for s in pool]
-        origin = [s.origin for s in pool]
-    else:
-        cover_pool = list(h.edge_masks)
-        origin = list(range(h.n_edges))
     td = res.decomposition
-    attach_covers(td, pool_masks=cover_pool, max_size=k)
-    td.covers = [tuple(sorted({origin[i] for i in c})) for c in td.covers]
+    attach_covers(td, pool_masks=pool, max_size=k)
+    td.covers = [tuple(sorted({origins[i] for i in c})) for c in td.covers]
     rep = validate_td(h, td, k=k, check_compnf=False)
     if not rep.ok:
         raise OracleBudgetError("probe produced an invalid decomposition")
@@ -364,7 +360,7 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
     stays proportional to the recursion depth, so taking only the first
     few trees is cheap even when the full count is astronomical.
     """
-    masks = sorted({m for m in (bags.bags if hasattr(bags, "bags") else bags)})
+    masks = sorted(set(_bag_masks(bags)))
     state = {"steps": 0}
 
     def options(block):

@@ -85,16 +85,16 @@ def test_witnesses_reproduce_their_bags(seed, k):
     h = random_connected_hypergraph(random.Random(seed))
     bag_set = soft_bags(h, k)
     for m in bag_set.bags:
-        bag = bag_set.witness(m)
+        lambda1, lambda2, component = bag_set.witness(m)
         cover = 0
-        for i in bag.lambda1:
-            cover |= bag_set.pool[i].vertices
+        for i in lambda1:
+            cover |= bag_set.pool[i]
         sep = 0
-        for e in bag.lambda2:
+        for e in lambda2:
             sep |= h.edge_masks[e]
-        assert len(bag.lambda1) <= k and len(bag.lambda2) <= k
-        assert bag.component in h.component_unions(sep)
-        assert cover & bag.component == m
+        assert len(lambda1) <= k and len(lambda2) <= k
+        assert component in h.component_unions(sep)
+        assert cover & component == m
 
 
 def _first_witnesses(masks, k):
@@ -114,12 +114,12 @@ def test_witness_is_the_first_combination(k):
         seps = _first_witnesses(h.edge_masks, k)
         for level in (0, 1):
             bag_set = soft_bags_level(h, k, level)
-            covers = _first_witnesses([s.vertices for s in bag_set.pool], k)
+            covers = _first_witnesses(bag_set.pool, k)
             for m in bag_set.bags:
-                bag = bag_set.witness(m)
-                cover = reduce(or_, (bag_set.pool[i].vertices for i in bag.lambda1))
-                sep = reduce(or_, (h.edge_masks[e] for e in bag.lambda2), 0)
-                assert covers[cover] == bag.lambda1 and seps[sep] == bag.lambda2
+                lambda1, lambda2, _ = bag_set.witness(m)
+                cover = reduce(or_, (bag_set.pool[i] for i in lambda1))
+                sep = reduce(or_, (h.edge_masks[e] for e in lambda2), 0)
+                assert covers[cover] == lambda1 and seps[sep] == lambda2
 
 
 def test_h3prime_level0_certificate():
@@ -130,19 +130,20 @@ def test_h3prime_level0_certificate():
     h = entry.hypergraph
     assert entry.widths["shw"] == 3
     bag_set = soft_bags(h, 3)
-    assert [s.vertices for s in bag_set.pool] == list(h.edge_masks)
+    assert bag_set.pool == list(h.edge_masks)
+    assert bag_set.origins == list(range(h.n_edges))
     td = solve(h, bag_set).decomposition
     for m in td.bags:
-        bag = bag_set.witness(m)
-        assert len(bag.lambda1) <= 3 and len(bag.lambda2) <= 3
+        lambda1, lambda2, component = bag_set.witness(m)
+        assert len(lambda1) <= 3 and len(lambda2) <= 3
         cover = 0
-        for i in bag.lambda1:
+        for i in lambda1:
             cover |= h.edge_masks[i]
         sep = 0
-        for e in bag.lambda2:
+        for e in lambda2:
             sep |= h.edge_masks[e]
-        assert bag.component in brute_component_unions(h.edge_masks, sep)
-        assert cover & bag.component == m
+        assert component in brute_component_unions(h.edge_masks, sep)
+        assert cover & component == m
     rep = validate_td(h, td, bag_masks=set(bag_set.masks()), k=3)
     assert rep.ok, rep.failures
 
@@ -165,7 +166,9 @@ def test_iteration_only_grows(seed, k):
     nxt = iterate_level(cur)
     if nxt is not cur:
         assert set(cur.bags) <= set(nxt.bags)
-        assert {s.vertices for s in cur.pool} <= {s.vertices for s in nxt.pool}
+        assert nxt.pool[:len(cur.pool)] == cur.pool
+        assert nxt.origins[:len(cur.origins)] == cur.origins
+        assert nxt.level == cur.level + 1
 
 
 def test_iteration_reaches_fixpoint_on_cycle():
@@ -187,33 +190,34 @@ def test_soft_bags_level_matches_manual_iteration():
 
 
 def reference_next_pool(prev):
-    """The next level's pool as a plain double loop over members and bags."""
-    pool = [(s.vertices, s.origin, s.level) for s in prev.pool]
-    seen = {s.vertices for s in prev.pool}
-    for sub in prev.pool:
+    """The next level's pool as (mask, origin) pairs, by a plain double
+    loop over members and bags; the old pool is its prefix."""
+    pool = list(zip(prev.pool, prev.origins))
+    seen = set(prev.pool)
+    for sub, origin in zip(prev.pool, prev.origins):
         for b in prev.bags:
-            m = sub.vertices & b
+            m = sub & b
             if m and m not in seen:
                 seen.add(m)
-                pool.append((m, sub.origin, prev.level + 1))
+                pool.append((m, origin))
     return pool
 
 
 def reference_trimmed_pool(prev):
     """``trimmed_next_pool`` with one set comprehension over all bags per member."""
     by_origin = {}
-    for sub in prev.pool:
-        for m in {sub.vertices & bm for bm in prev.bags}:
-            if m and m != sub.vertices and m.bit_count() >= 2:
-                by_origin.setdefault(sub.origin, set()).add(m)
-    pool = [(s.vertices, s.origin, s.level) for s in prev.pool]
-    seen = {s.vertices for s in prev.pool}
+    for sub, origin in zip(prev.pool, prev.origins):
+        for m in {sub & bm for bm in prev.bags}:
+            if m and m != sub and m.bit_count() >= 2:
+                by_origin.setdefault(origin, set()).add(m)
+    pool = list(zip(prev.pool, prev.origins))
+    seen = set(prev.pool)
     for orig in sorted(by_origin):
         cands = by_origin[orig]
         for m in sorted(cands, key=ids_of):
             if m not in seen and not any(o != m and not m & ~o for o in cands):
                 seen.add(m)
-                pool.append((m, orig, prev.level + 1))
+                pool.append((m, orig))
     return pool
 
 
@@ -262,7 +266,7 @@ def test_next_level_pool_is_intersection_closure():
     for name, lvl0 in _pool_cases():
         want = reference_next_pool(lvl0)
         steps = bags_module._n_combos(len(want), lvl0.k)
-        got = [(s.vertices, s.origin, s.level) for s in bags_module._next_pool(lvl0, steps)]
+        got = list(zip(*bags_module._next_pool(lvl0, steps)))
         assert got == want, name
         if len(want) > len(lvl0.pool):
             with pytest.raises(ResourceBudgetError):
@@ -278,7 +282,8 @@ def test_next_level_pool_on_random_graphs_over_two_levels():
         for _ in range(2):
             nxt = iterate_level(cur)
             want = reference_next_pool(cur)
-            assert [(s.vertices, s.origin, s.level) for s in nxt.pool] == want
+            assert list(zip(nxt.pool, nxt.origins)) == want
+            assert nxt.level == cur.level + (nxt is not cur)
             cur = nxt
 
 
@@ -292,7 +297,7 @@ def test_sub_edges_match_a_plain_loop(monkeypatch, split_arity):
               for _ in range(15)]
     for h in graphs + [wide12(), gallery("H2").hypergraph]:
         bs = soft_bags(h, 2)
-        members, masks = [s.vertices for s in bs.pool], list(bs.bags)
+        members, masks = bs.pool, list(bs.bags)
         want = [list(d.items()) for d in reference_sub_edges(members, masks)]
         for got in _both_paths(
             monkeypatch, lambda: bags_module._sub_edges(members, masks, h.n_vertices)
@@ -302,7 +307,7 @@ def test_sub_edges_match_a_plain_loop(monkeypatch, split_arity):
 
 def test_sub_edges_above_64_vertices():
     bs = soft_bags(cycle(65), 2)
-    members, masks = [s.vertices for s in bs.pool], list(bs.bags)
+    members, masks = bs.pool, list(bs.bags)
     got = bags_module._sub_edges(members, masks, 65)
     want = reference_sub_edges(members, masks)
     assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
@@ -317,7 +322,7 @@ def test_trimmed_next_pool_matches_the_comprehension():
         h = random_connected_hypergraph(rng, max_vertices=9, max_edges=8, max_arity=8)
         cases.append((f"random {i}", soft_bags(h, rng.randint(1, 3))))
     for name, lvl0 in cases:
-        got = [(s.vertices, s.origin, s.level) for s in trimmed_next_pool(lvl0)]
+        got = list(zip(*trimmed_next_pool(lvl0)))
         assert got == reference_trimmed_pool(lvl0), name
 
 
@@ -329,9 +334,7 @@ def test_trimmed_next_pool_matches_the_comprehension():
 def test_cover_union_masks_are_exactly_small_unions(seed, k):
     h = random_connected_hypergraph(random.Random(seed))
     pool = list(h.edge_masks)
-    got = cover_union_masks(
-        [type("S", (), {"vertices": m})() for m in pool], k
-    )
+    got = cover_union_masks(pool, k)
     assert set(got) == brute_cover_unions(pool, k)
     assert len(got) == len(set(got))
 
@@ -415,8 +418,8 @@ def test_twins_keep_discovery_order(monkeypatch, k):
             out = []
             for level in (0, 1):
                 bs = soft_bags_level(h, k, level)
-                pool = [(s.vertices, s.origin, s.level) for s in bs.pool]
-                out.append((pool, list(bs.bags), bs.serialize()))
+                pool = list(zip(bs.pool, bs.origins))
+                out.append((pool, bs.level, list(bs.bags), bs.serialize()))
             return out
 
         numpy_side, python_side = _both_paths(monkeypatch, build)
@@ -518,19 +521,26 @@ def test_step_budget_raises():
 def test_next_pool_stops_at_the_step_budget(monkeypatch):
     # The next pool of H3prime plus an edge over all its vertices has
     # 27,836 members at k=3, but the combinations of 1..3 of 392 members
-    # already exceed the default budget: the pool stops growing at 391.
+    # already exceed the default budget: the pool stops growing at 391,
+    # and the loop reads no sub-edge past the first one that would be
+    # member 392.
     lvl0 = soft_bags(h3prime_all(), 3)
-    made = []
-    real = bags_module.SubEdge
+    read = []
+    real = bags_module._sub_edges
 
-    def counted(*args):
-        made.append(args)
-        return real(*args)
+    def counted(subs):
+        for m in subs:
+            read.append(m)
+            yield m
 
-    monkeypatch.setattr(bags_module, "SubEdge", counted)
+    monkeypatch.setattr(bags_module, "_sub_edges",
+                        lambda *args: [counted(subs) for subs in real(*args)])
     with pytest.raises(ResourceBudgetError, match="cover enumeration exceeded step budget"):
         iterate_level(lvl0)
-    assert len(lvl0.pool) + len(made) == 391
+    old = set(lvl0.pool)
+    new = [m for m in dict.fromkeys(read) if m not in old]
+    assert len(lvl0.pool) + len(new) == 392
+    assert read[-1] == new[-1]
 
 
 def test_bag_budget_raises():

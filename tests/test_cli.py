@@ -179,6 +179,29 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["nonsense"]) == 2
 
 
+def test_unreadable_input_and_unwritable_out_are_usage_errors(tmp_path, hg_file, capsys):
+    # A directory as the input file, and an existing file as the output
+    # directory: both are OS errors, reported without a traceback.
+    assert main(["decompose", "--input", str(tmp_path), "--k", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["decompose", "--input", hg_file, "--k", "1", "--out", str(taken)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["decompose", "--k", "2", "--top", "0"], "must be at least 1, got 0"),
+    (["decompose", "--k", "2", "--top", "-1"], "must be at least 1, got -1"),
+    (["decompose", "--k", "2", "--level", "-3"], "must be at least 0, got -3"),
+    (["widths", "--measure", "shw:-2"], "shw level must be at least 0, got -2"),
+])
+def test_out_of_range_counts_are_usage_errors(hg_file, capsys, argv, named):
+    assert main([*argv, "--input", hg_file]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_unknown_constraint_edge_is_usage_error(tmp_path, hg_file):
     labels = tmp_path / "labels.txt"
     labels.write_text("zzz\n")

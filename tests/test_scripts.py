@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` still imports and parses ``--help``,
-and the block search still gives the answers
-``scripts/solve_equivalence.py`` pins."""
+the block search still gives the answers ``scripts/solve_equivalence.py``
+pins, and compiled plans still give those ``scripts/plan_equivalence.py``
+pins."""
 
 import importlib.util
 import os
@@ -35,10 +36,28 @@ SOLVE_DIGESTS = {
 }
 
 
-def test_solve_answers_are_pinned():
-    spec = importlib.util.spec_from_file_location(
-        "solve_equivalence", ROOT / "scripts" / "solve_equivalence.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    got = {which: digest for which, (_, _, digest) in script.solve_digests().items()}
+    return script
+
+
+def test_solve_answers_are_pinned():
+    got = {which: digest
+           for which, (_, _, digest) in _load("solve_equivalence").solve_digests().items()}
     assert got == SOLVE_DIGESTS
+
+
+# The digests of ``scripts/plan_equivalence.py``: the emitted SQL and
+# the answers of the plans compiled for the bundled and random queries.
+PLAN_DIGESTS = {
+    "queries": ("062db073daebf600", "d8cfa75bccfbeaea"),
+    "random": ("5101f17fe23cb996", "e3cbcfaeff214a7a"),
+}
+
+
+def test_plan_answers_are_pinned():
+    got = {which: (sql, answers)
+           for which, (_, _, _, sql, answers) in _load("plan_equivalence").plan_digests().items()}
+    assert got == PLAN_DIGESTS
