@@ -16,7 +16,8 @@ about half of the bags and random primary keys, so every term of the
 cost formula is exercised.  ``full`` hashes (verdict, ``sort_key``,
 ``to_text()``, ``len(table)``) per run; ``tree`` hashes (verdict,
 ``to_text()``) only.  Two commits give the same answers when their
-digests agree.  Run from the repository root:
+digests agree.  ``tests/test_scripts.py`` pins all 20 through
+:func:`optimizer_digests`.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/optimizer_equivalence.py
 """
@@ -94,8 +95,13 @@ def cases(which):
             yield h, k, bags, make_stats(random.Random(2 * g + k), h, bags.masks())
 
 
-def main():
-    argparse.ArgumentParser(description=__doc__).parse_args()
+def optimizer_digests():
+    """The ``full`` and ``tree`` digests of each input and pairing.
+
+    Returns ``{input: (runs per pairing, CPU seconds, {pairing: (full,
+    tree)})}``, each digest cut to 16 hex digits.
+    """
+    out = {}
     for which in ("queries", "random"):
         full = {name: hashlib.sha256() for name in PAIRINGS}
         tree = {name: hashlib.sha256() for name in PAIRINGS}
@@ -109,11 +115,18 @@ def main():
                 key = res.key.sort_key if res.accepted else None
                 full[name].update(repr((res.accepted, key, text, len(res.table))).encode())
                 tree[name].update(repr((res.accepted, text)).encode())
-        elapsed = time.process_time() - start
+        out[which] = (runs, time.process_time() - start,
+                      {name: (full[name].hexdigest()[:16], tree[name].hexdigest()[:16])
+                       for name in PAIRINGS})
+    return out
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    for which, (runs, elapsed, digests) in optimizer_digests().items():
         print(f"# {which}: {runs} runs per pairing, {elapsed:.1f} s CPU")
-        for name in PAIRINGS:
-            print(f"{which:8} {name:38} full {full[name].hexdigest()[:16]}"
-                  f"  tree {tree[name].hexdigest()[:16]}")
+        for name, (full, tree) in digests.items():
+            print(f"{which:8} {name:38} full {full}  tree {tree}")
 
 
 if __name__ == "__main__":

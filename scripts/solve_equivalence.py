@@ -93,8 +93,10 @@ def bag_fingerprint(bags):
     def pool(masks, origins):
         return [(m, o, bisect_right(starts, i)) for i, (m, o) in enumerate(zip(masks, origins))]
 
-    return (pool(bags.pool, bags.origins), list(bags.bags.items()), bags.components,
-            bags.covers, pool(*trimmed_next_pool(bags)))
+    # Each bag as (mask, (component index, cover index)).
+    cells = [(m, divmod(cell, len(bags.covers))) for m, cell in bags.bags.items()]
+    return (pool(bags.pool, bags.origins), cells, bags.components, bags.covers,
+            pool(*trimmed_next_pool(bags)))
 
 
 def solve_digests():

@@ -29,8 +29,8 @@ module: everything else runs on Python-int masks, and the block search
 fills its component tables of long searches through
 :func:`_component_unions_batch`.
 
-Enumeration carries masks only.  A bag keeps the indices of the first
-component and cover union that made it; the pool and edge ids of its
+Enumeration carries masks only.  A bag keeps one int, the cell of its
+first (component, cover union) pair; the pool and edge ids of its
 witness are derived when :meth:`CandidateBagSet.witness` reads them.
 """
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import or_
 
 import numpy as np
@@ -62,8 +62,9 @@ class ResourceBudgetError(RuntimeError):
 class CandidateBagSet:
     """All candidate bags of one level, plus the cover pool that made them.
 
-    ``bags`` maps each bag mask to the indices of its first component
-    entry (a ``(union, separator)`` mask pair) and its first cover union.
+    ``bags`` maps each bag mask to the cell ``ci * len(covers) + wi`` of
+    its first component entry and cover union, ``components[ci]`` (a
+    ``(union, separator)`` mask pair) and ``covers[wi]``.
     """
 
     hypergraph: Hypergraph
@@ -71,7 +72,7 @@ class CandidateBagSet:
     level: int
     pool: list  # vertex masks: the edges in order, then each level's new sub-edges
     origins: list  # the id of the edge each pool member lies in
-    bags: dict  # vertices mask -> (index into components, index into covers)
+    bags: dict  # vertices mask -> its first (component, cover) cell
     components: tuple
     covers: list
 
@@ -84,7 +85,7 @@ class CandidateBagSet:
     def witness(self, m):
         """Bag ``m``'s first witness ``(lambda1, lambda2, component)``: pool
         ids, edge ids and the vertex union of a component."""
-        ci, wi = self.bags[m]
+        ci, wi = divmod(self.bags[m], len(self.covers))
         component, sep = self.components[ci]
         lambda1 = _first_combo(self.pool, self.k, self.covers[wi])
         lambda2 = _first_combo(self.hypergraph.edge_masks, self.k, sep)
@@ -224,12 +225,12 @@ def _first_seen(values):
 
 
 def _first_intersections(rows, cols):
-    """Distinct nonzero masks ``rows[i] & cols[j]``, each with its first ``(i, j)``.
+    """Distinct nonzero masks ``rows[i] & cols[j]``, each with its first cell.
 
-    Returns ``(mask, i, j)`` triples in discovery order, i.e. ordered
-    by ``(i, j)``: the order of a loop over the rows and, within a row,
-    over the columns that keeps each mask not seen before.  Above a
-    size gate, and when every mask fits 64 bits, the loop runs in
+    Returns ``{mask: i * len(cols) + j}`` in discovery order, i.e.
+    ordered by ``(i, j)``: the order of a loop over the rows and, within
+    a row, over the columns that keeps each mask not seen before.  Above
+    a size gate, and when every mask fits 64 bits, the loop runs in
     numpy, in blocks of at most ``_BLOCK`` intersections to bound
     memory.  It forms the bags, component unions times cover unions;
     the sub-edge pool is split per member by :func:`_sub_edges`, since
@@ -237,29 +238,24 @@ def _first_intersections(rows, cols):
     among many bags.
     """
     if len(rows) * len(cols) <= _NUMPY_THRESHOLD or not _fits_uint64(rows, cols):
-        seen = set()
-        out = []
-        for i, row in enumerate(rows):
-            for j, col in enumerate(cols):
-                m = row & col
-                if m and m not in seen:
-                    seen.add(m)
-                    out.append((m, i, j))
-        return out
+        first = {}
+        for p, (row, col) in enumerate(product(rows, cols)):
+            first.setdefault(row & col, p)
+        first.pop(0, None)
+        return first
     row_arr = np.array(rows, dtype=np.uint64)
     col_arr = np.array(cols, dtype=np.uint64)
     seen = np.zeros(0, dtype=np.uint64)
-    out = []
+    first = {}
     step = max(1, _BLOCK // max(len(cols), 1))
     for lo in range(0, len(rows), step):
         block = (row_arr[lo:lo + step, None] & col_arr[None, :]).ravel()
         uniq, pos = _first_seen(block)  # ordered by pos, i.e. by (i, j)
         keep = (uniq != 0) & ~np.isin(uniq, seen)
         uniq, pos = uniq[keep], pos[keep]
-        i, j = np.divmod(pos, len(cols))
-        out.extend(zip(uniq.tolist(), (i + lo).tolist(), j.tolist()))
+        first.update(zip(uniq.tolist(), (pos + lo * len(cols)).tolist()))
         seen = np.concatenate([seen, uniq])
-    return out
+    return first
 
 
 def _sub_edges(members, bags, n):
@@ -455,10 +451,9 @@ def _adjacency_bytes(h):
 def _enumerate_bags(h, k, pool, origins, components, covers, level, max_bags, max_steps):
     if len(covers) * len(components) > max_steps:
         raise ResourceBudgetError("bag enumeration exceeded step budget")
-    found = _first_intersections([cm for cm, _ in components], covers)
-    if len(found) > max_bags:
+    bags = _first_intersections([cm for cm, _ in components], covers)
+    if len(bags) > max_bags:
         raise ResourceBudgetError("bag count exceeded budget")
-    bags = {m: (ci, wi) for m, ci, wi in found}
     return CandidateBagSet(h, k, level, pool, origins, bags, components, covers)
 
 
@@ -477,19 +472,16 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     The new cover pool is the old pool plus all nonempty intersections
     of old pool members with old bags, deduplicated by vertex set, in
     (member, first bag) order; the separator side, ``prev.components``,
-    is reused.  Each member's intersections come from
-    :func:`_sub_edges`: a split of the bags on their per-vertex bitset
-    index for members of at most ``_SPLIT_ARITY`` vertices, one
-    intersection per bag for wider ones.  Returns ``prev`` itself when
-    neither the pool nor the bags grow.
+    is reused.  Each member's intersections come from :func:`_sub_edges`.
+    Returns ``prev`` itself when the pool does not grow, as covers and
+    bags then cannot change.
     """
     pool, origins = _next_pool(prev, max_steps)
-    covers = _cover_unions(pool, prev.k, max_steps)
-    nxt = _enumerate_bags(prev.hypergraph, prev.k, pool, origins, prev.components, covers,
-                          prev.level + 1, max_bags, max_steps)
-    if len(pool) == len(prev.pool) and nxt.bags.keys() == prev.bags.keys():
+    if len(pool) == len(prev.pool):
         return prev
-    return nxt
+    covers = _cover_unions(pool, prev.k, max_steps)
+    return _enumerate_bags(prev.hypergraph, prev.k, pool, origins, prev.components, covers,
+                           prev.level + 1, max_bags, max_steps)
 
 
 def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):

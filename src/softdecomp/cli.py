@@ -7,9 +7,9 @@ evaluation plan, which holds the query, each node's atoms and variables
 and the tree's ``parents``, against a CSV directory).
 
 Exit codes: 0 success/ACCEPT, 1 REJECT or failed validation, 2 usage
-error (including a statistics file that names an unknown relation, an
-out-of-range count and a file that cannot be read or written), 3
-resource budget exceeded.
+error (including a statistics file of the wrong shape or that names
+an unknown relation, an out-of-range count or width, and a file that
+cannot be read or written), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def _parse_constraint(spec, h):
     if name == "concov":
         return ConnectedCover()
     if name == "shallowcyc":
-        if not args.startswith("d="):
-            raise UsageError("shallowcyc needs d=<depth>, e.g. shallowcyc:d=2")
+        if not args.startswith("d=") or int(args[2:]) < 0:
+            raise UsageError("shallowcyc needs d=<depth> with depth >= 0, e.g. shallowcyc:d=2")
         return ShallowCyclicity(int(args[2:]))
     if name == "partclust":
         if not args.startswith("labels="):
@@ -256,7 +256,7 @@ def build_parser():
     p = sub.add_parser("decompose", help="build a constrained decomposition")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["hg", "cq", "sql"], default="hg")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_from(1), required=True)
     p.add_argument("--level", type=_int_from(0), default=0)
     p.add_argument("--constraint", action="append", default=[],
                    metavar="SPEC",
@@ -272,14 +272,14 @@ def build_parser():
     p.add_argument("--format", choices=["hg", "cq", "sql"], default="hg")
     p.add_argument("--measure", required=True,
                    help="shw | shw:i (iteration level i) | hw | ghw")
-    p.add_argument("--max-k", type=int, default=6)
+    p.add_argument("--max-k", type=_int_from(1), default=6)
     p.set_defaults(func=_cmd_widths)
 
     p = sub.add_parser("verify", help="validate a decomposition file")
     p.add_argument("--td", required=True)
     p.add_argument("--hypergraph", required=True)
     p.add_argument("--mode", choices=["hw", "ghw", "ctd"], default="ctd")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_int_from(1))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("run-plan", help="execute a saved evaluation plan")

@@ -60,42 +60,54 @@ class StatsCatalog:
 
     @classmethod
     def from_json(cls, h, text):
-        """Load the JSON stats format (relations / bags / cap).
+        """Load the JSON stats format: ``{"relations": {name: {"card": int,
+        "key": [var, ...]}}, "bags": [{"vars": [var, ...], "card": int}],
+        "cap": int}``, where ``key``, ``bags`` and ``cap`` are optional.
 
-        A file that is not a JSON object, a relation or bag without
-        ``card``, a bag without ``vars``, or a name that is no relation
-        or variable of ``h`` raises :class:`MissingStatisticError`.
+        Any other shape, or a name that is no relation or variable of
+        ``h``, raises :class:`MissingStatisticError`.
         """
         data = json.loads(text) if isinstance(text, str) else text
-        if not isinstance(data, dict):
-            raise MissingStatisticError("statistics must be a JSON object")
         name_to_id = {n: i for i, n in enumerate(h.edge_names)}
         vname_to_id = {n: i for i, n in enumerate(h.vertex_names)}
 
+        def check(ok, message):
+            if not ok:
+                raise MissingStatisticError(message)
+
         def need(entry, key, what):
-            if key not in entry:
-                raise MissingStatisticError(f"no {key!r} for {what}")
+            check(key in entry, f"no {key!r} for {what}")
             return entry[key]
 
+        def card(entry, key, what):
+            value = need(entry, key, what)
+            check(type(value) is int, f"{key!r} for {what} is not an integer: {value!r}")
+            return value
+
         def vars_mask(names, what):
-            unknown = [v for v in names if v not in vname_to_id]
-            if unknown:
-                raise MissingStatisticError(f"unknown variable {unknown[0]!r} in {what}")
+            check(isinstance(names, list) and all(isinstance(v, str) for v in names),
+                  f"{what} is not a list of names: {names!r}")
+            for v in names:
+                check(v in vname_to_id, f"unknown variable {v!r} in {what}")
             return mask_of(vname_to_id[v] for v in names)
 
-        rel = {}
-        keys = {}
-        for name, entry in data.get("relations", {}).items():
-            if name not in name_to_id:
-                raise MissingStatisticError(f"unknown relation {name!r}")
+        check(isinstance(data, dict), "statistics must be a JSON object")
+        relations, entries = data.get("relations", {}), data.get("bags", [])
+        check(isinstance(relations, dict), "'relations' is not a JSON object")
+        check(isinstance(entries, list) and all(isinstance(b, dict) for b in entries),
+              "'bags' is not a list of JSON objects")
+        rel, keys, bags = {}, {}, {}
+        for name, entry in relations.items():
+            check(name in name_to_id, f"unknown relation {name!r}")
+            check(isinstance(entry, dict), f"relation {name!r} is not a JSON object")
             e = name_to_id[name]
-            rel[e] = int(need(entry, "card", f"relation {name!r}"))
+            rel[e] = card(entry, "card", f"relation {name!r}")
             keys[e] = vars_mask(entry.get("key", []), f"the key of relation {name!r}")
-        bags = {}
-        for entry in data.get("bags", []):
+        for entry in entries:
             names = need(entry, "vars", "a bag")
-            bags[vars_mask(names, f"bag {names!r}")] = int(need(entry, "card", f"bag {names!r}"))
-        return cls(h, rel, bags, keys, int(data.get("cap", 10**6)))
+            bags[vars_mask(names, f"bag {names!r}")] = card(entry, "card", f"bag {names!r}")
+        cap = card(data, "cap", "the catalog") if "cap" in data else 10**6
+        return cls(h, rel, bags, keys, cap)
 
     def join_card(self, bag, cover):
         """|J| for a bag, falling back to a crude bound when unknown.

@@ -171,7 +171,7 @@ def test_iteration_only_grows(seed, k):
         assert nxt.level == cur.level + 1
 
 
-def test_iteration_reaches_fixpoint_on_cycle():
+def test_iteration_reaches_fixpoint_on_cycle(monkeypatch):
     h = gallery("C5").hypergraph
     cur = soft_bags(h, 2)
     for _ in range(10):
@@ -180,6 +180,14 @@ def test_iteration_reaches_fixpoint_on_cycle():
             break
         cur = nxt
     assert nxt is cur
+
+    # Once the pool stops growing, neither covers nor bags can change, so
+    # the fixpoint is found before any cover union is formed.
+    def no_covers(*args):
+        raise AssertionError("cover unions formed at a fixpoint")
+
+    monkeypatch.setattr(bags_module, "_cover_unions", no_covers)
+    assert iterate_level(cur) is cur
 
 
 def test_soft_bags_level_matches_manual_iteration():
@@ -409,7 +417,10 @@ def _python_component_entries(h, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_twins_keep_discovery_order(monkeypatch, k):
-    # Pool order, bag order and witnesses must not depend on which path ran.
+    # Pool order, bag order, bag cells and witnesses must not depend on
+    # which path ran, nor on how many row blocks a numpy path takes: at
+    # 7 intersections per block, a block holds one row or a few.
+    blocks = (bags_module._BLOCK, 7)
     rng = random.Random(400 + k)
     for _ in range(30):
         h = random_connected_hypergraph(rng, max_vertices=8, max_edges=7)
@@ -419,11 +430,14 @@ def test_twins_keep_discovery_order(monkeypatch, k):
             for level in (0, 1):
                 bs = soft_bags_level(h, k, level)
                 pool = list(zip(bs.pool, bs.origins))
-                out.append((pool, bs.level, list(bs.bags), bs.serialize()))
+                out.append((pool, bs.level, list(bs.bags.items()), bs.serialize()))
             return out
 
-        numpy_side, python_side = _both_paths(monkeypatch, build)
-        assert numpy_side == python_side
+        sides = []
+        for block in blocks:
+            monkeypatch.setattr(bags_module, "_BLOCK", block)
+            sides.extend(_both_paths(monkeypatch, build))
+        assert all(side == sides[0] for side in sides)
 
 
 @pytest.mark.parametrize("max_vertices", [6, 20, 64])

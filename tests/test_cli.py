@@ -196,9 +196,16 @@ def test_unreadable_input_and_unwritable_out_are_usage_errors(tmp_path, hg_file,
     (["decompose", "--k", "2", "--top", "-1"], "must be at least 1, got -1"),
     (["decompose", "--k", "2", "--level", "-3"], "must be at least 0, got -3"),
     (["widths", "--measure", "shw:-2"], "shw level must be at least 0, got -2"),
+    (["decompose", "--k", "0"], "must be at least 1, got 0"),
+    (["decompose", "--k", "-1"], "must be at least 1, got -1"),
+    (["widths", "--measure", "shw", "--max-k", "0"], "must be at least 1, got 0"),
+    (["widths", "--measure", "hw", "--max-k", "-2"], "must be at least 1, got -2"),
+    (["verify", "--td", "t.td", "--k", "0"], "must be at least 1, got 0"),
+    (["decompose", "--k", "2", "--constraint", "shallowcyc:d=-1"], "with depth >= 0"),
 ])
 def test_out_of_range_counts_are_usage_errors(hg_file, capsys, argv, named):
-    assert main([*argv, "--input", hg_file]) == 2
+    flag = "--hypergraph" if argv[0] == "verify" else "--input"
+    assert main([*argv, flag, hg_file]) == 2
     assert named in capsys.readouterr().err
 
 
@@ -233,8 +240,21 @@ def test_malformed_statistics_are_usage_errors(tmp_path, capsys):
     relations = {"r": {"card": 2}, "s": {"card": 3}}
     bad_key = {"relations": dict(relations, s={"card": 3, "key": ["nokey"]})}
     bad_bag = {"relations": relations, "bags": [{"vars": ["x", "nobag"], "card": 4}]}
-    for bad, named in ((no_card, "'card' for relation 'r'"), (bad_key, "'nokey'"),
-                       (bad_bag, "'nobag'"), ([relations], "JSON object")):
+    cases = (
+        (no_card, "'card' for relation 'r'"), (bad_key, "'nokey'"),
+        (bad_bag, "'nobag'"), ([relations], "JSON object"),
+        ({"relations": {"r": 5}}, "relation 'r' is not a JSON object"),
+        ({"relations": []}, "'relations' is not a JSON object"),
+        ({"relations": relations, "bags": [7]}, "'bags' is not a list of JSON objects"),
+        ({"relations": relations, "bags": {"vars": ["x"], "card": 1}}, "'bags' is not a list"),
+        ({"relations": dict(relations, r={"card": None})}, "'card' for relation 'r' is not"),
+        ({"relations": dict(relations, r={"card": "2"})}, "'card' for relation 'r' is not"),
+        ({"relations": relations, "bags": [{"vars": ["x"], "card": 1.5}]}, "is not an integer"),
+        ({"relations": relations, "cap": None}, "'cap' for the catalog is not an integer"),
+        ({"relations": dict(relations, r={"card": 2, "key": "x"})}, "is not a list of names"),
+        ({"relations": relations, "bags": [{"vars": "xy", "card": 4}]}, "is not a list of names"),
+    )
+    for bad, named in cases:
         stats.write_text(json.dumps(bad))
         capsys.readouterr()
         rc = main([

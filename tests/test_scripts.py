@@ -1,7 +1,7 @@
 """Every script under ``scripts/`` still imports and parses ``--help``,
 the block search still gives the answers ``scripts/solve_equivalence.py``
-pins, and compiled plans still give those ``scripts/plan_equivalence.py``
-pins."""
+pins, the constrained optimizer those ``scripts/optimizer_equivalence.py``
+pins, and compiled plans those ``scripts/plan_equivalence.py`` pins."""
 
 import importlib.util
 import os
@@ -61,3 +61,29 @@ def test_plan_answers_are_pinned():
     got = {which: (sql, answers)
            for which, (_, _, _, sql, answers) in _load("plan_equivalence").plan_digests().items()}
     assert got == PLAN_DIGESTS
+
+
+# The digests of ``scripts/optimizer_equivalence.py``: ``full`` (verdict,
+# sort key, tree, table size) and ``tree`` (verdict, tree) of
+# ``solve_constrained`` per input and (constraint, order) pairing.
+OPTIMIZER_DIGESTS = {
+    "queries": {
+        "AlwaysTrue+trivial": ("609fd2118213cb75", "9020a6f45cf5fb66"),
+        "ConnectedCover+cost": ("743e3006559389a8", "032a5f767c1e5a08"),
+        "ShallowCyclicity(1)+cyclicity": ("a0943aaf08611ea1", "9020a6f45cf5fb66"),
+        "PartitionClustering+partition": ("05fc609ad0b2496e", "f79600ebf927fead"),
+        "PartitionClustering+partition(stats)": ("07b315541f54b15e", "bcadd8044655a626"),
+    },
+    "random": {
+        "AlwaysTrue+trivial": ("b3ae84c0b15fe657", "cf1a0be4731932b2"),
+        "ConnectedCover+cost": ("b05cf2608c39a310", "afa2b21f53934e5c"),
+        "ShallowCyclicity(1)+cyclicity": ("519bc5057c7edc50", "73fffe1a9faa1c87"),
+        "PartitionClustering+partition": ("ab260e1000577875", "41e7ac59d0e49d7c"),
+        "PartitionClustering+partition(stats)": ("f4cbb12ed7d69725", "d62cd682a6a35f31"),
+    },
+}
+
+
+def test_optimizer_answers_are_pinned():
+    digests = _load("optimizer_equivalence").optimizer_digests()
+    assert {which: got for which, (_, _, got) in digests.items()} == OPTIMIZER_DIGESTS
