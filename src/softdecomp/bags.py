@@ -16,7 +16,7 @@ id of the edge each lies in.  A pool member of at most
 vertex by vertex on a per-vertex bitset index of the bags (one AND and
 one XOR of Python ints per set and vertex, with no limit on the number
 of vertices); a wider member, whose split could reach ``2 ** arity``
-sets, is intersected with every bag instead (see :func:`_sub_edges`).
+sets, is one row of :func:`_first_intersections`, as the bags are.
 
 Everything is produced in one order, the first-witness order of plain
 loops: edge and pool combinations by size, then lexicographically;
@@ -232,10 +232,9 @@ def _first_intersections(rows, cols):
     a row, over the columns that keeps each mask not seen before.  Above
     a size gate, and when every mask fits 64 bits, the loop runs in
     numpy, in blocks of at most ``_BLOCK`` intersections to bound
-    memory.  It forms the bags, component unions times cover unions;
-    the sub-edge pool is split per member by :func:`_sub_edges`, since
-    the few vertices of a pool member leave few distinct intersections
-    among many bags.
+    memory.  It forms the bags, component unions times cover unions,
+    and the sub-edges of each pool member too wide for the split of
+    :func:`_sub_edges`.
     """
     if len(rows) * len(cols) <= _NUMPY_THRESHOLD or not _fits_uint64(rows, cols):
         first = {}
@@ -276,20 +275,22 @@ def _sub_edges(members, bags, n):
     number of vertices, but a member of ``r`` vertices can reach
     ``2 ** r`` sets.
 
-    Wider members go to :func:`_row_sub_edges`, which forms one
-    intersection per bag.  The bound was set by measurement, splitting
-    every member against one intersection per bag on graphs of 14-30
-    random edges of ``r`` vertices each: the split took 0.15-0.81 of
-    the time at r <= 5, 0.50-0.98 at r = 6, 1.2-1.6 at r = 7 and
-    1.8-2.3 at r = 8.
+    A wider member is one row of :func:`_first_intersections`, whose
+    cells are then the ``j``.  The bound was set by measurement,
+    splitting every member against one intersection per bag on graphs
+    of 14-30 random edges of ``r`` vertices each: the split took
+    0.15-0.81 of the time at r <= 5, 0.50-0.98 at r = 6, 1.2-1.6 at
+    r = 7 and 1.8-2.3 at r = 8.  Only test inputs have wide members;
+    without a batch across them, ``_next_pool`` on ``wide12`` of
+    ``tests/test_bags.py`` at k=3 (14 members of 12 vertices, 4,143
+    bags) takes 11-12 ms of CPU, not 3.3 (best of 9, Xeon VM, CPython 3.11).
     """
-    wide = iter(_row_sub_edges([p for p in members if p.bit_count() > _SPLIT_ARITY], bags, n))
     index = None
     every = (1 << len(bags)) - 1
     out = []
     for p in members:
         if p.bit_count() > _SPLIT_ARITY:
-            out.append(next(wide))
+            out.append(_first_intersections([p], bags))
             continue
         if index is None:
             index = bit_columns(n, bags)
@@ -307,50 +308,6 @@ def _sub_edges(members, bags, n):
             sets = split
         out.append({m: j for j, m in sorted(
             ((s & -s).bit_length() - 1, m) for s, m in sets if m)})
-    return out
-
-
-def _row_sub_edges(rows, bags, n):
-    """``_sub_edges`` of ``rows``, one intersection per (row, bag) pair.
-
-    Above a size gate, and on up to 64 vertices, the pairs are formed
-    in numpy, in blocks of at most ``_BLOCK``: each intersection is
-    keyed by its row above bit ``n``, so ``_first_seen`` keeps the
-    first ``(row, j)`` of every distinct one per row.
-
-    Both paths stay, by measurement (CPU time on a 2-vCPU Xeon VM,
-    CPython 3.11, best of 9, numpy against the dict loop, this function
-    alone): ``wide12`` of ``tests/test_bags.py`` at k=3 (14 members of
-    12 vertices against 4,143 bags) 1.8 against 5.0 ms; random graphs with
-    9-16 members of 7-12 vertices and 34k-63k pairs 0.85-1.3 against
-    2.9-5.5 ms; but H3prime plus an edge over all its vertices at k=3
-    (one 18-vertex member against 27,778 bags) 4.7 against 3.1 ms.
-    With the dict loop alone, wide12's k=3 pool step would take about
-    8.3 ms instead of 2.1.
-    """
-    if len(rows) * len(bags) <= _NUMPY_THRESHOLD or n > 64:
-        out = []
-        for row in rows:
-            first = {}
-            for j, b in enumerate(bags):
-                first.setdefault(row & b, j)
-            first.pop(0, None)
-            out.append(first)
-        return out
-    bag_arr = np.array(bags, dtype=np.uint64)
-    low = np.uint64((1 << n) - 1)
-    step = min(max(1, _BLOCK // len(bags)), 1 << (64 - n))  # row keys fit above bit n
-    out = []
-    for lo in range(0, len(rows), step):
-        block = np.array(rows[lo:lo + step], dtype=np.uint64)[:, None] & bag_arr
-        block |= np.arange(len(block), dtype=np.uint64)[:, None] << np.uint64(n)
-        keys, pos = _first_seen(block.ravel())  # ordered by pos, i.e. by (row, j)
-        masks = keys & low
-        keep = masks != 0
-        i, j = np.divmod(pos[keep], len(bags))
-        bounds = np.searchsorted(i, np.arange(len(block) + 1)).tolist()
-        masks, j = masks[keep].tolist(), j.tolist()
-        out.extend(dict(zip(masks[a:b], j[a:b])) for a, b in zip(bounds, bounds[1:]))
     return out
 
 
@@ -532,8 +489,8 @@ def trimmed_next_pool(prev):
     previous bags.  Any solve accepting over bags built from this pool
     is sound, since the pool is a subset of the full next-level pool.
     The sub-edges of each member come from :func:`_sub_edges`, as in
-    :func:`iterate_level` (a split on the bags' bitset index, or one
-    intersection per bag for members wider than ``_SPLIT_ARITY``).
+    :func:`iterate_level` (a split on the bags' bitset index, or
+    :func:`_first_intersections` for members wider than ``_SPLIT_ARITY``).
     """
     found = _sub_edges(prev.pool, list(prev.bags), prev.hypergraph.n_vertices)
     by_origin = {}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import pathlib
+import re
 import sys
 
 from .bags import ResourceBudgetError, soft_bags_level
@@ -200,7 +201,8 @@ def _cmd_widths(args):
 def _cmd_verify(args):
     _, h = _load_input(args.hypergraph, "hg")
     td = td_from_text(h, pathlib.Path(args.td).read_text())
-    report = validate_td(h, td, k=args.k, check_special=(args.mode == "hw"))
+    report = validate_td(h, td, k=args.k, check_compnf=(args.mode == "ctd"),
+                         check_special=(args.mode == "hw"))
     for name in dict.fromkeys(report.checks):
         print(f"check {name}: {'ok' if not any(f.startswith(name) for f in report.failures) else 'FAIL'}")
     for failure in report.failures:
@@ -220,7 +222,7 @@ def _read_db(db_dir, relations):
             reader = csv.reader(f)
             next(reader, None)  # header names the column positions
             for row in reader:
-                rows.add(tuple(int(c) if c.lstrip("-").isdigit() else c for c in row))
+                rows.add(tuple(int(c) if re.fullmatch(r"-?[0-9]+", c) else c for c in row))
         db[rel] = rows
     return db
 
@@ -278,7 +280,8 @@ def build_parser():
     p = sub.add_parser("verify", help="validate a decomposition file")
     p.add_argument("--td", required=True)
     p.add_argument("--hypergraph", required=True)
-    p.add_argument("--mode", choices=["hw", "ghw", "ctd"], default="ctd")
+    p.add_argument("--mode", choices=["hw", "ghw", "ctd"], default="ctd",
+                   help="ctd also checks component normal form, hw the cover descent")
     p.add_argument("--k", type=_int_from(1))
     p.set_defaults(func=_cmd_verify)
 

@@ -64,8 +64,8 @@ class StatsCatalog:
         "key": [var, ...]}}, "bags": [{"vars": [var, ...], "card": int}],
         "cap": int}``, where ``key``, ``bags`` and ``cap`` are optional.
 
-        Any other shape, or a name that is no relation or variable of
-        ``h``, raises :class:`MissingStatisticError`.
+        Any other shape, a negative count, or a name that is no relation
+        or variable of ``h``, raises :class:`MissingStatisticError`.
         """
         data = json.loads(text) if isinstance(text, str) else text
         name_to_id = {n: i for i, n in enumerate(h.edge_names)}
@@ -82,6 +82,7 @@ class StatsCatalog:
         def card(entry, key, what):
             value = need(entry, key, what)
             check(type(value) is int, f"{key!r} for {what} is not an integer: {value!r}")
+            check(value >= 0, f"{key!r} for {what} is negative: {value}")
             return value
 
         def vars_mask(names, what):

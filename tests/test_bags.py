@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from functools import reduce
 from itertools import combinations, product
@@ -561,3 +563,18 @@ def test_bag_budget_raises():
     h = gallery("H2").hypergraph
     with pytest.raises(ResourceBudgetError):
         soft_bags(h, 2, max_bags=2)
+
+
+def test_only_bags_imports_numpy():
+    # The vectorized kernels live in the bag layer; every other module runs
+    # on Python ints, so numpy stays out of their imports.
+    def imported(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module.split(".")[0]
+
+    sources = sorted(pathlib.Path(bags_module.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    assert [p.name for p in sources if "numpy" in set(imported(p))] == ["bags.py"]

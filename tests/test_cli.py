@@ -4,7 +4,7 @@ import time
 import pytest
 
 from softdecomp import gallery, parse_cq
-from softdecomp.cli import main
+from softdecomp.cli import _read_db, main
 
 
 PATH = "r(a,b),\ns(b,c),\nt(c,d)\n"
@@ -90,6 +90,26 @@ def test_run_plan_round_trip(tmp_path, capsys):
     assert "1,5" in out
 
 
+def test_run_plan_reads_only_decimal_cells_as_ints(tmp_path, capsys):
+    # "--5" and "²" pass str.isdigit once "-" is stripped, but int() rejects
+    # them; only cells of the form -?[0-9]+ become ints.
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "r.csv").write_text("c0,c1,c2,c3\n--5,²,-7,12\n")
+    assert _read_db(db, ["r"]) == {"r": {("--5", "²", -7, 12)}}
+    q = tmp_path / "q.cq"
+    q.write_text("ans(x,z) :- r(x,y), s(y,z).")
+    main([
+        "decompose", "--input", str(q), "--format", "cq", "--k", "1",
+        "--emit", "plan", "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    (db / "r.csv").write_text("c0,c1\n--5,²\na,12\n")
+    (db / "s.csv").write_text("c0,c1\n²,-7\n12,3\n")
+    assert main(["run-plan", "--plan", str(next(tmp_path.glob("*.json"))), "--db", str(db)]) == 0
+    assert capsys.readouterr().out.split() == ["x,z", "--5,-7", "a,3"]
+
+
 def test_malformed_plan_is_usage_error(tmp_path, capsys):
     q = tmp_path / "q.cq"
     q.write_text("ans(x,z) :- r(x,y), s(y,z).")
@@ -158,6 +178,21 @@ def test_verify_reads_parents_after_children(tmp_path, capsys):
     td.write_text("0 1 {d,x} cover{e5}\n1 0 {a,b} cover{e2}\n")
     assert main(args) == 2
     assert "parent cycle" in capsys.readouterr().err
+
+
+def test_only_ctd_mode_checks_component_normal_form(tmp_path, capsys):
+    # A width-1 HD, but no component left by {y,z} has the leaf {y} as union.
+    h = tmp_path / "ab.hg"
+    h.write_text("a(x,y), b(y,z)\n")
+    td = tmp_path / "ab.td"
+    td.write_text("0 -1 {x,y} cover{a}\n1 0 {y,z} cover{b}\n2 1 {y} cover{a}\n")
+    args = ["verify", "--td", str(td), "--hypergraph", str(h), "--k", "1", "--mode"]
+    for mode, rc, verdict in (("hw", 0, "VALID"), ("ghw", 0, "VALID"), ("ctd", 1, "INVALID")):
+        assert main([*args, mode]) == rc, mode
+        out = capsys.readouterr().out
+        assert f"result: {verdict}\n" in out, mode
+        assert ("component-normal-form" in out) == (mode == "ctd"), mode
+        assert ("check cover-descent: ok" in out) == (mode == "hw"), mode
 
 
 def test_sql_input(tmp_path, capsys):
@@ -253,6 +288,8 @@ def test_malformed_statistics_are_usage_errors(tmp_path, capsys):
         ({"relations": relations, "cap": None}, "'cap' for the catalog is not an integer"),
         ({"relations": dict(relations, r={"card": 2, "key": "x"})}, "is not a list of names"),
         ({"relations": relations, "bags": [{"vars": "xy", "card": 4}]}, "is not a list of names"),
+        ({"relations": dict(relations, r={"card": -5})}, "'card' for relation 'r' is negative"),
+        ({"relations": relations, "cap": -1}, "'cap' for the catalog is negative"),
     )
     for bad, named in cases:
         stats.write_text(json.dumps(bad))

@@ -185,3 +185,10 @@ def test_stats_catalog_from_json():
     assert stats.bag_join_card[mask_of([0, 1, 2])] == 12
     with pytest.raises(MissingStatisticError):
         StatsCatalog.from_json(h, '{"relations": {"zzz": {"card": 1}}}')
+    # A zero card is an empty relation or join, a zero cap a tight bound.
+    empty = StatsCatalog.from_json(
+        h, '{"relations": {"r": {"card": 0}, "s": {"card": 0}},'
+           ' "bags": [{"vars": ["b"], "card": 0}], "cap": 0}'
+    )
+    assert empty.relation_card == {0: 0, 1: 0}
+    assert (empty.bag_join_card, empty.cap) == ({mask_of([1]): 0}, 0)
