@@ -192,8 +192,9 @@ def _atom_table(atom, db):
 def execute_plan(plan, db):
     """Run a plan over in-memory relations (name → iterable of tuples).
 
-    Returns a sorted list of output tuples, or a bool for Boolean
-    queries.  Matches naive join-project evaluation by construction.
+    Returns a sorted list of output tuples (see :func:`_sorted_rows`),
+    or a bool for Boolean queries.  Matches naive join-project
+    evaluation by construction.
 
     Each atom's relation is read once, in node order, so a missing
     relation or a wrong arity raises ``PlanError`` for the first such
@@ -226,7 +227,7 @@ def execute_plan(plan, db):
         return all(tables[r] for r in plan.decomposition.roots())
     for child, parent in down:
         semijoin(child, parent)
-    return sorted(_join_connected([(tables[u], node_vars[u]) for u in order], cq.output))
+    return _sorted_rows(_join_connected([(tables[u], node_vars[u]) for u in order], cq.output))
 
 
 def naive_evaluate(cq, db):
@@ -236,7 +237,20 @@ def naive_evaluate(cq, db):
         rows, vs = _join(rows, vs, *_atom_table(a, db))
     if cq.boolean:
         return bool(rows)
-    return sorted(_project(rows, vs, tuple(cq.output)))
+    return _sorted_rows(_project(rows, vs, tuple(cq.output)))
+
+
+def _sorted_rows(rows):
+    """``rows`` as a sorted list.
+
+    A column whose cells do not compare, such as ints and strings read
+    from one CSV column, sorts by the cells' type names first: ints
+    before strings, each group by value.
+    """
+    try:
+        return sorted(rows)
+    except TypeError:
+        return sorted(rows, key=lambda row: tuple((type(c).__name__, c) for c in row))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,20 @@ from softdecomp import ConjunctiveQuery, Atom, StatsCatalog
 from softdecomp.gallery import random_connected_hypergraph  # noqa: F401  (tests import it from here)
 
 
+FORCE_NUMPY, FORCE_PYTHON = 0, 10**9
+
+
+def force_bag_paths(monkeypatch, threshold):
+    """Set every size gate of the bag layer (each ``*_THRESHOLD`` of
+    ``softdecomp.bags``) to ``threshold``: ``FORCE_NUMPY`` sends every
+    kernel to numpy, ``FORCE_PYTHON`` to its pure-Python twin."""
+    from softdecomp import bags
+
+    for name in vars(bags):
+        if name.endswith("_THRESHOLD"):
+            monkeypatch.setattr(bags, name, threshold)
+
+
 def brute_component_unions(edge_masks, sep):
     """[sep]-component vertex unions, via explicit pairwise closure."""
     free = [m for m in edge_masks if m & ~sep]

@@ -32,7 +32,13 @@ from softdecomp.bags import (
 from softdecomp.gallery import cycle, gallery_names
 from softdecomp.hypergraph import Hypergraph, ids_of, mask_of, parse_hypergraph
 
-from conftest import brute_component_unions, random_connected_hypergraph
+from conftest import (
+    FORCE_NUMPY,
+    FORCE_PYTHON,
+    brute_component_unions,
+    force_bag_paths,
+    random_connected_hypergraph,
+)
 
 
 # --- independent re-implementations used as oracles ----------------------
@@ -381,29 +387,50 @@ def test_connected_filter_rejects_disconnected_covers():
 
 def test_first_seen_keeps_first_occurrences():
     rng = random.Random(5)
-    for bits in (12, 63):  # packed sort keys, and the np.unique fallback
-        choices = [rng.getrandbits(bits) for _ in range(50)]
-        values = [rng.choice(choices) for _ in range(2_000)]
+    n = 2_000
+    widest = (bags_module._DENSE_RATIO * n).bit_length() - 1  # widest w with a table
+    # Tables of 16 cells and at the ratio's edge, sorted keys just past
+    # it, and the np.unique fallback at 63 bits.
+    for bits in (4, widest, widest + 1, 63):
+        choices = [(1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(49)]
+        values = [rng.choice(choices) for _ in range(n)]
         uniq, pos = _first_seen(np.array(values, dtype=np.uint64))
         want = {}
         for i, v in enumerate(values):
             want.setdefault(v, i)
+        assert (uniq.dtype, pos.dtype) == (np.uint64, np.int64)
         assert uniq.tolist() == list(want)
         assert pos.tolist() == list(want.values())
+    uniq, pos = _first_seen(np.zeros(0, dtype=np.uint64))
+    assert (uniq.dtype, pos.dtype, len(uniq), len(pos)) == (np.uint64, np.int64, 0, 0)
 
 
 # --- numpy and pure-Python twins ---------------------------------------------
 
-_FORCE_NUMPY, _FORCE_PYTHON = 0, 10**9
-
-
 def _both_paths(monkeypatch, build):
     """``build()`` with every size gate forcing numpy, then pure Python."""
     out = []
-    for threshold in (_FORCE_NUMPY, _FORCE_PYTHON):
-        monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
+    for threshold in (FORCE_NUMPY, FORCE_PYTHON):
+        force_bag_paths(monkeypatch, threshold)
         out.append(build())
     return out
+
+
+def test_forced_gates_reach_both_combo_paths(monkeypatch):
+    # Forcing pure Python must keep _combo_unions off numpy, and forcing
+    # numpy must take it there, or the twin tests compare a path with itself.
+    calls = []
+    first_seen = bags_module._first_seen
+    monkeypatch.setattr(bags_module, "_first_seen", lambda v: calls.append(len(v)) or first_seen(v))
+    masks = list(gallery("H2").hypergraph.edge_masks)
+
+    def build():
+        calls.clear()
+        return bags_module._combo_unions(masks, 2), len(calls)
+
+    (numpy_unions, numpy_calls), (python_unions, python_calls) = _both_paths(monkeypatch, build)
+    assert numpy_unions == python_unions
+    assert (numpy_calls, python_calls) == (1, 0)
 
 
 def _python_component_entries(h, k):
@@ -508,8 +535,11 @@ def test_separator_budget_boundary(name, k):
 
 def test_separator_unions_match_a_plain_loop(monkeypatch):
     cases = [(name, k) for name in ("H2", "H3") for k in (1, 2, 3)]
-    for (name, k), threshold in product(cases, (_FORCE_NUMPY, bags_module._NUMPY_THRESHOLD)):
-        monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
+    gates = (FORCE_NUMPY, FORCE_PYTHON, None)  # None keeps the measured gates
+    for (name, k), threshold in product(cases, gates):
+        monkeypatch.undo()
+        if threshold is not None:
+            force_bag_paths(monkeypatch, threshold)
         h = gallery(name).hypergraph
         want, seen = [], set()
         for size in range(k + 1):

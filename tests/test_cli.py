@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from softdecomp import gallery, parse_cq
+from softdecomp import gallery, naive_evaluate, parse_cq
 from softdecomp.cli import _read_db, main
 
 
@@ -108,6 +108,24 @@ def test_run_plan_reads_only_decimal_cells_as_ints(tmp_path, capsys):
     (db / "s.csv").write_text("c0,c1\n²,-7\n12,3\n")
     assert main(["run-plan", "--plan", str(next(tmp_path.glob("*.json"))), "--db", str(db)]) == 0
     assert capsys.readouterr().out.split() == ["x,z", "--5,-7", "a,3"]
+
+
+def test_run_plan_sorts_a_column_of_ints_and_strings(tmp_path, capsys):
+    q = tmp_path / "q.cq"
+    q.write_text("ans(x,z) :- r(x,y), s(y,z).")
+    main([
+        "decompose", "--input", str(q), "--format", "cq", "--k", "1",
+        "--emit", "plan", "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "r.csv").write_text("c0,c1\na,2\n1,2\n")
+    (db / "s.csv").write_text("c0,c1\n2,5\n")
+    assert main(["run-plan", "--plan", str(next(tmp_path.glob("*.json"))), "--db", str(db)]) == 0
+    assert capsys.readouterr().out.split() == ["x,z", "1,5", "a,5"]
+    cq, _ = parse_cq(q.read_text())
+    assert naive_evaluate(cq, _read_db(db, ["r", "s"])) == [(1, 5), ("a", 5)]
 
 
 def test_malformed_plan_is_usage_error(tmp_path, capsys):

@@ -17,13 +17,12 @@ from softdecomp import (
     solve,
     validate_td,
 )
-from softdecomp import bags as bags_module
 from softdecomp import solver as solver_module
 from softdecomp.gallery import cycle
 from softdecomp.solver import BasisTable, extract_decomposition, minimum_cover, td_from_text
 from softdecomp.hypergraph import ids_of, mask_of, popcount
 
-from conftest import random_connected_hypergraph
+from conftest import FORCE_NUMPY, FORCE_PYTHON, force_bag_paths, random_connected_hypergraph
 
 
 def brute_minimum_cover(h, bag):
@@ -129,8 +128,7 @@ def test_accepted_trees_always_validate(seed, k):
 # The candidate bags come from either bag-enumeration path: the numpy one
 # above its size gate or the pure-Python one below it.  The search must
 # answer alike on both.
-_FORCE_NUMPY, _FORCE_PYTHON = 0, 10**9
-_BAG_PATHS = pytest.mark.parametrize("threshold", [_FORCE_NUMPY, _FORCE_PYTHON],
+_BAG_PATHS = pytest.mark.parametrize("threshold", [FORCE_NUMPY, FORCE_PYTHON],
                                      ids=["numpy", "python"])
 
 
@@ -224,7 +222,7 @@ def _random_bag_sets(seed, n_graphs):
 
 @_BAG_PATHS
 def test_solve_matches_reference_search(monkeypatch, threshold):
-    monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
+    force_bag_paths(monkeypatch, threshold)
     fewer = 0
     for h, masks in _random_bag_sets(500, 300):
         assert all(type(m) is int for m in masks)
@@ -284,7 +282,7 @@ def test_nested_blocks_shrink(monkeypatch, threshold):
             failed[s] = failed.get(s, 0) | c
         return ok
 
-    monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
+    force_bag_paths(monkeypatch, threshold)
     monkeypatch.setattr(solver_module._Search, "evaluate", evaluate)
     cases = [(gallery(name).hypergraph, k) for name in ("H2", "H3", "C5") for k in (1, 2, 3)]
     rng = random.Random(77)
@@ -302,7 +300,7 @@ def test_nested_blocks_shrink(monkeypatch, threshold):
 
 @_BAG_PATHS
 def test_solve_ignores_bag_order(monkeypatch, threshold):
-    monkeypatch.setattr(bags_module, "_NUMPY_THRESHOLD", threshold)
+    force_bag_paths(monkeypatch, threshold)
     rng = random.Random(5)
     for name, k in [("H2", 2), ("C5", 2), ("H3", 3)]:
         h = gallery(name).hypergraph
