@@ -13,7 +13,10 @@ per input:
 
 Each run hashes (verdict, ``evals``, the sorted ``table.entries``,
 ``to_text()`` of the tree).  Two commits give the same answers, find
-the same bases and decide as many blocks when their digests agree.
+the same bases and decide as many blocks when their digests agree.  A
+second digest per input, ``<input> verdicts``, hashes only (verdict,
+``to_text()``): it holds when a change decides fewer blocks for the
+same answers.
 
 Two more digests cover the layers under and beside the search:
 
@@ -25,8 +28,8 @@ Two more digests cover the layers under and beside the search:
   ``cycle(70)`` at k = 1, 2, and 300 graphs of the same random stream
   at k = 1..3.
 
-``tests/test_scripts.py`` pins every digest but ``hw`` through
-:func:`solve_digests`.  Run from the repository root:
+``tests/test_scripts.py`` pins every digest through :func:`solve_digests`
+and :func:`hw_digest`.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/solve_equivalence.py
 """
@@ -100,16 +103,19 @@ def bag_fingerprint(bags):
 
 
 def solve_digests():
-    """The ``gallery``, ``random``, ``cycles`` and ``bags`` digests.
+    """The ``gallery``, ``random``, ``cycles`` and ``bags`` digests, and
+    the ``<input> verdicts`` digest of each of the first three.
 
-    Returns ``{input: (runs, solve CPU seconds, hex digest)}``, the
-    ``bags`` entry counting bag sets, with no time.
+    Returns ``{name: (runs, solve CPU seconds, hex digest)}``; the
+    ``bags`` entry counts bag sets, and it and the verdict entries
+    carry no time.
     """
     out = {}
     bag_digest = hashlib.sha256()
     bag_sets = 0
     for which in ("gallery", "random", "cycles"):
         digest = hashlib.sha256()
+        verdicts = hashlib.sha256()
         runs = 0
         elapsed = 0.0
         for h, k, level in cases(which):
@@ -123,18 +129,15 @@ def solve_digests():
             text = res.decomposition.to_text() if res.accepted else ""
             entries = sorted(res.table.entries.items())
             digest.update(repr((res.accepted, res.evals, entries, text)).encode())
+            verdicts.update(repr((res.accepted, text)).encode())
         out[which] = (runs, elapsed, digest.hexdigest())
+        out[f"{which} verdicts"] = (runs, None, verdicts.hexdigest())
     out["bags"] = (bag_sets, None, bag_digest.hexdigest())
     return out
 
 
-def main():
-    argparse.ArgumentParser(description=__doc__).parse_args()
-    for which, (runs, elapsed, digest) in solve_digests().items():
-        if elapsed is None:
-            print(f"{which:8} {runs:4} sets{'':22}{digest}")
-        else:
-            print(f"{which:8} {runs:4} runs  solve {elapsed:6.2f} s CPU  {digest}")
+def hw_digest():
+    """The ``hw`` digest: ``(runs, hw_leq CPU seconds, hex digest)``."""
     digest = hashlib.sha256()
     runs = 0
     start = time.process_time()
@@ -142,8 +145,17 @@ def main():
         td = hw_leq(h, k)
         digest.update(repr(None if td is None else td.to_text()).encode())
         runs += 1
-    elapsed = time.process_time() - start
-    print(f"{'hw':8} {runs:4} runs  hw_leq {elapsed:5.2f} s CPU  {digest.hexdigest()}")
+    return runs, time.process_time() - start, digest.hexdigest()
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    for which, (runs, elapsed, digest) in solve_digests().items():
+        unit = "sets" if which == "bags" else "runs"
+        time_note = "" if elapsed is None else f"solve {elapsed:6.2f} s CPU"
+        print(f"{which:16} {runs:4} {unit}  {time_note:20}  {digest}")
+    runs, elapsed, digest = hw_digest()
+    print(f"{'hw':16} {runs:4} runs  {f'hw_leq {elapsed:5.2f} s CPU':20}  {digest}")
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ loops from ``_NUMPY_THRESHOLD``.  The numpy paths deduplicate through
 by value when the values are narrow (a table of at most
 ``_DENSE_RATIO`` (4) cells per value) and by sorting otherwise.  This
 is the package's only vectorized module: everything else runs on
-Python-int masks, and the block search fills its component tables of
-long searches through :func:`_component_unions_batch`.
+Python-int masks, and the block search ends a long reject by asking
+:func:`_balanced_bags` whether any candidate bag is balanced.
 
 Enumeration carries masks only.  A bag keeps one int, the cell of its
 first (component, cover union) pair; the pool and edge ids of its
@@ -392,9 +392,8 @@ def _component_unions_batch(h, seps):
     together: each round seeds one component per separator at its
     lowest remaining vertex and grows it to its closure, so components
     come in order of smallest member vertex, as in
-    ``component_neighborhoods``.  The bag layer reads the unions of its
-    separators; the block search reads components and unions of its
-    bags (see :mod:`softdecomp.solver`).
+    ``component_neighborhoods``.  :func:`_component_entries` reads the
+    unions, :func:`_balanced_bags` the components.
     """
     table = _adjacency_bytes(h)
 
@@ -430,6 +429,23 @@ def _component_unions_batch(h, seps):
     empty = np.zeros(0, dtype=np.uint64)
     return (owner[order], np.concatenate([empty, *comps])[order],
             np.concatenate([empty, *unions])[order])
+
+
+def _balanced_bags(h, bags, edges):
+    """A bool array, true where no [X]-component of the bag ``X`` of
+    ``bags`` meets more than half of the edge masks ``edges``.
+
+    ``h`` has at most 64 vertices.  The edges meeting each component
+    are counted in blocks of at most ``_BLOCK`` (component, edge) pairs.
+    """
+    owner, comps, _ = _component_unions_batch(h, bags)
+    edge_arr = np.array(edges, dtype=np.uint64)
+    heavy = np.zeros(len(bags), dtype=bool)
+    step = max(1, _BLOCK // max(len(edges), 1))
+    for lo in range(0, len(comps), step):
+        meets = np.count_nonzero(comps[lo:lo + step, None] & edge_arr, axis=1)
+        heavy[owner[lo:lo + step][2 * meets > len(edges)]] = True
+    return ~heavy
 
 
 def _adjacency_bytes(h):
@@ -497,32 +513,16 @@ def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):
     """
     pool, origins = list(prev.pool), list(prev.origins)
     seen = set(pool)
-    cap = _max_pool(prev.k, max_steps)
     found = _sub_edges(prev.pool, list(prev.bags), prev.hypergraph.n_vertices)
     for origin, subs in zip(prev.origins, found):
         for m in subs:
             if m not in seen:
-                if cap is not None and len(pool) >= cap:
+                if _n_combos(len(pool) + 1, prev.k) > max_steps:
                     raise ResourceBudgetError("cover enumeration exceeded step budget")
                 seen.add(m)
                 pool.append(m)
                 origins.append(origin)
     return pool, origins
-
-
-def _max_pool(k, max_steps):
-    """The largest pool size ``n`` with ``_n_combos(n, k) <= max_steps``,
-    or None when ``k < 1`` leaves no combination to count."""
-    if k < 1:
-        return None
-    lo, hi = 0, max_steps + 1  # _n_combos(n, k) >= n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _n_combos(mid, k) <= max_steps:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def trimmed_next_pool(prev):

@@ -48,18 +48,25 @@ H3prime at k=2, levels 0 and 1) every non-root block's only candidate
 is its own head, so once that bit is cleared the filter empties after
 a few ANDs and the block fails without reading a byte of the set.
 
-The tables are filled one bag at a time until ``_BATCH_AFTER`` = 512
-bags have missed, then, on up to 64 vertices, by the aligned chunk of
-``_BATCH`` = 1024 bags holding the missed one, in the bag layer's
-numpy batch (``bags._component_unions_batch``).  Measured on the bags
-of H3 and H3prime (k = 2 and 3, levels 0 and 1, CPython 3.11 on a
-2-vCPU Xeon VM), one bag costs 2.2-4.1 us one at a time and 0.5-1.1 us
-in a chunk of 1024 (1.0-2.0 us in chunks of 256, 12-21 us in chunks of
-16), so a chunk costs about what 150-350 single bags do.  A search that
-has missed 512 bags is a long one: the gallery's accepts miss at most
-159 and never batch, and its rejects batch all but their first 512
-bags.  Each chunk is filled at most once, so the batch adds at most
-about 1.5 us per bag of the set to any search.
+A long reject ends on a certificate, the balanced-separator lemma of
+BalancedGo (Gottlob, Okulmus and Pichler, IJCAI 2020) and log-k-decomp
+(Gottlob, Lanzinger, Okulmus and Pichler, PODS 2022).  Call an
+[X]-component *heavy* when it meets more than half of the ``m`` edges
+meeting a connected component ``C0``, and a bag *balanced* when it has
+none.  Every tree whose bags hold each of those edges, as a tree found
+for ``(∅, C0)`` does, has a balanced node.  Point each other node at
+the neighbour on whose side lie the nodes whose bags meet its heavy
+component ``Y``: ``Y`` is connected and misses the bag, and it is the
+only one, as no edge meets two components.  Neighbours ``t`` and ``u``
+cannot point at each other: a bag holding an edge that meets both
+heavy components would lie on both sides, so they meet disjoint sets
+of more than ``m / 2`` edges each.  A walk along the pointers thus
+never turns back and stops at a balanced node.  So once a root block
+not known to have a basis has tried ``_CHECK_AFTER`` = 512 candidates,
+on up to 64 vertices, it fails if no candidate inside ``C0`` is
+balanced (``bags._balanced_bags``), a check made at most once per root
+block.  The gallery's accepts try at most 129 root candidates; its
+three rejects have no balanced bag.
 
 The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
 ``Y ⊊ C``, or ``Y = C`` and ``X ⊊ S``, so ``(|C|, |S|)`` falls
@@ -77,15 +84,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bags import _component_unions_batch
+from .bags import _balanced_bags
 from .hypergraph import Hypergraph, bit_columns, ids_of, mask_of
 
 DEFAULT_MAX_EVALS = 5_000_000
 
-# When the block search batches its component tables; the module
-# docstring gives the measurement behind both.
-_BATCH_AFTER = 512
-_BATCH = 1024
+# Root candidates tried before the balanced-bag check (module docstring).
+_CHECK_AFTER = 512
 
 # Byte tables for reading the bitset index: _NONZERO maps every nonzero
 # byte to 1, and _BYTE_BITS[x] lists the bits set in byte x.
@@ -268,37 +273,26 @@ class _Search:
         # heads[x]: (index of x in bags, {Y: N(Y)} over the [x]-components
         # Y by smallest vertex); the root head, the empty set, has index -1.
         self.heads = {0: (-1, dict(h.component_neighborhoods(0)))}
-        self.misses = 0  # lookups that found no table
-        self.batched = h.n_vertices <= 64
 
     def components_of(self, i):
         """``{Y: N(Y)}`` over the components ``Y`` of ``bags[i]``, filled
-        on first use: one bag at a time, then, after ``_BATCH_AFTER``
-        misses and on up to 64 vertices, with the aligned chunk of
-        ``_BATCH`` bags that holds ``i``."""
+        on first use."""
         x = self.bags[i]
         entry = self.heads.get(x)
         if entry is None:
-            self.misses += 1
-            if self.batched and self.misses > _BATCH_AFTER:
-                self._fill_chunk(i)
-                entry = self.heads[x]
-            else:
-                entry = self.heads[x] = (i, dict(self.h.component_neighborhoods(x)))
+            entry = self.heads[x] = (i, dict(self.h.component_neighborhoods(x)))
         return entry[1]
 
-    def _fill_chunk(self, i):
-        """Fill the tables of the chunk of bags holding ``i`` in the bag
-        layer's numpy batch."""
-        bags, heads = self.bags, self.heads
-        lo = i - i % _BATCH
-        todo = [j for j in range(lo, min(lo + _BATCH, len(bags))) if bags[j] not in heads]
-        tables = [{} for _ in todo]
-        owner, comps, unions = _component_unions_batch(self.h, [bags[j] for j in todo])
-        for o, y, reach in zip(owner.tolist(), comps.tolist(), unions.tolist()):
-            tables[o][y] = reach
-        for j, table in zip(todo, tables):
-            heads[bags[j]] = (j, table)
+    def checked(self, candidates, c):
+        """``candidates`` of the root block of the component ``c``, cut
+        off after ``_CHECK_AFTER`` when no bag inside ``c`` is balanced
+        (module docstring)."""
+        for tried, candidate in enumerate(candidates):
+            if tried == _CHECK_AFTER:
+                edges = [e for e in self.h.edge_masks if e & c]
+                if not _balanced_bags(self.h, [x for x in self.bags if not x & ~c], edges).any():
+                    return
+            yield candidate
 
     def candidates(self, head, c, conn):
         """Yield ``(index, mask)`` of the bags X other than the head
@@ -341,7 +335,11 @@ class _Search:
         s, c = block
         head, comps = self.heads[s]  # filled by the block's parent
         dead, live = self.dead, self.live
-        for i, x in self.candidates(head, c, s & comps[c]):
+        candidates = self.candidates(head, c, s & comps[c])
+        # A root block with a known basis has a balanced bag.
+        if head < 0 and block not in self.sat and self.h.n_vertices <= 64:
+            candidates = self.checked(candidates, c)
+        for i, x in candidates:
             # A sub-block of x may have failed since the index was read.
             if dead[i] & c:
                 continue

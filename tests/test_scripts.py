@@ -1,7 +1,8 @@
 """Every script under ``scripts/`` still imports and parses ``--help``,
-the block search still gives the answers ``scripts/solve_equivalence.py``
-pins, the constrained optimizer those ``scripts/optimizer_equivalence.py``
-pins, and compiled plans those ``scripts/plan_equivalence.py`` pins."""
+the block search and the hw oracle still give the answers
+``scripts/solve_equivalence.py`` pins, the constrained optimizer those
+``scripts/optimizer_equivalence.py`` pins, and compiled plans those
+``scripts/plan_equivalence.py`` pins."""
 
 import importlib.util
 import os
@@ -28,12 +29,19 @@ def test_script_help(script):
 # The digests of ``scripts/solve_equivalence.py``: verdicts, ``evals``,
 # basis tables and trees of ``solve``, and the bag sets it runs on.  A
 # change to any of them is a change to the answers, not a speed-up.
+# The ``verdicts`` digests hash verdicts and trees only; they hold when
+# a change decides fewer blocks for the same answers.
 SOLVE_DIGESTS = {
-    "gallery": "f9d7bd721dbbbf3584912577eab39d5c5d5abdf6c56fd8de6c48c64a3360ea7d",
+    "gallery": "7aec3595296c1637b976ea4f330e478b5b6a203320d983c28461ec48a6dc4532",
+    "gallery verdicts": "21f21af872cab754079180316cde9401a41db34a8cfa9e34d9bb992050f268fe",
     "random": "2efd3deb0692edca51d9b579763cfe17cc7d46f2ad3f49580835588d36c46394",
+    "random verdicts": "7f75c8d5e27ab30b0c9867fb367429e559210891124766ab23317957b14f6921",
     "cycles": "9d8f880dfccd9b870f567775acdc8061fbd2c2c00e53a0a0592b82c58cc27749",
+    "cycles verdicts": "17f3d8af5f0dd0026e213770c1335355d68077d1b4f1394063b2a08dd2a175f7",
     "bags": "c7f6c68a2a9b546468af1dc2bda92101c730f1c2f74f8aeb0cd297dc1c080c59",
 }
+# ``hw_leq(h, k).to_text()`` (or None) over the script's 946 hw cases.
+HW_DIGEST = "49d0ff57c2e7f9fb343ba9af26a3d00a0089233cbd39412590eb4b54aab43def"
 
 
 def _load(name):
@@ -47,6 +55,11 @@ def test_solve_answers_are_pinned():
     got = {which: digest
            for which, (_, _, digest) in _load("solve_equivalence").solve_digests().items()}
     assert got == SOLVE_DIGESTS
+
+
+def test_hw_answers_are_pinned():
+    runs, _, digest = _load("solve_equivalence").hw_digest()
+    assert (runs, digest) == (946, HW_DIGEST)
 
 
 # The digests of ``scripts/plan_equivalence.py``: the emitted SQL and

@@ -17,6 +17,7 @@ from softdecomp import (
     solve,
     validate_td,
 )
+from softdecomp import bags as bags_module
 from softdecomp import solver as solver_module
 from softdecomp.gallery import cycle
 from softdecomp.solver import BasisTable, extract_decomposition, minimum_cover, td_from_text
@@ -357,57 +358,115 @@ def test_candidates_match_the_filter():
     assert marked > 10
 
 
-def test_batched_component_table_matches_one_by_one():
-    # Every bag's {component: neighbourhood} table, in order, whether
-    # filled from the numpy batch or one bag at a time.
+def _is_balanced(h, bag, edges):
+    """Plain-Python reference: no [bag]-component meets more than half
+    of ``edges``."""
+    return all(2 * sum(1 for e in edges if e & y) <= len(edges)
+               for y in h.vertex_components(bag))
+
+
+def _with_triangle(h):
+    """``h`` plus a triangle on three new vertices."""
+    return parse_hypergraph(h.serialize() + ", t1(z1,z2), t2(z2,z3), t3(z3,z1)")
+
+
+def test_balanced_bags_match_one_by_one():
     rng = random.Random(64)
     graphs = [random_connected_hypergraph(rng, max_vertices=n, max_edges=30)
               for n in (6, 20, 64) for _ in range(5)]
+    graphs += [cycle(64), _with_triangle(parse_hypergraph("r(a,b), s(b,c), t(c,d), u(d,a)"))]
+    seen = set()
     for h in graphs:
         masks = list(soft_bags(h, 2).bags) + [h.all_vertices_mask]
         masks += [rng.getrandbits(h.n_vertices) | 1 for _ in range(50)]
-        one, batched = (solver_module._Search(h, masks, 1) for _ in range(2))
-        one.batched = False
-        tables = [one.components_of(i) for i in range(len(one.bags))]
-        for lo in range(0, len(batched.bags), solver_module._BATCH):
-            batched._fill_chunk(lo)
-        assert one.bags == batched.bags
-        assert [list(batched.heads[x][1].items()) for x in batched.bags] == \
-            [list(t.items()) for t in tables]
-        assert [batched.heads[x][0] for x in batched.bags] == list(range(len(batched.bags)))
-        assert tables[one.bags.index(h.all_vertices_mask)] == {}
+        for c in h.vertex_components(0):
+            edges = [e for e in h.edge_masks if e & c]
+            got = bags_module._balanced_bags(h, masks, edges).tolist()
+            assert got == [_is_balanced(h, x, edges) for x in masks]
+            seen.update(got)
+    assert seen == {True, False}
 
 
-def _solve_counting_batches(monkeypatch, h, bags):
+def _record_checks(monkeypatch):
+    """Patch the solver's kernel to record, per call, the vertex count
+    and whether any bag was balanced; returns the record."""
     calls = []
-    real = solver_module._component_unions_batch
+    real = solver_module._balanced_bags
 
-    def counted(h, seps):
-        calls.append(len(seps))
-        return real(h, seps)
+    def recorded(h, bags, edges):
+        got = real(h, bags, edges)
+        calls.append((h.n_vertices, bool(got.any())))
+        return got
 
-    monkeypatch.setattr(solver_module, "_component_unions_batch", counted)
-    return solve(h, bags), calls
+    monkeypatch.setattr(solver_module, "_balanced_bags", recorded)
+    return calls
 
 
-@pytest.mark.parametrize("name,level,k", [("H3", 0, 2), ("H3", 0, 3), ("H2", 1, 2)])
-def test_batch_from_the_first_miss_gives_the_same_search(monkeypatch, name, level, k):
+def test_check_keeps_the_reference_verdicts(monkeypatch):
+    # With the check after the first candidate, every root block whose
+    # first candidate is no basis is checked, and a failed check ends it.
+    monkeypatch.setattr(solver_module, "_CHECK_AFTER", 1)
+    calls = _record_checks(monkeypatch)
+    rejects = 0
+    for h, masks in _random_bag_sets(500, 300):
+        res = solve(h, masks)
+        accepted, td, _ = reference_solve(h, masks)
+        assert res.accepted == accepted
+        if accepted:
+            assert (res.decomposition.bags, res.decomposition.parents) == (td.bags, td.parents)
+        rejects += not accepted
+    decided = sum(not balanced for _, balanced in calls)
+    assert decided > 50 and rejects > decided
+
+
+def test_every_tree_has_a_balanced_node():
+    trees = 0
+    for h, masks in _random_bag_sets(500, 300):
+        res = solve(h, masks)
+        if not res.accepted:
+            continue
+        td = res.decomposition
+        for root in td.roots():
+            nodes = td.subtree(root)
+            c = 0
+            for i in nodes:
+                c |= td.bags[i]
+            edges = [e for e in h.edge_masks if e & c]
+            assert any(_is_balanced(h, td.bags[i], edges) for i in nodes)
+        trees += 1
+    assert trees > 1000
+
+
+@pytest.mark.parametrize("name,level,disjoint", [
+    ("H3", 0, False), ("H3prime", 0, False), ("H3prime", 1, False), ("H3", 0, True),
+])
+def test_long_rejects_end_on_the_check(monkeypatch, name, level, disjoint):
     h = gallery(name).hypergraph
-    bags = soft_bags_level(h, k, level)
-    default = solve(h, bags)
-    monkeypatch.setattr(solver_module, "_BATCH_AFTER", 0)
-    forced, calls = _solve_counting_batches(monkeypatch, h, bags)
-    assert calls
-    assert (forced.accepted, forced.evals) == (default.accepted, default.evals)
-    assert list(forced.table.entries.items()) == list(default.table.entries.items())
+    if disjoint:
+        h = _with_triangle(h)
+    calls = _record_checks(monkeypatch)
+    res = solve(h, soft_bags_level(h, 2, level))
+    assert not res.accepted and calls == [(h.n_vertices, False)]
+    assert res.evals <= solver_module._CHECK_AFTER + 8
 
 
-def test_batch_stays_off_above_64_vertices(monkeypatch):
-    monkeypatch.setattr(solver_module, "_BATCH_AFTER", 0)
-    for n in (65, 66):
+def test_short_searches_never_check(monkeypatch):
+    # Root blocks that accept, or run out of candidates, before
+    # _CHECK_AFTER tries are not checked.
+    calls = _record_checks(monkeypatch)
+    for name, k in [("H2", 1), ("C5", 1), ("H3", 3)]:
+        h = gallery(name).hypergraph
+        solve(h, soft_bags(h, k))
+    assert calls == []
+
+
+def test_check_stays_off_above_64_vertices(monkeypatch):
+    calls = _record_checks(monkeypatch)
+    monkeypatch.setattr(solver_module, "_CHECK_AFTER", 0)
+    for n in (64, 65, 66):
         h = cycle(n)
-        res, calls = _solve_counting_batches(monkeypatch, h, soft_bags(h, 2))
-        assert res.accepted and calls == []
+        assert solve(h, soft_bags(h, 2)).accepted
+    assert calls == [(64, True)]
 
 
 def test_solve_reports_evals():
