@@ -32,8 +32,11 @@ loops from ``_NUMPY_THRESHOLD``.  The numpy paths deduplicate through
 by value when the values are narrow (a table of at most
 ``_DENSE_RATIO`` (4) cells per value) and by sorting otherwise.  This
 is the package's only vectorized module: everything else runs on
-Python-int masks, and the block search ends a long reject by asking
-:func:`_balanced_bags` whether any candidate bag is balanced.
+Python-int masks.  The block search takes two kernels from it:
+:func:`candidate_index` sorts its candidates and builds their
+per-vertex bitset index, in numpy above ``_INDEX_THRESHOLD`` (256)
+masks, and :func:`_balanced_bags` tells a long reject whether any
+candidate bag is balanced.
 
 Enumeration carries masks only.  A bag keeps one int, the cell of its
 first (component, cover union) pair; the pool and edge ids of its
@@ -57,6 +60,7 @@ DEFAULT_MAX_STEPS = 10_000_000
 
 _NUMPY_THRESHOLD = 20_000  # work size beyond which the vectorized paths are used
 _COMBO_THRESHOLD = 200  # combinations beyond which _combo_unions runs in numpy
+_INDEX_THRESHOLD = 256  # masks beyond which candidate_index runs in numpy
 _DENSE_RATIO = 4  # most table cells per value for which _first_seen uses a table
 _BLOCK = 1 << 20  # intersections per vectorized block
 _SPLIT_ARITY = 6  # widest pool member that _sub_edges splits on the bag index
@@ -354,6 +358,53 @@ def _sub_edges(members, bags, n):
         out.append({m: j for j, m in sorted(
             ((s & -s).bit_length() - 1, m) for s, m in sets if m)})
     return out
+
+
+def candidate_index(n, masks):
+    """The block search's candidates and their per-vertex bitset index.
+
+    Returns ``(bags, has)``: ``bags`` the distinct nonzero ``masks``,
+    largest first, ties by mask value, and ``has[v]`` the int whose bit
+    ``i`` is set when ``bags[i]`` contains vertex ``v`` (``bit_columns``).
+    The empty set is left out: it is never a basis, as a root block's
+    head is empty itself and any other block needs a vertex of its head.
+
+    ``masks`` range over ``n`` vertices; above ``_INDEX_THRESHOLD`` (256)
+    masks on up to 64 vertices, where every mask fits one uint64 word,
+    the index is built in numpy, with the same result.  There the
+    columns are unpacked one byte of the masks at a time, so no
+    temporary is much larger than the masks themselves, and the masks
+    are deduplicated by ``np.sort``, as ``np.unique`` takes 13.0 ms on
+    H3prime's 62,045 level-1 bags at k=3 against 0.49.  The gate is the measured crossover: on random masks
+    of 18, 40 and 64 vertices numpy wins from about 200 to 250 masks
+    (at 256: 61 against 73, 82 against 108 and 81 against 112 µs, best
+    of 201).  The index of those 62,045 bags takes 16.7 ms of CPU in
+    Python and 3.4 in numpy, of H3's 29,732 level-0 bags at k=3 7.1 and
+    1.7, and of ``cycle(64)``'s 7,936 at k=2 4.6 and 0.8 (best of 54,
+    Xeon VM, CPython 3.11, numpy 2.4).
+    """
+    if len(masks) <= _INDEX_THRESHOLD or n > 64:
+        bags = sorted(set(masks))
+        if bags and not bags[0]:
+            bags.pop(0)
+        bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
+        return bags, bit_columns(n, bags)
+    arr = np.fromiter(masks, dtype=np.uint64, count=len(masks))
+    arr.sort()
+    keep = np.empty(len(arr), dtype=bool)
+    keep[:1] = arr[:1] != 0  # sorted: a zero comes first
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    arr = arr[keep]
+    arr = arr[np.argsort(64 - np.bitwise_count(arr), kind="stable")]
+    rows = arr.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    has = []
+    for b in range((n + 7) // 8):
+        # bits[i, j]: bit i of byte b of arr[j], i.e. vertex 8 * b + i.
+        bits = np.unpackbits(rows[:, b], bitorder="little").reshape(-1, 8).T
+        columns = np.packbits(np.ascontiguousarray(bits[:min(8, n - 8 * b)]),
+                              axis=1, bitorder="little")
+        has += [int.from_bytes(column.tobytes(), "little") for column in columns]
+    return arr.tolist(), has
 
 
 def _component_entries(h, seps):

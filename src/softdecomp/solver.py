@@ -25,7 +25,8 @@ meeting ``C`` lies inside ``C``, conditions 1 and 2 always hold, and
 components ``Y`` whose block ``(X, Y)`` failed, and drops ``X`` at once
 when that union meets ``C``.
 
-The filter runs on a per-vertex bitset index over the sorted bags: bit
+The filter runs on a per-vertex bitset index over the sorted bags,
+built by ``bags.candidate_index`` (in numpy for large bag sets): bit
 ``i`` of an index set stands for the ``i``-th candidate.  Per vertex
 ``v`` the search holds the bags that contain ``v``, the bags that do
 not, and the bags whose failed components miss ``v``; the last is
@@ -84,8 +85,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bags import _balanced_bags
-from .hypergraph import Hypergraph, bit_columns, ids_of, mask_of
+from .bags import _balanced_bags, candidate_index
+from .hypergraph import Hypergraph, ids_of, mask_of
 
 DEFAULT_MAX_EVALS = 5_000_000
 
@@ -238,28 +239,12 @@ def _bag_masks(bags):
     return list(bags)
 
 
-def _bag_index(n, bag_masks):
-    """The bags in candidate order and their per-vertex bitset index.
-
-    Returns ``(bags, has)``: ``bags`` sorted largest first, ties by
-    mask value, without duplicates and without the empty set (never a
-    basis: a root block's head is empty itself, and any other block
-    needs a vertex of its head), and ``has[v]`` the int whose bit ``i``
-    is set when ``bags[i]`` contains vertex ``v``.
-    """
-    bags = sorted(set(bag_masks))
-    if bags and not bags[0]:
-        bags.pop(0)
-    bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
-    return bags, bit_columns(n, bags)
-
-
 class _Search:
     def __init__(self, h, bag_masks, max_evals):
         self.h = h
         # Candidate order: large bags first, ties by mask value.  Bit i
         # of every index set below stands for bags[i].
-        self.bags, self.has = _bag_index(h.n_vertices, bag_masks)
+        self.bags, self.has = candidate_index(h.n_vertices, bag_masks)
         self.every = every = (1 << len(self.bags)) - 1
         self.lacks = [every ^ has for has in self.has]
         # dead[i]: union of the components Y of bags[i] whose block

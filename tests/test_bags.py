@@ -30,7 +30,9 @@ from softdecomp.bags import (
     trimmed_next_pool,
 )
 from softdecomp.gallery import cycle, gallery_names
-from softdecomp.hypergraph import Hypergraph, ids_of, mask_of, parse_hypergraph
+from softdecomp.hypergraph import (
+    Hypergraph, bit_columns, ids_of, mask_of, parse_hypergraph, popcount,
+)
 
 from conftest import (
     FORCE_NUMPY,
@@ -521,6 +523,50 @@ def test_component_entries_above_64_vertices_use_python(monkeypatch):
             monkeypatch, lambda: bags_module._component_entries(h, seps)
         )
         assert numpy_side == python_side == _python_component_entries(h, k)
+
+
+def _index_both_paths(monkeypatch, n, masks):
+    """``candidate_index(n, masks)`` forced to numpy, then to pure Python,
+    each with its number of ``np.bitwise_count`` calls, which only the
+    numpy path makes."""
+    calls = []
+    real = np.bitwise_count
+    monkeypatch.setattr(np, "bitwise_count", lambda a: calls.append(len(a)) or real(a))
+
+    def build():
+        calls.clear()
+        return bags_module.candidate_index(n, masks), len(calls)
+
+    return _both_paths(monkeypatch, build)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 57, 63, 64])
+def test_candidate_index_twins(monkeypatch, n):
+    rng = random.Random(n)
+    lists = [[], [0]]
+    for size in (1, 6, 300, 1000):
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(size)]
+        masks += rng.choices(masks, k=size // 2) + [0] * (size % 5)
+        rng.shuffle(masks)
+        lists.append(masks)
+    if n == 64:  # the top bit of a uint64 word
+        lists += [[m | 1 << 63 for m in lists[-1]], [1 << 63, 0, 1 << 63, 1]]
+    for masks in lists:
+        want = sorted(set(masks) - {0}, key=lambda m: (-popcount(m), m))
+        (numpy_side, numpy_calls), (python_side, python_calls) = _index_both_paths(
+            monkeypatch, n, masks)
+        assert numpy_side == python_side == (want, bit_columns(n, want))
+        assert (numpy_calls > 0, python_calls) == (bool(masks), 0)
+
+
+def test_candidate_index_above_64_vertices_uses_python(monkeypatch):
+    h = cycle(65)
+    masks = list(soft_bags(h, 1).bags)
+    want = sorted(masks, key=lambda m: (-popcount(m), m))
+    (numpy_side, numpy_calls), (python_side, python_calls) = _index_both_paths(
+        monkeypatch, h.n_vertices, masks)
+    assert numpy_side == python_side == (want, bit_columns(h.n_vertices, want))
+    assert numpy_calls == python_calls == 0
 
 
 @pytest.mark.parametrize("name,k", [("H2", 2), ("H3", 3)])  # Python, then numpy

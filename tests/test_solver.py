@@ -126,9 +126,9 @@ def test_accepted_trees_always_validate(seed, k):
 
 # --- the block search against an unfiltered reference ---------------------
 
-# The candidate bags come from either bag-enumeration path: the numpy one
-# above its size gate or the pure-Python one below it.  The search must
-# answer alike on both.
+# The candidate bags, and the search's index over them, come from either
+# path of the bag layer: the numpy one above its size gates or the
+# pure-Python one below them.  The search must answer alike on both.
 _BAG_PATHS = pytest.mark.parametrize("threshold", [FORCE_NUMPY, FORCE_PYTHON],
                                      ids=["numpy", "python"])
 
@@ -315,7 +315,9 @@ def test_solve_ignores_bag_order(monkeypatch, threshold):
         assert len(trees) == 1
 
 
-def test_candidate_order_ignores_input_order_and_duplicates():
+@_BAG_PATHS
+def test_candidate_order_ignores_input_order_and_duplicates(monkeypatch, threshold):
+    force_bag_paths(monkeypatch, threshold)
     rng = random.Random(9)
     for h, k in [(gallery("H3").hypergraph, 2), (cycle(65), 1)]:
         masks = list(soft_bags(h, k).bags)
@@ -335,7 +337,9 @@ def _filtered(search, s, c):
             if x != s and not x & ~(s | c) and not conn & ~x and not search.dead[i] & c]
 
 
-def test_candidates_match_the_filter():
+@_BAG_PATHS
+def test_candidates_match_the_filter(monkeypatch, threshold):
+    force_bag_paths(monkeypatch, threshold)
     rng = random.Random(31)
     cases = [(random_connected_hypergraph(rng, max_vertices=9), k)
              for _ in range(40) for k in (1, 2, 3)]
