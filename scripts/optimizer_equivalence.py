@@ -42,7 +42,7 @@ from softdecomp import (
     sql_to_cq,
     trivial_order,
 )
-from softdecomp.gallery import SQL_QUERIES, random_connected_hypergraph
+from softdecomp.gallery import SQL_QUERIES, random_connected_hypergraph, witness_order
 from softdecomp.hypergraph import ids_of, mask_of
 
 PAIRINGS = (
@@ -85,14 +85,14 @@ def cases(which):
             k = gallery(name).widths["concov_shw"]
             bags = soft_bags(h, k)
             for db in range(5):
-                yield h, k, bags, make_stats(random.Random(f"{name}:{db}"), h, bags.masks())
+                yield h, k, bags, make_stats(random.Random(f"{name}:{db}"), h, witness_order(h, k))
         return
     rng = random.Random(606)
     for g in range(300):
         h = random_connected_hypergraph(rng, 7, 7)
         for k in (2, 3):
             bags = soft_bags(h, k)
-            yield h, k, bags, make_stats(random.Random(2 * g + k), h, bags.masks())
+            yield h, k, bags, make_stats(random.Random(2 * g + k), h, witness_order(h, k))
 
 
 def optimizer_digests():

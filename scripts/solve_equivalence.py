@@ -18,11 +18,16 @@ second digest per input, ``<input> verdicts``, hashes only (verdict,
 ``to_text()``): it holds when a change decides fewer blocks for the
 same answers.
 
-Two more digests cover the layers under and beside the search:
+Three more digests cover the layers under and beside the search:
 
-- ``bags``: every bag set those runs solve over, as its pool, its bags
-  with their witness indices, its components and its covers, plus the
-  pool ``trimmed_next_pool`` makes from it;
+- ``bags``: every bag set those runs solve over, as its pool, its bags,
+  its component entries and its cover unions, each list in the order
+  the bag layer keeps it, plus the pool ``trimmed_next_pool`` makes
+  from it;
+- ``bag sets``: the same bag sets with every order dropped, as the
+  sorted sets of (pool member, origin), bags, component unions, cover
+  unions and trimmed (pool member, origin); it holds when a change only
+  reorders the bag layer's lists;
 - ``hw``: ``hw_leq(h, k).to_text()`` (or None) on 946 cases: every
   gallery entry at k = 1..4, ``cycle(64)``, ``cycle(65)`` and
   ``cycle(70)`` at k = 1, 2, and 300 graphs of the same random stream
@@ -96,22 +101,28 @@ def bag_fingerprint(bags):
     def pool(masks, origins):
         return [(m, o, bisect_right(starts, i)) for i, (m, o) in enumerate(zip(masks, origins))]
 
-    # Each bag as (mask, (component index, cover index)).
-    cells = [(m, divmod(cell, len(bags.covers))) for m, cell in bags.bags.items()]
-    return (pool(bags.pool, bags.origins), cells, bags.components, bags.covers,
+    return (pool(bags.pool, bags.origins), list(bags.bags), bags.components, bags.covers,
             pool(*trimmed_next_pool(bags)))
 
 
-def solve_digests():
-    """The ``gallery``, ``random``, ``cycles`` and ``bags`` digests, and
-    the ``<input> verdicts`` digest of each of the first three.
+def bag_set_fingerprint(bags):
+    return (sorted(zip(bags.pool, bags.origins)), sorted(bags.bags),
+            sorted(union for union, _ in bags.components), sorted(bags.covers),
+            sorted(zip(*trimmed_next_pool(bags))))
 
-    Returns ``{name: (runs, solve CPU seconds, hex digest)}``; the
-    ``bags`` entry counts bag sets, and it and the verdict entries
-    carry no time.
+
+def solve_digests():
+    """The ``gallery``, ``random``, ``cycles``, ``bags`` and ``bag sets``
+    digests, and the ``<input> verdicts`` digest of each of the first
+    three.
+
+    Returns ``{name: (runs, solve CPU seconds, hex digest)}``; the two
+    bag entries count bag sets, and they and the verdict entries carry
+    no time.
     """
     out = {}
     bag_digest = hashlib.sha256()
+    set_digest = hashlib.sha256()
     bag_sets = 0
     for which in ("gallery", "random", "cycles"):
         digest = hashlib.sha256()
@@ -121,6 +132,7 @@ def solve_digests():
         for h, k, level in cases(which):
             bags = soft_bags_level(h, k, level)
             bag_digest.update(repr(bag_fingerprint(bags)).encode())
+            set_digest.update(repr(bag_set_fingerprint(bags)).encode())
             bag_sets += 1
             start = time.process_time()
             res = solve(h, bags)
@@ -133,6 +145,7 @@ def solve_digests():
         out[which] = (runs, elapsed, digest.hexdigest())
         out[f"{which} verdicts"] = (runs, None, verdicts.hexdigest())
     out["bags"] = (bag_sets, None, bag_digest.hexdigest())
+    out["bag sets"] = (bag_sets, None, set_digest.hexdigest())
     return out
 
 
@@ -151,7 +164,7 @@ def hw_digest():
 def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
     for which, (runs, elapsed, digest) in solve_digests().items():
-        unit = "sets" if which == "bags" else "runs"
+        unit = "sets" if which.startswith("bag") else "runs"
         time_note = "" if elapsed is None else f"solve {elapsed:6.2f} s CPU"
         print(f"{which:16} {runs:4} {unit}  {time_note:20}  {digest}")
     runs, elapsed, digest = hw_digest()

@@ -16,40 +16,38 @@ id of the edge each lies in.  A pool member of at most
 vertex by vertex on a per-vertex bitset index of the bags (one AND and
 one XOR of Python ints per set and vertex, with no limit on the number
 of vertices); a wider member, whose split could reach ``2 ** arity``
-sets, is one row of :func:`_first_intersections`, as the bags are.
+sets, is one row of :func:`_intersections`, as the bags are.
 
-Everything is produced in one order, the first-witness order of plain
-loops: edge and pool combinations by size, then lexicographically;
-component unions by separator, then by smallest member vertex; bags
-and new pool members by the (row, column) position at which they are
-first found.  Above a size gate, and while every mask fits one uint64
-word, the enumerations over all pairs run in numpy, with the same
-results in the same order.  Each kernel's gate is set by measurement:
-the unions of edge or pool combinations (:func:`_combo_unions`) go to
-numpy from ``_COMBO_THRESHOLD`` (200) combinations, the other pair
-loops from ``_NUMPY_THRESHOLD``.  The numpy paths deduplicate through
-:func:`_first_seen`, which finds first occurrences in a table indexed
-by value when the values are narrow (a table of at most
-``_DENSE_RATIO`` (4) cells per value) and by sorting otherwise.  This
-is the package's only vectorized module: everything else runs on
-Python-int masks.  The block search takes two kernels from it:
+Every list the module makes is deduplicated and in ascending mask
+order: separator unions, cover unions, component entries, each pool
+member's sub-edges and the bag set.  Above a size gate, and while every
+mask fits one uint64 word, the enumerations over all pairs run in
+numpy, with the same results.  Each kernel's gate is set by
+measurement: the unions of edge or pool combinations
+(:func:`_combo_unions`) go to numpy from ``_COMBO_THRESHOLD`` (200)
+combinations, the other pair loops from ``_NUMPY_THRESHOLD``.  The
+numpy paths deduplicate through :func:`_distinct`, which sets flags in
+a table indexed by value when the values are narrow (a table of at most
+``_DENSE_RATIO`` cells per value) and sorts otherwise.  This is the
+package's only vectorized module: everything else runs on Python-int
+masks.  The block search takes two kernels from it:
 :func:`candidate_index` sorts its candidates and builds their
 per-vertex bitset index, in numpy above ``_INDEX_THRESHOLD`` (256)
 masks, and :func:`_balanced_bags` tells a long reject whether any
 candidate bag is balanced.
 
-Enumeration carries masks only.  A bag keeps one int, the cell of its
-first (component, cover union) pair; the pool and edge ids of its
-witness are derived when :meth:`CandidateBagSet.witness` reads them.
+Enumeration carries masks only.  A bag's witness, the pool and edge ids
+behind it, is searched for when :meth:`CandidateBagSet.witness` asks.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, product
-from operator import or_
+from functools import cached_property, reduce
+from itertools import combinations
+from operator import and_, or_
 
 import numpy as np
 
@@ -61,7 +59,7 @@ DEFAULT_MAX_STEPS = 10_000_000
 _NUMPY_THRESHOLD = 20_000  # work size beyond which the vectorized paths are used
 _COMBO_THRESHOLD = 200  # combinations beyond which _combo_unions runs in numpy
 _INDEX_THRESHOLD = 256  # masks beyond which candidate_index runs in numpy
-_DENSE_RATIO = 4  # most table cells per value for which _first_seen uses a table
+_DENSE_RATIO = 4  # most table cells per value for which _distinct uses a table
 _BLOCK = 1 << 20  # intersections per vectorized block
 _SPLIT_ARITY = 6  # widest pool member that _sub_edges splits on the bag index
 
@@ -74,9 +72,10 @@ class ResourceBudgetError(RuntimeError):
 class CandidateBagSet:
     """All candidate bags of one level, plus the cover pool that made them.
 
-    ``bags`` maps each bag mask to the cell ``ci * len(covers) + wi`` of
-    its first component entry and cover union, ``components[ci]`` (a
-    ``(union, separator)`` mask pair) and ``covers[wi]``.
+    ``bags`` holds the bag masks in ascending order, and iterating the
+    set yields them.  ``components`` holds the component entries, each a
+    ``(union, separator)`` mask pair, and ``covers`` the cover unions,
+    both ascending by union.
     """
 
     hypergraph: Hypergraph
@@ -84,24 +83,47 @@ class CandidateBagSet:
     level: int
     pool: list  # vertex masks: the edges in order, then each level's new sub-edges
     origins: list  # the id of the edge each pool member lies in
-    bags: dict  # vertices mask -> its first (component, cover) cell
+    bags: tuple
     components: tuple
     covers: list
 
     def masks(self):
         return list(self.bags)
 
+    def __iter__(self):
+        return iter(self.bags)
+
     def __len__(self):
         return len(self.bags)
 
     def witness(self, m):
         """Bag ``m``'s first witness ``(lambda1, lambda2, component)``: pool
-        ids, edge ids and the vertex union of a component."""
-        ci, wi = divmod(self.bags[m], len(self.covers))
-        component, sep = self.components[ci]
-        lambda1 = _first_combo(self.pool, self.k, self.covers[wi])
+        ids, edge ids and the vertex union of a component.
+
+        The component entry and the cover union are the first pair, in
+        the stored orders, that intersect in ``m``; ``lambda1`` and
+        ``lambda2`` are the first combinations with their unions.
+        Raises ``KeyError`` when ``m`` is not a bag.
+        """
+        i = bisect_left(self.bags, m)
+        if i == len(self.bags) or self.bags[i] != m:
+            raise KeyError(m)
+        # Bit j of has[v] stands for covers[j]; a cover meets a component in
+        # m when it has every vertex of m and no other vertex of the component.
+        has = self._cover_columns
+        above = reduce(and_, [has[v] for v in ids_of(m)])
+        for component, sep in self.components:
+            if not m & ~component:
+                hits = above & ~reduce(or_, [has[v] for v in ids_of(component & ~m)], 0)
+                if hits:
+                    break
+        lambda1 = _first_combo(self.pool, self.k, self.covers[(hits & -hits).bit_length() - 1])
         lambda2 = _first_combo(self.hypergraph.edge_masks, self.k, sep)
         return lambda1, lambda2, component
+
+    @cached_property
+    def _cover_columns(self):
+        return bit_columns(self.hypergraph.n_vertices, self.covers)
 
     def serialize(self):
         h = self.hypergraph
@@ -148,12 +170,9 @@ def _first_combo(masks, k, target):
 
 
 def _separator_unions(h, k, max_steps):
-    """Distinct ``union(lambda2)`` masks, masks only.
-
-    They come in first-witness order: the empty separator first, then
-    combination sizes 1..k, each size in lexicographic edge-id order.
-    Raises when the ``sum(C(|E|, s) for s in 0..k)`` combinations exceed
-    ``max_steps``.
+    """Distinct ``union(lambda2)`` masks, ascending, so the empty
+    separator comes first.  Raises when the ``sum(C(|E|, s) for s in
+    0..k)`` combinations exceed ``max_steps``.
     """
     if _n_combos(h.n_edges, k) + 1 > max_steps:
         raise ResourceBudgetError("separator enumeration exceeded step budget")
@@ -161,7 +180,7 @@ def _separator_unions(h, k, max_steps):
 
 
 def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
-    """Distinct unions of at most ``k`` of the masks ``pool``, in first-witness order."""
+    """Distinct unions of at most ``k`` of the masks ``pool``, ascending."""
     if _n_combos(len(pool), k) > max_steps:
         raise ResourceBudgetError("cover enumeration exceeded step budget")
     return _combo_unions(pool, k)
@@ -182,25 +201,23 @@ def _n_combos(n, k):
 
 
 def _combo_unions(masks, k):
-    """Distinct unions of 1..k of ``masks``, masks only.
+    """Distinct unions of 1..k of ``masks``, ascending.
 
-    They come in first-witness order: combination sizes ascending, each
-    size in lexicographic index order.  Runs in numpy above
-    ``_COMBO_THRESHOLD`` combinations, for ``k <= 3`` and masks of at
-    most 64 bits.  The gate is the measured crossover: on random masks
-    of 8, 18 and 40 vertices, numpy wins from about 200 combinations at
-    k=2 and k=3 and loses below 120.  At k=2, H3prime's 96 edges take
+    Runs in numpy above ``_COMBO_THRESHOLD`` combinations, for
+    ``k <= 3`` and masks of at most 64 bits.  The gate is the measured
+    crossover: on random masks of 8, 18 and 40 vertices, numpy wins
+    from about 200 combinations at k=2 and k=3 and loses below 120.  At k=2, H3prime's 96 edges take
     0.21 ms in numpy and 1.17 in Python, its 194-member level-1 pool
     0.80 and 4.6 (best of 21, Xeon VM, CPython 3.11, numpy 2.4).
     """
     n = len(masks)
     if _n_combos(n, k) > _COMBO_THRESHOLD and k <= 3 and _fits_uint64(masks):
         arr = np.array(masks, dtype=np.uint64)
-        # All unions in first-witness order in one array: the n singles,
-        # the pairs (a, b), then the triples (i, a, b) with i < a < b.
-        # The triples of each i extend the pairs whose first index
-        # exceeds i, a suffix of the pair list from starts[i]; they sit
-        # at offsets[i].  Filling slices keeps no index array per union.
+        # All unions in one array: the n singles, the pairs (a, b), then
+        # the triples (i, a, b) with i < a < b.  The triples of each i
+        # extend the pairs whose first index exceeds i, a suffix of the
+        # pair list from starts[i]; they sit at offsets[i].  Filling
+        # slices keeps no index array per union.
         a, b = np.triu_indices(n, 1) if k >= 2 else (np.arange(0), np.arange(0))
         starts = np.searchsorted(a, np.arange(n), side="right")
         lengths = len(a) - starts if k >= 3 else np.zeros(n, dtype=np.int64)
@@ -212,106 +229,81 @@ def _combo_unions(masks, k):
         for i in np.flatnonzero(lengths).tolist():
             np.bitwise_or(pair_unions[starts[i]:], arr[i],
                           out=unions[offsets[i]:offsets[i] + lengths[i]])
-        return _first_seen(unions)[0].tolist()
-    return list(dict.fromkeys(
+        return _distinct(unions).tolist()
+    return sorted({
         reduce(or_, combo) for size in range(1, k + 1) for combo in combinations(masks, size)
-    ))
+    })
 
 
-def _first_seen(values):
-    """Distinct entries of a 1-D uint64 array with their first positions.
+def _distinct(values):
+    """The distinct entries of a 1-D uint64 array, ascending.
 
-    Both come in order of first occurrence.  Of ``n < 2 ** 31`` values
-    at most ``w`` bits wide, with ``2 ** w <= _DENSE_RATIO * n``, the
-    first positions are the minima of a table indexed by value, filled
-    by ``np.minimum.at`` (defined on repeated indices, unlike a fancy
-    assignment) with int32 positions.  Otherwise, when value and
-    position fit one 64-bit key together, a plain sort of the keys
-    replaces the slower stable argsort behind
-    ``np.unique(..., return_index=True)``, the fallback.
+    Of ``n`` values at most ``w`` bits wide, with ``2 ** w <= _DENSE_RATIO
+    * n``, they are the set cells of a flag table indexed by value;
+    otherwise ``np.sort`` and a compare of neighbours find them.
+    numpy's ``unique`` is not used: it took 43-54 ms on 806k values
+    where the sort and compare took 9.5.
 
     CPU ms sorted / in the table (best of 9, Xeon VM, CPython 3.11,
     numpy 2.4), by table cells per value:
 
-    ====  =========  ========  ========  ========  ========
-    w     n          1 cell    2 cells   4 cells   12 cells
-    ====  =========  ========  ========  ========  ========
-    18    gallery    4.5/1.9   2.5/1.1   1.1/0.5   0.4/0.3
-    18    random     7.3/3.1   3.9/1.8   1.8/1.1   0.5/0.4
-    20    random     27/10     14/6.2    6.7/5.0   1.9/1.7
-    22    random               66/39     34/25     10/11
-    ====  =========  ========  ========  ========  ========
+    ====  =======  ==========  =========  =========  =========  =========
+    w     values   1 cell      2 cells    4 cells    8 cells    12 cells
+    ====  =======  ==========  =========  =========  =========  =========
+    18    gallery  3.05/1.27   2.01/0.93  0.93/0.49  0.38/0.31  0.28/0.24
+    18    random   5.14/2.01   2.05/1.12  0.80/0.71  0.34/0.51  0.22/0.79
+    20    random   21.7/8.19   8.96/4.83  3.73/3.11  1.53/2.03  0.93/3.22
+    22    random   98.6/52.6   34.4/24.7  14.0/15.5  7.22/9.99  4.44/14.5
+    ====  =======  ==========  =========  =========  =========  =========
 
-    The gallery rows are windows of H3prime's 1.2 M level-1 cover
-    unions at k=3, which the table takes in 7.5 ms instead of 22.4.  Up
-    to 4 cells per value the table saves at least a quarter; past that
-    the margin shrinks, and it turns at 22 bits (12 cells) and on H3's
-    27,126 component unions at k=3 (9.7 cells per value, 13 distinct:
-    0.27 ms sorted, 0.30 in the table).
+    The gallery rows are windows of the unions of 1..3 members of
+    H3prime's level-1 pool, duplicates included.  Up to 4 cells per
+    value the table wins or ties; from 8 cells the sort wins on random
+    values.
     """
     n = len(values)
     width = int(values.max()).bit_length() if n else 0
-    shift = max(n - 1, 1).bit_length()
-    if 1 << width <= _DENSE_RATIO * n and n < 1 << 31:
-        table = np.full(1 << width, n, dtype=np.int32)
-        np.minimum.at(table, values, np.arange(n, dtype=np.int32))
-        uniq = np.flatnonzero(table < n)
-        pos = table[uniq].astype(np.int64)
-        uniq = uniq.astype(np.uint64)
-    elif not n or width + shift > 64:
-        uniq, pos = np.unique(values, return_index=True)
-    else:
-        # In place: ``values`` can be tens of megabytes.
-        keys = values << np.uint64(shift)
-        keys |= np.arange(n, dtype=np.uint64)
-        keys.sort()
-        uniq = keys >> np.uint64(shift)
-        new = np.concatenate(([True], uniq[1:] != uniq[:-1]))
-        uniq = uniq[new]
-        pos = (keys[new] & np.uint64((1 << shift) - 1)).astype(np.int64)
-    order = np.argsort(pos)
-    return uniq[order], pos[order]
+    if n and 1 << width <= _DENSE_RATIO * n:
+        flags = np.zeros(1 << width, dtype=bool)
+        flags[values] = True
+        return np.flatnonzero(flags).astype(np.uint64)
+    values = np.sort(values)
+    return values[_starts(values)]
 
 
-def _first_intersections(rows, cols):
-    """Distinct nonzero masks ``rows[i] & cols[j]``, each with its first cell.
+def _starts(values):
+    """Where an entry of the sorted array ``values`` differs from the one before."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
 
-    Returns ``{mask: i * len(cols) + j}`` in discovery order, i.e.
-    ordered by ``(i, j)``: the order of a loop over the rows and, within
-    a row, over the columns that keeps each mask not seen before.  Above
-    a size gate, and when every mask fits 64 bits, the loop runs in
-    numpy, in blocks of at most ``_BLOCK`` intersections to bound
+
+def _intersections(rows, cols):
+    """Distinct nonzero masks ``rows[i] & cols[j]``, ascending.
+
+    Above a size gate, and when every mask fits 64 bits, they are found
+    in numpy, in blocks of at most ``_BLOCK`` intersections to bound
     memory.  It forms the bags, component unions times cover unions,
     and the sub-edges of each pool member too wide for the split of
     :func:`_sub_edges`.
     """
     if len(rows) * len(cols) <= _NUMPY_THRESHOLD or not _fits_uint64(rows, cols):
-        first = {}
-        for p, (row, col) in enumerate(product(rows, cols)):
-            first.setdefault(row & col, p)
-        first.pop(0, None)
-        return first
+        return sorted({row & col for row in rows for col in cols} - {0})
     row_arr = np.array(rows, dtype=np.uint64)
     col_arr = np.array(cols, dtype=np.uint64)
-    seen = np.zeros(0, dtype=np.uint64)
-    first = {}
     step = max(1, _BLOCK // max(len(cols), 1))
-    for lo in range(0, len(rows), step):
-        block = (row_arr[lo:lo + step, None] & col_arr[None, :]).ravel()
-        uniq, pos = _first_seen(block)  # ordered by pos, i.e. by (i, j)
-        keep = (uniq != 0) & ~np.isin(uniq, seen)
-        uniq, pos = uniq[keep], pos[keep]
-        first.update(zip(uniq.tolist(), (pos + lo * len(cols)).tolist()))
-        seen = np.concatenate([seen, uniq])
-    return first
+    blocks = [_distinct((row_arr[lo:lo + step, None] & col_arr[None, :]).ravel())
+              for lo in range(0, len(rows), step)]
+    found = _distinct(np.concatenate(blocks)) if len(blocks) > 1 else blocks[0]
+    return found[found != 0].tolist()
 
 
 def _sub_edges(members, bags, n):
     """Each member's distinct nonzero intersections with ``bags``.
 
-    Returns one dict per mask in ``members``: its distinct nonzero
-    ``member & bags[j]``, each mapped to its first ``j``, in order of
-    ``j``.  Masks range over ``n`` vertices.
+    Returns one ascending list per mask in ``members``.  Masks range
+    over ``n`` vertices.
 
     A member of at most ``_SPLIT_ARITY`` vertices is split on the
     per-vertex bitset index of the bags, bit ``j`` of column ``v``
@@ -319,17 +311,15 @@ def _sub_edges(members, bags, n):
     of the member's vertices ``v`` splits every set into the bags with
     ``v`` (one AND with column ``v``) and those without (one XOR).
     After the last vertex each nonempty set holds the bags of one
-    intersection, and its lowest set bit is the first ``j``.  That is a
-    few big-int operations of ``len(bags)`` bits per set, whatever the
-    number of vertices, but a member of ``r`` vertices can reach
-    ``2 ** r`` sets.
+    intersection.  That is a few big-int operations of ``len(bags)``
+    bits per set, whatever the number of vertices, but a member of
+    ``r`` vertices can reach ``2 ** r`` sets.
 
-    A wider member is one row of :func:`_first_intersections`, whose
-    cells are then the ``j``.  The bound was set by measurement,
-    splitting every member against one intersection per bag on graphs
-    of 14-30 random edges of ``r`` vertices each: the split took
-    0.15-0.81 of the time at r <= 5, 0.50-0.98 at r = 6, 1.2-1.6 at
-    r = 7 and 1.8-2.3 at r = 8.  Only test inputs have wide members;
+    A wider member is one row of :func:`_intersections`.  The bound
+    was set by measurement, splitting every member against one
+    intersection per bag on graphs of 14-30 random edges of ``r``
+    vertices each: the split took 0.15-0.81 of the time at r <= 5,
+    0.50-0.98 at r = 6, 1.2-1.6 at r = 7 and 1.8-2.3 at r = 8.  Only test inputs have wide members;
     without a batch across them, ``_next_pool`` on ``wide12`` of
     ``tests/test_bags.py`` at k=3 (14 members of 12 vertices, 4,143
     bags) takes 11-12 ms of CPU, not 3.3 (best of 9, Xeon VM, CPython 3.11).
@@ -339,7 +329,7 @@ def _sub_edges(members, bags, n):
     out = []
     for p in members:
         if p.bit_count() > _SPLIT_ARITY:
-            out.append(_first_intersections([p], bags))
+            out.append(_intersections([p], bags))
             continue
         if index is None:
             index = bit_columns(n, bags)
@@ -355,8 +345,7 @@ def _sub_edges(members, bags, n):
                 if s:
                     split.append((s, m))
             sets = split
-        out.append({m: j for j, m in sorted(
-            ((s & -s).bit_length() - 1, m) for s, m in sets if m)})
+        out.append(sorted(m for _, m in sets if m))
     return out
 
 
@@ -374,27 +363,21 @@ def candidate_index(n, masks):
     the index is built in numpy, with the same result.  There the
     columns are unpacked one byte of the masks at a time, so no
     temporary is much larger than the masks themselves, and the masks
-    are deduplicated by ``np.sort``, as ``np.unique`` takes 13.0 ms on
-    H3prime's 62,045 level-1 bags at k=3 against 0.49.  The gate is the measured crossover: on random masks
-    of 18, 40 and 64 vertices numpy wins from about 200 to 250 masks
-    (at 256: 61 against 73, 82 against 108 and 81 against 112 µs, best
-    of 201).  The index of those 62,045 bags takes 16.7 ms of CPU in
+    are deduplicated by :func:`_distinct`, as numpy's ``unique`` takes
+    13.0 ms on H3prime's 62,045 level-1 bags at k=3 against 0.49.  The
+    gate is the measured crossover: on random masks of 18, 40 and 64
+    vertices numpy wins from about 200 to 250 masks (at 256: 61 against
+    73, 82 against 108 and 81 against 112 µs, best of 201).  The index of those 62,045 bags takes 16.7 ms of CPU in
     Python and 3.4 in numpy, of H3's 29,732 level-0 bags at k=3 7.1 and
     1.7, and of ``cycle(64)``'s 7,936 at k=2 4.6 and 0.8 (best of 54,
     Xeon VM, CPython 3.11, numpy 2.4).
     """
     if len(masks) <= _INDEX_THRESHOLD or n > 64:
-        bags = sorted(set(masks))
-        if bags and not bags[0]:
-            bags.pop(0)
+        bags = sorted(set(masks) - {0})
         bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
         return bags, bit_columns(n, bags)
-    arr = np.fromiter(masks, dtype=np.uint64, count=len(masks))
-    arr.sort()
-    keep = np.empty(len(arr), dtype=bool)
-    keep[:1] = arr[:1] != 0  # sorted: a zero comes first
-    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-    arr = arr[keep]
+    arr = _distinct(np.fromiter(masks, dtype=np.uint64, count=len(masks)))
+    arr = arr[arr != 0]
     arr = arr[np.argsort(64 - np.bitwise_count(arr), kind="stable")]
     rows = arr.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
     has = []
@@ -410,26 +393,26 @@ def candidate_index(n, masks):
 def _component_entries(h, seps):
     """Distinct component unions over the separators ``seps``, masks only.
 
-    Returns ``(union, separator)`` mask pairs in first-witness order: the
-    unions of the components of each separator from
-    ``_separator_unions``, in (separator, component) order with
-    components ordered by smallest member vertex, each kept at its first
-    occurrence with that separator.  On up to 64 vertices and above a
-    size gate, all separators are split at once in numpy, with the same
-    result.
+    Returns ``(union, separator)`` mask pairs ascending by union: the
+    distinct unions of the components of the separators from
+    ``_separator_unions``, each with the first separator, in ``seps``
+    order, that has it.  On up to 64 vertices and above a size gate,
+    all separators are split at once in numpy, with the same result.
     """
     # Measured crossover: at 18 vertices numpy wins from about 60
     # separators, and the pure-Python split of one separator costs more
     # the more vertices it has.
     if len(seps) * h.n_vertices ** 2 > _NUMPY_THRESHOLD and _fits_uint64([h.all_vertices_mask]):
         owner, _, unions = _component_unions_batch(h, seps)
-        uniq, pos = _first_seen(unions)
-        return tuple(zip(uniq.tolist(), [seps[i] for i in owner[pos].tolist()]))
+        order = np.argsort(unions, kind="stable")  # ties stay in separator order
+        unions, owner = unions[order], owner[order]
+        first = _starts(unions)  # each union's first separator
+        return tuple(zip(unions[first].tolist(), [seps[i] for i in owner[first].tolist()]))
     entries = {}  # component union -> its first separator
     for sep in seps:
         for union in h.component_unions(sep):
             entries.setdefault(union, sep)
-    return tuple(entries.items())
+    return tuple(sorted(entries.items()))
 
 
 def _component_unions_batch(h, seps):
@@ -520,7 +503,7 @@ def _adjacency_bytes(h):
 def _enumerate_bags(h, k, pool, origins, components, covers, level, max_bags, max_steps):
     if len(covers) * len(components) > max_steps:
         raise ResourceBudgetError("bag enumeration exceeded step budget")
-    bags = _first_intersections([cm for cm, _ in components], covers)
+    bags = tuple(_intersections([cm for cm, _ in components], covers))
     if len(bags) > max_bags:
         raise ResourceBudgetError("bag count exceeded budget")
     return CandidateBagSet(h, k, level, pool, origins, bags, components, covers)
@@ -539,10 +522,10 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
     """Build the next level's bag set from ``prev``.
 
     The new cover pool is the old pool plus all nonempty intersections
-    of old pool members with old bags, deduplicated by vertex set, in
-    (member, first bag) order; the separator side, ``prev.components``,
-    is reused.  Each member's intersections come from :func:`_sub_edges`.
-    Returns ``prev`` itself when the pool does not grow, as covers and
+    of old pool members with old bags, deduplicated by vertex set: per
+    member in pool order, its new sub-edges by ascending mask.  The
+    separator side, ``prev.components``, is reused.  Each member's
+    intersections come from :func:`_sub_edges`.  Returns ``prev`` itself when the pool does not grow, as covers and
     bags then cannot change.
     """
     pool, origins = _next_pool(prev, max_steps)
@@ -554,17 +537,18 @@ def iterate_level(prev, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):
 
 
 def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):
-    """The old pool plus, in discovery order, every new nonempty
-    intersection of an old pool member with an old bag.
+    """The old pool plus every new nonempty intersection of an old pool
+    member with an old bag: per member in pool order, its new sub-edges
+    by ascending mask.
 
     Returns ``(pool, origins)``, a new member taking the origin of the
-    member it lies in.  Raises, as :func:`cover_union_masks` would on
-    the whole pool, as soon as the pool has more cover combinations
-    than ``max_steps``.
+    first member, in pool order, it is a sub-edge of.  Raises, as
+    :func:`cover_union_masks` would on the whole pool, as soon as the
+    pool has more cover combinations than ``max_steps``.
     """
     pool, origins = list(prev.pool), list(prev.origins)
     seen = set(pool)
-    found = _sub_edges(prev.pool, list(prev.bags), prev.hypergraph.n_vertices)
+    found = _sub_edges(prev.pool, prev.bags, prev.hypergraph.n_vertices)
     for origin, subs in zip(prev.origins, found):
         for m in subs:
             if m not in seen:
@@ -586,9 +570,9 @@ def trimmed_next_pool(prev):
     is sound, since the pool is a subset of the full next-level pool.
     The sub-edges of each member come from :func:`_sub_edges`, as in
     :func:`iterate_level` (a split on the bags' bitset index, or
-    :func:`_first_intersections` for members wider than ``_SPLIT_ARITY``).
+    :func:`_intersections` for members wider than ``_SPLIT_ARITY``).
     """
-    found = _sub_edges(prev.pool, list(prev.bags), prev.hypergraph.n_vertices)
+    found = _sub_edges(prev.pool, prev.bags, prev.hypergraph.n_vertices)
     by_origin = {}
     for member, origin, subs in zip(prev.pool, prev.origins, found):
         for m in subs:

@@ -40,7 +40,6 @@ from .hypergraph import cover_is_connected, ids_of
 from .solver import (
     DEFAULT_MAX_EVALS,
     TreeDecomposition,
-    _bag_masks,
     _Search,
     attach_covers,
     minimum_cover,
@@ -440,7 +439,7 @@ def solve_constrained(h, bags, constraint, order):
             stacklevel=2,
         )
     k = getattr(bags, "k", None)
-    search = _Search(h, _bag_masks(bags), DEFAULT_MAX_EVALS)
+    search = _Search(h, list(bags), DEFAULT_MAX_EVALS)
     entries = {}  # block -> Entry, or None if no tree satisfies
     scored = {}  # (root bag, sub-blocks) -> Entry, or None if it fails
     root_covers = {}  # root bag -> minimum cover, filled on first use
@@ -511,7 +510,7 @@ def enumerate_top_n(h, bags, constraint, order, n, max_trees=20_000, max_steps=2
     """
     from .oracles import OracleBudgetError, enumerate_all_ctds
 
-    masks = _bag_masks(bags)
+    masks = list(bags)
     k = getattr(bags, "k", None)
     truncated = False
     try:

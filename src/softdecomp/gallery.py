@@ -8,12 +8,16 @@ and 1.  ``C_n`` are vertex cycles.  The ``q_*``
 entries are join-query hypergraphs; their attested values also include
 the candidate-bag counts used in the count regression tests.
 :func:`random_connected_hypergraph` generates the seeded random corpora
-of the tests and scripts.
+of the tests and scripts, and :func:`witness_order` the bag order their
+seeded statistics are drawn in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 from .hypergraph import Hypergraph
 
@@ -103,6 +107,21 @@ def random_connected_hypergraph(rng, max_vertices=8, max_edges=8, max_arity=4):
         edges.setdefault(tuple(sorted(rng.sample(range(n), min(size, n)))))
     named = [(f"e{i}", [f"v{v}" for v in vs]) for i, vs in enumerate(list(edges)[:max_edges])]
     return Hypergraph.from_named_edges(named)
+
+
+def witness_order(h, k):
+    """The level-0 bags of ``h`` at width ``k`` in the order a plain loop
+    over (component union, cover union) pairs first finds them, with
+    separators and covers by combination size, then lexicographically.
+    Seeded statistics catalogs draw one value per bag in this order."""
+    def unions(smallest):
+        return dict.fromkeys(reduce(or_, combo, 0) for size in range(smallest, k + 1)
+                             for combo in combinations(h.edge_masks, size))
+
+    components = dict.fromkeys(u for sep in unions(0) for u in h.component_unions(sep))
+    bags = dict.fromkeys(u & w for u in components for w in unions(1))
+    bags.pop(0, None)
+    return list(bags)
 
 
 def _q_ds():

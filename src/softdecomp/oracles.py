@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .solver import TreeDecomposition, _bag_masks, minimum_cover
+from .solver import TreeDecomposition, minimum_cover
 
 DEFAULT_SUBSET_VERTEX_CAP = 14
 
@@ -360,7 +360,7 @@ def iter_all_ctds(h, bags, max_steps=2_000_000):
     stays proportional to the recursion depth, so taking only the first
     few trees is cheap even when the full count is astronomical.
     """
-    masks = sorted(set(_bag_masks(bags)))
+    masks = sorted(set(bags))
     state = {"steps": 0}
 
     def options(block):

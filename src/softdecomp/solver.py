@@ -233,12 +233,6 @@ class SolveResult:
     evals: int  # blocks the search decided
 
 
-def _bag_masks(bags):
-    if hasattr(bags, "bags"):
-        return list(bags.bags)
-    return list(bags)
-
-
 class _Search:
     def __init__(self, h, bag_masks, max_evals):
         self.h = h
@@ -360,7 +354,7 @@ def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
     Disconnected hypergraphs are solved per connected component, and
     the decomposition has one root per component.
     """
-    search = _Search(h, _bag_masks(bags), max_evals)
+    search = _Search(h, list(bags), max_evals)
     root_blocks = [(0, comp) for comp in h.vertex_components(0)]
     table = BasisTable(search.sat)
     for block in root_blocks:

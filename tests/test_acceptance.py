@@ -40,6 +40,7 @@ from softdecomp import (
     trivial_order,
     validate_td,
 )
+from softdecomp.gallery import witness_order
 from softdecomp.hypergraph import ids_of, mask_of
 from softdecomp.solver import TreeDecomposition, minimum_cover
 
@@ -263,7 +264,7 @@ def test_optimizer_minimality(capsys):
     for _ in range(20):
         h = random_connected_hypergraph(rng, max_vertices=6, max_edges=5)
         bags = soft_bags(h, 2)
-        stats = random_stats(rng, h, bags.masks())
+        stats = random_stats(rng, h, witness_order(h, 2))
         top = enumerate_top_n(h, bags, ConnectedCover(), cost_order(stats), 5)
         costs = [key.cost for key in top.keys]
         if costs != sorted(costs):

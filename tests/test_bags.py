@@ -24,7 +24,7 @@ from softdecomp import bags as bags_module
 from softdecomp.bags import (
     DEFAULT_MAX_STEPS,
     _component_unions_batch,
-    _first_seen,
+    _distinct,
     _separator_unions,
     cover_union_masks,
     trimmed_next_pool,
@@ -105,6 +105,18 @@ def test_witnesses_reproduce_their_bags(seed, k):
         assert len(lambda1) <= k and len(lambda2) <= k
         assert component in h.component_unions(sep)
         assert cover & component == m
+
+
+def test_witness_of_a_non_bag_raises():
+    # Every mask over C5's vertices that is not a bag, the empty one
+    # first: a search that gave up with None would pass unseen.
+    h = gallery("C5").hypergraph
+    bag_set = soft_bags(h, 1)
+    others = [m for m in range(1 << h.n_vertices) if m not in set(bag_set.bags)]
+    assert others[0] == 0 and len(others) > 1
+    for m in others:
+        with pytest.raises(KeyError):
+            bag_set.witness(m)
 
 
 def _first_witnesses(masks, k):
@@ -208,13 +220,13 @@ def test_soft_bags_level_matches_manual_iteration():
 
 
 def reference_next_pool(prev):
-    """The next level's pool as (mask, origin) pairs, by a plain double
-    loop over members and bags; the old pool is its prefix."""
+    """The next level's pool as (mask, origin) pairs, by a plain loop over
+    the members, each adding its new intersections with the bags in
+    ascending order; the old pool is its prefix."""
     pool = list(zip(prev.pool, prev.origins))
     seen = set(prev.pool)
     for sub, origin in zip(prev.pool, prev.origins):
-        for b in prev.bags:
-            m = sub & b
+        for m in sorted({sub & b for b in prev.bags}):
             if m and m not in seen:
                 seen.add(m)
                 pool.append((m, origin))
@@ -240,16 +252,8 @@ def reference_trimmed_pool(prev):
 
 
 def reference_sub_edges(members, bags):
-    """Per member, its distinct nonzero intersections with the bags, each
-    mapped to its first bag index."""
-    out = []
-    for p in members:
-        first = {}
-        for j, b in enumerate(bags):
-            if p & b:
-                first.setdefault(p & b, j)
-        out.append(first)
-    return out
+    """Per member, its distinct nonzero intersections with the bags, ascending."""
+    return [sorted({p & b for b in bags if p & b}) for p in members]
 
 
 def h3prime_all():
@@ -279,7 +283,7 @@ def _pool_cases():
 
 
 def test_next_level_pool_is_intersection_closure():
-    # Same members, origins and order as the double loop over (member, bag).
+    # Same members, origins and order as the plain loop over members.
     # The step budget is set to what the whole pool needs.
     for name, lvl0 in _pool_cases():
         want = reference_next_pool(lvl0)
@@ -316,19 +320,17 @@ def test_sub_edges_match_a_plain_loop(monkeypatch, split_arity):
     for h in graphs + [wide12(), gallery("H2").hypergraph]:
         bs = soft_bags(h, 2)
         members, masks = bs.pool, list(bs.bags)
-        want = [list(d.items()) for d in reference_sub_edges(members, masks)]
+        want = reference_sub_edges(members, masks)
         for got in _both_paths(
             monkeypatch, lambda: bags_module._sub_edges(members, masks, h.n_vertices)
         ):
-            assert [list(d.items()) for d in got] == want
+            assert got == want
 
 
 def test_sub_edges_above_64_vertices():
     bs = soft_bags(cycle(65), 2)
     members, masks = bs.pool, list(bs.bags)
-    got = bags_module._sub_edges(members, masks, 65)
-    want = reference_sub_edges(members, masks)
-    assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+    assert bags_module._sub_edges(members, masks, 65) == reference_sub_edges(members, masks)
 
 
 def test_trimmed_next_pool_matches_the_comprehension():
@@ -352,9 +354,7 @@ def test_trimmed_next_pool_matches_the_comprehension():
 def test_cover_union_masks_are_exactly_small_unions(seed, k):
     h = random_connected_hypergraph(random.Random(seed))
     pool = list(h.edge_masks)
-    got = cover_union_masks(pool, k)
-    assert set(got) == brute_cover_unions(pool, k)
-    assert len(got) == len(set(got))
+    assert cover_union_masks(pool, k) == sorted(brute_cover_unions(pool, k))
 
 
 @settings(deadline=None, max_examples=40)
@@ -387,24 +387,27 @@ def test_connected_filter_rejects_disconnected_covers():
     assert set(conn) <= set(all_bags)
 
 
-def test_first_seen_keeps_first_occurrences():
+def test_distinct_is_the_sorted_set(monkeypatch):
     rng = random.Random(5)
     n = 2_000
     widest = (bags_module._DENSE_RATIO * n).bit_length() - 1  # widest w with a table
-    # Tables of 16 cells and at the ratio's edge, sorted keys just past
-    # it, and the np.unique fallback at 63 bits.
-    for bits in (4, widest, widest + 1, 63):
-        choices = [(1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(49)]
+    flags = []  # the table sizes np.zeros is asked for, which only the table path does
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda size, dtype: flags.append(size) or zeros(size, dtype))
+    # Tables of 16 cells and at the ratio's edge, then a sort just past
+    # it and at 64 bits, with the top bit set.
+    for bits, table in ((4, True), (widest, True), (widest + 1, False), (64, False)):
+        choices = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(48)]
         values = [rng.choice(choices) for _ in range(n)]
-        uniq, pos = _first_seen(np.array(values, dtype=np.uint64))
-        want = {}
-        for i, v in enumerate(values):
-            want.setdefault(v, i)
-        assert (uniq.dtype, pos.dtype) == (np.uint64, np.int64)
-        assert uniq.tolist() == list(want)
-        assert pos.tolist() == list(want.values())
-    uniq, pos = _first_seen(np.zeros(0, dtype=np.uint64))
-    assert (uniq.dtype, pos.dtype, len(uniq), len(pos)) == (np.uint64, np.int64, 0, 0)
+        flags.clear()
+        got = _distinct(np.array(values, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == sorted(set(values))
+        assert bool(flags) == table
+    for values in ([], [0], [1 << 63], [5], [0, 0, 0]):
+        got = _distinct(np.array(values, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == sorted(set(values))
 
 
 # --- numpy and pure-Python twins ---------------------------------------------
@@ -422,8 +425,8 @@ def test_forced_gates_reach_both_combo_paths(monkeypatch):
     # Forcing pure Python must keep _combo_unions off numpy, and forcing
     # numpy must take it there, or the twin tests compare a path with itself.
     calls = []
-    first_seen = bags_module._first_seen
-    monkeypatch.setattr(bags_module, "_first_seen", lambda v: calls.append(len(v)) or first_seen(v))
+    distinct = bags_module._distinct
+    monkeypatch.setattr(bags_module, "_distinct", lambda v: calls.append(len(v)) or distinct(v))
     masks = list(gallery("H2").hypergraph.edge_masks)
 
     def build():
@@ -436,32 +439,49 @@ def test_forced_gates_reach_both_combo_paths(monkeypatch):
 
 
 def _python_component_entries(h, k):
-    """The reference loop: components of each separator, first seen kept."""
+    """The reference loop: components of each separator, first seen kept
+    with its separator, then sorted by union."""
     entries, seen = [], set()
     for sep in _separator_unions(h, k, DEFAULT_MAX_STEPS):
         for union in h.component_unions(sep):
             if union not in seen:
                 seen.add(union)
                 entries.append((union, sep))
-    return tuple(entries)
+    return tuple(sorted(entries))
+
+
+def _chain_hypergraph(rng, n):
+    """``n`` vertices on a chain of six edges, each sharing a vertex with
+    the next, plus two edges of random vertices."""
+    cuts = sorted(rng.sample(range(1, n - 1), 5))
+    bounds = [0, *cuts, n - 1]
+    edges = [range(a, b + 1) for a, b in zip(bounds, bounds[1:])]
+    edges += [rng.sample(range(n), rng.randint(2, 4)) for _ in range(2)]
+    return Hypergraph.from_named_edges(
+        [(f"e{i}", [f"v{v}" for v in sorted(vs)]) for i, vs in enumerate(edges)])
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_twins_keep_discovery_order(monkeypatch, k):
-    # Pool order, bag order, bag cells and witnesses must not depend on
-    # which path ran, nor on how many row blocks a numpy path takes: at
-    # 7 intersections per block, a block holds one row or a few.
+def test_twins_agree_in_ascending_order(monkeypatch, k):
+    # Pools, bags, component entries, cover unions and witnesses must
+    # not depend on which path ran, nor on how many row blocks a numpy
+    # path takes: at 7 intersections per block, a block holds one row or
+    # a few.  The masks of the 57-64-vertex chains are too wide for a
+    # flag table, so _distinct sorts them under FORCE_NUMPY.
     blocks = (bags_module._BLOCK, 7)
     rng = random.Random(400 + k)
-    for _ in range(30):
-        h = random_connected_hypergraph(rng, max_vertices=8, max_edges=7)
+    graphs = [random_connected_hypergraph(rng, max_vertices=8, max_edges=7) for _ in range(30)]
+    graphs += [_chain_hypergraph(rng, n) for n in (57, 61, 64)]
+    for h in graphs:
 
         def build():
             out = []
             for level in (0, 1):
                 bs = soft_bags_level(h, k, level)
+                for masks in (bs.bags, bs.components, bs.covers):
+                    assert list(masks) == sorted(set(masks))
                 pool = list(zip(bs.pool, bs.origins))
-                out.append((pool, bs.level, list(bs.bags.items()), bs.serialize()))
+                out.append((pool, bs.level, bs.bags, bs.components, bs.covers, bs.serialize()))
             return out
 
         sides = []
@@ -587,16 +607,14 @@ def test_separator_unions_match_a_plain_loop(monkeypatch):
         if threshold is not None:
             force_bag_paths(monkeypatch, threshold)
         h = gallery(name).hypergraph
-        want, seen = [], set()
+        want = set()
         for size in range(k + 1):
             for combo in combinations(range(h.n_edges), size):
                 m = 0
                 for i in combo:
                     m |= h.edge_masks[i]
-                if m not in seen:
-                    seen.add(m)
-                    want.append(m)
-        assert _separator_unions(h, k, DEFAULT_MAX_STEPS) == want
+                want.add(m)
+        assert _separator_unions(h, k, DEFAULT_MAX_STEPS) == sorted(want)
 
 
 # --- resource budgets --------------------------------------------------------

@@ -28,7 +28,7 @@ from softdecomp import (
     trivial_order,
     validate_td,
 )
-from softdecomp.gallery import SQL_QUERIES
+from softdecomp.gallery import SQL_QUERIES, witness_order
 from softdecomp.oracles import OracleBudgetError
 from softdecomp.constraints import (
     CostKey,
@@ -299,7 +299,7 @@ def test_cost_order_key_matches_recomputation():
     rng = random.Random(11)
     h = random_connected_hypergraph(rng, max_vertices=6, max_edges=5)
     bags = soft_bags(h, 2)
-    stats = random_stats(rng, h, bags.masks())
+    stats = random_stats(rng, h, witness_order(h, 2))
     res = solve_constrained(h, bags, ConnectedCover(), cost_order(stats))
     if res.accepted:
         assert res.key.cost == pytest.approx(
@@ -415,7 +415,7 @@ def test_cost_order_is_exact_with_real_join_sizes():
         h = random_connected_hypergraph(rng, max_vertices=6, max_edges=6)
         k = rng.choice([2, 3])
         bags = soft_bags(h, k)
-        stats = random_stats(rng, h, bags.masks())
+        stats = random_stats(rng, h, witness_order(h, k))
     costs = []
     for td in enumerate_all_ctds(h, bags):
         attach_covers(td, max_size=k)
@@ -506,7 +506,7 @@ def test_composed_keys_match_whole_tree_scoring():
     entries = 0
     for h, k in cases:
         bags = soft_bags(h, k)
-        stats = random_stats(rng, h, rng.sample(bags.masks(), len(bags) // 2))
+        stats = random_stats(rng, h, rng.sample(witness_order(h, k), len(bags) // 2))
         for e in range(h.n_edges):
             vs = [v for v in range(h.n_vertices) if h.edge_masks[e] >> v & 1]
             stats.primary_key[e] = mask_of(rng.sample(vs, rng.randint(0, len(vs))))
@@ -563,7 +563,7 @@ def test_top_n_sorted_and_distinct():
     rng = random.Random(23)
     h = random_connected_hypergraph(rng, max_vertices=6, max_edges=5)
     bags = soft_bags(h, 2)
-    stats = random_stats(rng, h, bags.masks())
+    stats = random_stats(rng, h, witness_order(h, 2))
     order = cost_order(stats)
     top = enumerate_top_n(h, bags, ConnectedCover(), order, 5)
     assert not top.truncated

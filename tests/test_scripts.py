@@ -30,7 +30,9 @@ def test_script_help(script):
 # basis tables and trees of ``solve``, and the bag sets it runs on.  A
 # change to any of them is a change to the answers, not a speed-up.
 # The ``verdicts`` digests hash verdicts and trees only; they hold when
-# a change decides fewer blocks for the same answers.
+# a change decides fewer blocks for the same answers.  ``bag sets``
+# hashes the bag sets without their orders; it holds when a change only
+# reorders the bag layer's lists.
 SOLVE_DIGESTS = {
     "gallery": "7aec3595296c1637b976ea4f330e478b5b6a203320d983c28461ec48a6dc4532",
     "gallery verdicts": "21f21af872cab754079180316cde9401a41db34a8cfa9e34d9bb992050f268fe",
@@ -38,7 +40,8 @@ SOLVE_DIGESTS = {
     "random verdicts": "7f75c8d5e27ab30b0c9867fb367429e559210891124766ab23317957b14f6921",
     "cycles": "9d8f880dfccd9b870f567775acdc8061fbd2c2c00e53a0a0592b82c58cc27749",
     "cycles verdicts": "17f3d8af5f0dd0026e213770c1335355d68077d1b4f1394063b2a08dd2a175f7",
-    "bags": "c7f6c68a2a9b546468af1dc2bda92101c730f1c2f74f8aeb0cd297dc1c080c59",
+    "bags": "076a97d60cbaabf0bbb6b668af226ecd6da23da2e8e144a0528a9865afb0519c",
+    "bag sets": "e1357ac2d68e0b51c1f1fb841da4f7f1bb134754c0ec132a0c534b9c11d1252c",
 }
 # ``hw_leq(h, k).to_text()`` (or None) over the script's 946 hw cases.
 HW_DIGEST = "49d0ff57c2e7f9fb343ba9af26a3d00a0089233cbd39412590eb4b54aab43def"
