@@ -14,9 +14,11 @@ it returned:
 Catalogs have random relation sizes, random (non-unit) join sizes for
 about half of the bags and random primary keys, so every term of the
 cost formula is exercised.  ``full`` hashes (verdict, ``sort_key``,
-``to_text()``, ``len(table)``) per run; ``tree`` hashes (verdict,
-``to_text()``) only.  Two commits give the same answers when their
-digests agree.  ``tests/test_scripts.py`` pins all 20 through
+``to_text()``, ``len(table)``) per run; ``answers`` hashes (verdict,
+``sort_key``, ``to_text()``), so it holds when a change reaches fewer
+blocks for the same answers; ``tree`` hashes (verdict, ``to_text()``)
+only.  Two commits give the same answers when their ``answers``
+digests agree.  ``tests/test_scripts.py`` pins all 30 through
 :func:`optimizer_digests`.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/optimizer_equivalence.py
@@ -96,15 +98,15 @@ def cases(which):
 
 
 def optimizer_digests():
-    """The ``full`` and ``tree`` digests of each input and pairing.
+    """The ``full``, ``tree`` and ``answers`` digests of each input and
+    pairing.
 
     Returns ``{input: (runs per pairing, CPU seconds, {pairing: (full,
-    tree)})}``, each digest cut to 16 hex digits.
+    tree, answers)})}``, each digest cut to 16 hex digits.
     """
     out = {}
     for which in ("queries", "random"):
-        full = {name: hashlib.sha256() for name in PAIRINGS}
-        tree = {name: hashlib.sha256() for name in PAIRINGS}
+        digests = {name: [hashlib.sha256() for _ in range(3)] for name in PAIRINGS}
         runs = 0
         start = time.process_time()
         for h, k, bags, stats in cases(which):
@@ -113,10 +115,12 @@ def optimizer_digests():
                 res = solve_constrained(h, bags, *pairing(name, h, k, stats))
                 text = res.decomposition.to_text() if res.accepted else ""
                 key = res.key.sort_key if res.accepted else None
-                full[name].update(repr((res.accepted, key, text, len(res.table))).encode())
-                tree[name].update(repr((res.accepted, text)).encode())
+                full, tree, answers = digests[name]
+                full.update(repr((res.accepted, key, text, len(res.table))).encode())
+                tree.update(repr((res.accepted, text)).encode())
+                answers.update(repr((res.accepted, key, text)).encode())
         out[which] = (runs, time.process_time() - start,
-                      {name: (full[name].hexdigest()[:16], tree[name].hexdigest()[:16])
+                      {name: tuple(d.hexdigest()[:16] for d in digests[name])
                        for name in PAIRINGS})
     return out
 
@@ -125,8 +129,8 @@ def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
     for which, (runs, elapsed, digests) in optimizer_digests().items():
         print(f"# {which}: {runs} runs per pairing, {elapsed:.1f} s CPU")
-        for name, (full, tree) in digests.items():
-            print(f"{which:8} {name:38} full {full}  tree {tree}")
+        for name, (full, tree, answers) in digests.items():
+            print(f"{which:8} {name:38} full {full}  tree {tree}  answers {answers}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,17 @@ the cheapest satisfying tree among those built from its bases and the
 kept trees of their sub-blocks.  The block graph is acyclic, so every
 kept tree is final once made.
 
+The DP walks each block's candidates once, with the block search's
+filter and order (``_Search.candidates``).  For a candidate ``X`` with
+components ``Y_1..Y_m`` inside the block it first looks up the pair
+``(X, Y_1, ..., Y_m)`` in a memo of scored pairs; only on a miss does
+it take the entries of the sub-blocks ``(X, Y_i)``, deciding each by
+this DP, not by the plain search.  A sub-block without an entry has
+no satisfying tree, and as constraints are hereditary no tree above
+it satisfies either: it is marked failed as a failed block of the
+plain search is (``_Search.fail``), so ``X`` is not offered again to
+any block whose component meets ``Y_i``.
+
 The optimizer never builds the trees it compares.  Every constraint
 and order exposes a *step* that judges or keys a subtree from its root
 node and a small state per child subtree, in O(children):
@@ -399,7 +410,7 @@ class ConstrainedResult:
     # block -> Entry, for the blocks reached from the root blocks that
     # have a satisfying tree
     table: dict
-    evals: int  # blocks the search decided
+    evals: int  # blocks decided, by the root pre-pass or the DP, each once
     pairs: int  # distinct (root bag, sub-blocks) pairs scored
 
 
@@ -408,24 +419,27 @@ def solve_constrained(h, bags, constraint, order):
 
     Dynamic programming over the blocks of the plain block search,
     memoized from the root blocks down.  A block's entry is the least
-    key under ``order`` of the trees built from its bases ``(X,
-    sub-blocks)``: the root bag ``X`` over the entries of the
-    sub-blocks.  A basis is skipped when a sub-block has no entry or
-    the tree fails the constraint.  Keys compare with a strict ``<``,
-    so among equal keys the first basis in the search's candidate order
-    wins, whatever the order of ``bags``.  The block graph is acyclic,
-    so one pass suffices.
+    key under ``order`` of the trees built from its candidates ``X``
+    and their sub-blocks ``(X, Y)``: the root bag ``X`` over the
+    entries of the sub-blocks.  Each block's candidates are walked
+    once (module docstring).  A candidate is skipped when a sub-block
+    has no entry, which marks it failed, or when the tree fails the
+    constraint.  Keys compare with a strict ``<``, so among equal keys
+    the first candidate in the search's order wins, whatever the order
+    of ``bags``.  The block graph is acyclic, so one pass suffices.
 
-    Each (root bag, sub-blocks) pair is judged and keyed once, by the
+    Each pair ``(X, Y_1, ..., Y_m)`` is judged and keyed once, by the
     constraint's and the order's steps (see the module docstring) over
-    the states stored in its sub-blocks' entries, so the only tree
-    built is the answer.  With a preference-complete
+    the states stored in its sub-blocks' entries, and the memo of
+    scored pairs is read before any sub-block is looked up.  The only
+    tree built is the answer.  With a preference-complete
     (constraint, order) pairing the answer is ACCEPT iff any satisfying
     tree exists.
 
     The plain search decides the root blocks first: a constraint only
     removes trees, so an unconstrained reject is a REJECT, found
-    without scoring any tree.
+    without scoring any tree.  The DP walks the blocks that the
+    pre-pass satisfied again; ``evals`` counts each block once.
 
     For a disconnected hypergraph the components are solved
     independently, and the decomposition has one root per component.
@@ -441,7 +455,7 @@ def solve_constrained(h, bags, constraint, order):
     k = getattr(bags, "k", None)
     search = _Search(h, list(bags), DEFAULT_MAX_EVALS)
     entries = {}  # block -> Entry, or None if no tree satisfies
-    scored = {}  # (root bag, sub-blocks) -> Entry, or None if it fails
+    scored = {}  # (X, *Ys) -> Entry, or None if the tree fails
     root_covers = {}  # root bag -> minimum cover, filled on first use
 
     def score(x, parts):
@@ -456,21 +470,44 @@ def solve_constrained(h, bags, constraint, order):
         key, state = order.step(node, [(p.key, p.order_state) for p in parts])
         return Entry(key, node, held, state)
 
+    def sub_entries(i, x, ys):
+        """The entries of the sub-blocks ``(x, y)``, or None at the first
+        that has none, which is marked failed: no tree of it satisfies,
+        so no tree above it does."""
+        out = []
+        for y in ys:
+            part = entry((x, y))
+            if part is None:
+                search.fail(i, y)
+                return None
+            out.append(part)
+        return out
+
     def entry(block):
-        if block not in entries:
-            best = None
-            for x, subs in search.bases(block):
-                parts = [entry(sb) for sb in subs]
-                if None in parts:
+        if block in entries:
+            return entries[block]
+        if block not in search.sat:  # not decided by the root pre-pass
+            search.tick()
+        s, c = block
+        head, comps = search.heads[s]  # filled by the block's parent
+        dead = search.dead
+        best = None
+        for i, x in search.candidates(head, c, s & comps[c]):
+            # A sub-block of x may have failed since the index was read.
+            if dead[i] & c:
+                continue
+            ys = [y for y in search.components_of(i) if y & c]
+            pair = (x, *ys)
+            if pair not in scored:
+                subs = sub_entries(i, x, ys)
+                if subs is None:
                     continue
-                pair = (x, subs)
-                if pair not in scored:
-                    scored[pair] = score(x, parts)
-                got = scored[pair]
-                if got is not None and (best is None or got.key < best.key):
-                    best = got
-            entries[block] = best
-        return entries[block]
+                scored[pair] = score(x, subs)
+            got = scored[pair]
+            if got is not None and (best is None or got.key < best.key):
+                best = got
+        entries[block] = best
+        return best
 
     root_blocks = [(0, c) for c in h.vertex_components(0)]
     if not all(search.evaluate(rb) for rb in root_blocks):

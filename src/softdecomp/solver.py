@@ -74,11 +74,16 @@ The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
 lexicographically at every step.  Each block is therefore decided once,
 and its answer is final.  Candidates are tried largest first, ties by
 mask value, so the basis found, and the tree, does not depend on the
-order in which the bags are given.  ``_Search.bases`` yields every
-basis of a block in that order; ``solve`` takes the first, and the
-constrained optimizer keeps, among bases whose trees have equal cost
-keys, the first one, so its tree does not depend on the bag order
-either.
+order in which the bags are given.
+
+``_Search.evaluate`` walks a block's candidates (``_Search.candidates``)
+up to the first whose sub-blocks all have a basis, and records each
+failed sub-block with ``_Search.fail``.  The constrained optimizer
+walks the same candidates in the same order, once per block it
+reaches and in full, and decides the sub-blocks by its own entries,
+not by ``evaluate``.  It records a sub-block with no satisfying tree
+with ``_Search.fail`` too, and keeps the first of equal keys, so its
+tree does not depend on the bag order either.
 """
 
 from __future__ import annotations
@@ -307,16 +312,33 @@ class _Search:
                 yield i, bags[i]
             j = marks.find(1, j + 1)
 
-    def bases(self, block):
-        """Yield ``(X, sub_blocks)`` for each basis of ``block``, in
-        candidate order, marking failed sub-blocks in ``dead`` and
-        ``live`` on the way."""
+    def fail(self, i, y):
+        """Record that the block ``(bags[i], y)`` failed: drop ``bags[i]``
+        from every block whose component meets ``y``."""
+        self.dead[i] |= y
+        live = self.live
+        drop = ~(1 << i)
+        while y:
+            live[(y & -y).bit_length() - 1] &= drop
+            y &= y - 1
+
+    def tick(self):
+        """Count one decided block against the budget."""
+        self.evals += 1
+        if self.evals > self.max_evals:
+            raise SolverBudgetError("block search exceeded evaluation budget")
+
+    def evaluate(self, block):
+        """Whether ``block`` has a basis; records the first in ``sat``
+        and marks failed sub-blocks on the way."""
+        if block in self.sat:
+            return True
+        self.tick()
         s, c = block
         head, comps = self.heads[s]  # filled by the block's parent
-        dead, live = self.dead, self.live
+        dead = self.dead
         candidates = self.candidates(head, c, s & comps[c])
-        # A root block with a known basis has a balanced bag.
-        if head < 0 and block not in self.sat and self.h.n_vertices <= 64:
+        if head < 0 and self.h.n_vertices <= 64:
             candidates = self.checked(candidates, c)
         for i, x in candidates:
             # A sub-block of x may have failed since the index was read.
@@ -326,25 +348,11 @@ class _Search:
             ys = [y for y in self.components_of(i) if y & c]
             for y in ys:
                 if not self.evaluate((x, y)):
-                    dead[i] |= y
-                    drop = ~(1 << i)
-                    while y:
-                        live[(y & -y).bit_length() - 1] &= drop
-                        y &= y - 1
+                    self.fail(i, y)
                     break
             else:
-                yield x, tuple((x, y) for y in ys)
-
-    def evaluate(self, block):
-        """Whether ``block`` has a basis; records the first in ``sat``."""
-        if block in self.sat:
-            return True
-        self.evals += 1
-        if self.evals > self.max_evals:
-            raise SolverBudgetError("block search exceeded evaluation budget")
-        for x, subs in self.bases(block):
-            self.sat[block] = (x, subs)
-            return True
+                self.sat[block] = (x, tuple((x, y) for y in ys))
+                return True
         return False
 
 

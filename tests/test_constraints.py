@@ -36,6 +36,7 @@ from softdecomp.constraints import (
     cyclicity_depth,
     partitions_used,
 )
+from softdecomp import solver as solver_module
 from softdecomp.solver import TreeDecomposition
 from softdecomp.hypergraph import mask_of
 
@@ -220,9 +221,9 @@ def test_optimizer_scores_each_tree_once(name):
 
 
 def test_solve_constrained_ignores_bag_order():
-    # The optimizer walks the block search's bases, in an order that does
-    # not depend on how the bags are given, and keeps the first of equal
-    # keys; so the tree is the same for any order of the same bags.
+    # The optimizer walks the block search's candidates, in an order that
+    # does not depend on how the bags are given, and keeps the first of
+    # equal keys; so the tree is the same for any order of the same bags.
     rng = random.Random(29)
     cases = [(gallery(name).hypergraph, k) for name, k in [("H2", 2), ("C5", 2)]]
     cases += [(random_connected_hypergraph(rng, max_vertices=7, max_edges=7), k)
@@ -554,6 +555,99 @@ def test_constrained_result_counters():
     triangle = parse_hypergraph("r(a,b), s(b,c), t(c,a)")
     res = solve_constrained(triangle, soft_bags(triangle, 1), ConnectedCover(), trivial_order())
     assert not res.accepted and res.pairs == 0 and res.evals > 0
+
+
+@pytest.mark.filterwarnings("ignore:constraint/order pairing")
+def test_each_decided_block_is_walked_once(monkeypatch):
+    # The root pre-pass walks the blocks it decides once each, and so
+    # does the DP; a block both walk is counted once in ``evals``.  A
+    # walk is recorded as (phase, head, component), in the pre-pass
+    # when inside the plain search's ``evaluate``.
+    walks = []
+    depth = [0]
+    evaluate = solver_module._Search.evaluate
+    candidates = solver_module._Search.candidates
+
+    def spy_evaluate(self, block):
+        depth[0] += 1
+        try:
+            return evaluate(self, block)
+        finally:
+            depth[0] -= 1
+
+    def spy_candidates(self, head, c, conn):
+        walks.append(("pre-pass" if depth[0] else "dp", head, c))
+        return candidates(self, head, c, conn)
+
+    monkeypatch.setattr(solver_module._Search, "evaluate", spy_evaluate)
+    monkeypatch.setattr(solver_module._Search, "candidates", spy_candidates)
+    cases = []
+    for name, sql in SQL_QUERIES.items():
+        _, h = sql_to_cq(sql)
+        k = gallery(name).widths["concov_shw"]
+        stats = StatsCatalog(h, {e: 10 + 7 * e for e in range(h.n_edges)})
+        cases += [(h, soft_bags(h, k), c, o) for c, o in _pairings(h, k, stats)]
+    rng = random.Random(24)
+    for _ in range(40):
+        h = random_connected_hypergraph(rng, 7, 7)
+        for k in (2, 3):
+            stats = random_stats(rng, h, witness_order(h, k))
+            cases += [(h, soft_bags(h, k), c, o) for c, o in _pairings(h, k, stats)[:3]]
+    both = 0
+    for h, bags, constraint, order in cases:
+        walks.clear()
+        res = solve_constrained(h, bags, constraint, order)
+        pre = [(head, c) for phase, head, c in walks if phase == "pre-pass"]
+        dp = [(head, c) for phase, head, c in walks if phase == "dp"]
+        # The DP decides no block through the plain search.
+        assert all(phase == "pre-pass" for phase, _, _ in walks[:len(pre)])
+        assert len(set(pre)) == len(pre) and len(set(dp)) == len(dp)
+        assert len(set(pre) | set(dp)) == res.evals
+        both += bool(dp) and bool(set(pre) & set(dp))
+    assert both > 100
+
+
+def test_a_sub_block_without_satisfying_trees_prunes_its_candidate(monkeypatch):
+    # A triangle v0, v2, v3 with a path v0 - v1 at k=2.  The only trees
+    # of the block ({v1,v2,v3}, {v0}) have all four vertices in one bag,
+    # and no two edges covering it touch, so ConnectedCover fails the
+    # block although it has trees.  The DP marks the block failed, so
+    # the candidate {v1,v2,v3} is not offered to the blocks walked after;
+    # without the mark it is offered to two of them, and the key is the
+    # same either way, and the exhaustive minimum's.
+    h = parse_hypergraph("e0(v0,v1), e1(v0,v2), e2(v2,v3), e3(v0,v3), e4(v1)")
+    bags = soft_bags(h, 2)
+    x, y = mask_of([1, 2, 3]), mask_of([0])
+    assert (x, y) in solve_constrained(h, bags, AlwaysTrue(), trivial_order()).table
+    events = []
+    fail = solver_module._Search.fail
+    candidates = solver_module._Search.candidates
+
+    def spy_candidates(self, head, c, conn):
+        for got in candidates(self, head, c, conn):
+            events.append(got[1])
+            yield got
+
+    monkeypatch.setattr(solver_module._Search, "candidates", spy_candidates)
+    offered, keys, trees = [], [], []
+    for mark in (True, False):
+        events.clear()
+
+        def spy_fail(self, i, sub, mark=mark):
+            events.append(("fail", self.bags[i], sub))
+            if mark:
+                fail(self, i, sub)
+
+        monkeypatch.setattr(solver_module._Search, "fail", spy_fail)
+        res = solve_constrained(h, bags, ConnectedCover(), trivial_order())
+        first = events.index(("fail", x, y))
+        offered.append(events[first + 1:].count(x))
+        keys.append(res.key.sort_key)
+        trees.append(res.decomposition.to_text())
+    assert offered == [0, 2]
+    top = enumerate_top_n(h, bags, ConnectedCover(), trivial_order(), n=1)
+    assert keys == [top.keys[0].sort_key] * 2
+    assert trees[0] == trees[1]
 
 
 # --- top-n enumeration ---------------------------------------------------------
