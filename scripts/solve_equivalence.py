@@ -22,12 +22,11 @@ Three more digests cover the layers under and beside the search:
 
 - ``bags``: every bag set those runs solve over, as its pool, its bags,
   its component entries and its cover unions, each list in the order
-  the bag layer keeps it, plus the pool ``trimmed_next_pool`` makes
-  from it;
+  the bag layer keeps it;
 - ``bag sets``: the same bag sets with every order dropped, as the
-  sorted sets of (pool member, origin), bags, component unions, cover
-  unions and trimmed (pool member, origin); it holds when a change only
-  reorders the bag layer's lists;
+  sorted sets of (pool member, origin), bags, component unions and
+  cover unions; it holds when a change only reorders the bag layer's
+  lists;
 - ``hw``: ``hw_leq(h, k).to_text()`` (or None) on 946 cases: every
   gallery entry at k = 1..4, ``cycle(64)``, ``cycle(65)`` and
   ``cycle(70)`` at k = 1, 2, and 300 graphs of the same random stream
@@ -43,10 +42,8 @@ import argparse
 import hashlib
 import random
 import time
-from bisect import bisect_right
 
 from softdecomp import gallery, hw_leq, soft_bags_level, solve
-from softdecomp.bags import trimmed_next_pool
 from softdecomp.gallery import cycle, gallery_names, random_connected_hypergraph
 
 GALLERY_OPS = (
@@ -92,23 +89,16 @@ def hw_cases():
 
 def bag_fingerprint(bags):
     # Each pool member as (mask, origin, level).  The runs stop at level
-    # 1, so a set's pool is the edges and at most one level of
-    # sub-edges, and ``trimmed_next_pool`` appends the next level: a
-    # member's level is the number of these starts at or before it.
+    # 1, so the members past the edges are level-1 sub-edges.
     assert bags.level <= 1
-    starts = [bags.hypergraph.n_edges] * bags.level + [len(bags.pool)]
-
-    def pool(masks, origins):
-        return [(m, o, bisect_right(starts, i)) for i, (m, o) in enumerate(zip(masks, origins))]
-
-    return (pool(bags.pool, bags.origins), list(bags.bags), bags.components, bags.covers,
-            pool(*trimmed_next_pool(bags)))
+    n = bags.hypergraph.n_edges
+    pool = [(m, o, int(i >= n)) for i, (m, o) in enumerate(zip(bags.pool, bags.origins))]
+    return (pool, list(bags.bags), bags.components, bags.covers)
 
 
 def bag_set_fingerprint(bags):
     return (sorted(zip(bags.pool, bags.origins)), sorted(bags.bags),
-            sorted(union for union, _ in bags.components), sorted(bags.covers),
-            sorted(zip(*trimmed_next_pool(bags))))
+            sorted(union for union, _ in bags.components), sorted(bags.covers))
 
 
 def solve_digests():

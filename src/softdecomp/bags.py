@@ -26,9 +26,9 @@ numpy, with the same results.  Each kernel's gate is set by
 measurement: the unions of edge or pool combinations
 (:func:`_combo_unions`) go to numpy from ``_COMBO_THRESHOLD`` (200)
 combinations, the other pair loops from ``_NUMPY_THRESHOLD``.  The
-numpy paths deduplicate through :func:`_distinct`, which sets flags in
-a table indexed by value when the values are narrow (a table of at most
-``_DENSE_RATIO`` cells per value) and sorts otherwise.  This is the
+numpy paths work in blocks of ``_BLOCK`` values and deduplicate through
+:func:`_distinct_blocks`: flags in a table indexed by value for narrow
+values (at most ``_DENSE_RATIO`` cells per value), else a sort.  This is the
 package's only vectorized module: everything else runs on Python-int
 masks.  The block search takes two kernels from it:
 :func:`candidate_index` sorts its candidates and builds their
@@ -51,7 +51,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .hypergraph import Hypergraph, bit_columns, cover_is_connected, ids_of, popcount
+from .hypergraph import Hypergraph, bit_columns, cover_is_connected, ids_of
 
 DEFAULT_MAX_BAGS = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
@@ -59,8 +59,8 @@ DEFAULT_MAX_STEPS = 10_000_000
 _NUMPY_THRESHOLD = 20_000  # work size beyond which the vectorized paths are used
 _COMBO_THRESHOLD = 200  # combinations beyond which _combo_unions runs in numpy
 _INDEX_THRESHOLD = 256  # masks beyond which candidate_index runs in numpy
-_DENSE_RATIO = 4  # most table cells per value for which _distinct uses a table
-_BLOCK = 1 << 20  # intersections per vectorized block
+_DENSE_RATIO = 4  # most table cells per value for a flag table in _distinct_blocks
+_BLOCK = 1 << 18  # values per vectorized block: 2 MiB, see _distinct_blocks
 _SPLIT_ARITY = 6  # widest pool member that _sub_edges splits on the bag index
 
 
@@ -210,37 +210,52 @@ def _combo_unions(masks, k):
     0.21 ms in numpy and 1.17 in Python, its 194-member level-1 pool
     0.80 and 4.6 (best of 21, Xeon VM, CPython 3.11, numpy 2.4).
     """
-    n = len(masks)
-    if _n_combos(n, k) > _COMBO_THRESHOLD and k <= 3 and _fits_uint64(masks):
-        arr = np.array(masks, dtype=np.uint64)
-        # All unions in one array: the n singles, the pairs (a, b), then
-        # the triples (i, a, b) with i < a < b.  The triples of each i
-        # extend the pairs whose first index exceeds i, a suffix of the
-        # pair list from starts[i]; they sit at offsets[i].  Filling
-        # slices keeps no index array per union.
-        a, b = np.triu_indices(n, 1) if k >= 2 else (np.arange(0), np.arange(0))
-        starts = np.searchsorted(a, np.arange(n), side="right")
-        lengths = len(a) - starts if k >= 3 else np.zeros(n, dtype=np.int64)
-        offsets = n + len(a) + np.cumsum(lengths) - lengths
-        unions = np.empty(n + len(a) + int(lengths.sum()), dtype=np.uint64)
-        unions[:n] = arr
-        pair_unions = unions[n:n + len(a)]
-        np.bitwise_or(arr[a], arr[b], out=pair_unions)
-        for i in np.flatnonzero(lengths).tolist():
-            np.bitwise_or(pair_unions[starts[i]:], arr[i],
-                          out=unions[offsets[i]:offsets[i] + lengths[i]])
-        return _distinct(unions).tolist()
+    total = _n_combos(len(masks), k)
+    if total > _COMBO_THRESHOLD and k <= 3 and _fits_uint64(masks):
+        blocks = _union_blocks(np.array(masks, dtype=np.uint64), k)
+        # No union is wider than the widest mask, itself a union.
+        return _distinct_blocks(blocks, max(masks).bit_length(), total).tolist()
     return sorted({
         reduce(or_, combo) for size in range(1, k + 1) for combo in combinations(masks, size)
     })
 
 
-def _distinct(values):
-    """The distinct entries of a 1-D uint64 array, ascending.
+def _union_blocks(arr, k):
+    """The unions of 1..k (k <= 3) of the uint64 masks ``arr``: singles,
+    pairs (a, b), then in one reused buffer the triples (i, a, b), i < a
+    < b, of each i: the suffix of the pairs whose first index exceeds i."""
+    yield arr
+    if k >= 2:
+        a, b = np.triu_indices(len(arr), 1)
+        pairs = arr[a] | arr[b]
+        yield pairs
+    if k >= 3:
+        buf, fill = np.empty(max(_BLOCK, len(pairs)), dtype=np.uint64), 0
+        for i, start in enumerate(np.searchsorted(a, np.arange(len(arr)), side="right").tolist()):
+            if fill + len(pairs) - start > len(buf):
+                yield buf[:fill]
+                fill = 0
+            np.bitwise_or(pairs[start:], arr[i], out=buf[fill:fill + len(pairs) - start])
+            fill += len(pairs) - start
+        yield buf[:fill]
 
-    Of ``n`` values at most ``w`` bits wide, with ``2 ** w <= _DENSE_RATIO
-    * n``, they are the set cells of a flag table indexed by value;
-    otherwise ``np.sort`` and a compare of neighbours find them.
+
+def _distinct(values):
+    """The distinct entries of a 1-D uint64 array, ascending."""
+    width = int(values.max()).bit_length() if len(values) else 0
+    return _distinct_blocks([values], width, len(values))
+
+
+def _distinct_blocks(blocks, width, n):
+    """The distinct entries of the 1-D uint64 arrays ``blocks`` yields,
+    ascending: ``n`` values in all, each below ``2 ** width``.
+
+    With ``2 ** width <= _DENSE_RATIO * n`` they are the set cells of
+    one flag table indexed by value; otherwise each block, and then
+    their results, are sorted and neighbours compared.  A block is used
+    before the next is asked for, so it may be a reused buffer.  Blocks
+    stay under 4 MiB, from which numpy asks Linux for transparent huge
+    pages: their supply varies, and so did the peak RSS, by 8 MB a run.
     numpy's ``unique`` is not used: it took 43-54 ms on 806k values
     where the sort and compare took 9.5.
 
@@ -261,13 +276,13 @@ def _distinct(values):
     value the table wins or ties; from 8 cells the sort wins on random
     values.
     """
-    n = len(values)
-    width = int(values.max()).bit_length() if n else 0
     if n and 1 << width <= _DENSE_RATIO * n:
         flags = np.zeros(1 << width, dtype=bool)
-        flags[values] = True
+        for values in blocks:
+            flags[values] = True
         return np.flatnonzero(flags).astype(np.uint64)
-    values = np.sort(values)
+    found = [values[_starts(values)] for values in map(np.sort, blocks)]
+    values = found[0] if len(found) == 1 else np.sort(np.concatenate(found))
     return values[_starts(values)]
 
 
@@ -293,9 +308,10 @@ def _intersections(rows, cols):
     row_arr = np.array(rows, dtype=np.uint64)
     col_arr = np.array(cols, dtype=np.uint64)
     step = max(1, _BLOCK // max(len(cols), 1))
-    blocks = [_distinct((row_arr[lo:lo + step, None] & col_arr[None, :]).ravel())
-              for lo in range(0, len(rows), step)]
-    found = _distinct(np.concatenate(blocks)) if len(blocks) > 1 else blocks[0]
+    blocks = ((row_arr[lo:lo + step, None] & col_arr[None, :]).ravel()
+              for lo in range(0, len(rows), step))
+    width = int(np.bitwise_or.reduce(row_arr) & np.bitwise_or.reduce(col_arr)).bit_length()
+    found = _distinct_blocks(blocks, width, len(rows) * len(cols))
     return found[found != 0].tolist()
 
 
@@ -557,41 +573,6 @@ def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):
                 seen.add(m)
                 pool.append(m)
                 origins.append(origin)
-    return pool, origins
-
-
-def trimmed_next_pool(prev):
-    """A compact next-level cover pool for upper-bound probes.
-
-    Returns ``(pool, origins)`` as :func:`_next_pool` does: the previous
-    pool plus, per origin edge, the inclusion-maximal proper sub-edges
-    (with at least two vertices) obtainable by intersecting with the
-    previous bags.  Any solve accepting over bags built from this pool
-    is sound, since the pool is a subset of the full next-level pool.
-    The sub-edges of each member come from :func:`_sub_edges`, as in
-    :func:`iterate_level` (a split on the bags' bitset index, or
-    :func:`_intersections` for members wider than ``_SPLIT_ARITY``).
-    """
-    found = _sub_edges(prev.pool, prev.bags, prev.hypergraph.n_vertices)
-    by_origin = {}
-    for member, origin, subs in zip(prev.pool, prev.origins, found):
-        for m in subs:
-            if m != member and popcount(m) >= 2:
-                by_origin.setdefault(origin, set()).add(m)
-    pool, origins = list(prev.pool), list(prev.origins)
-    seen = set(pool)
-    for orig in sorted(by_origin):
-        # Largest first, so a candidate inside another lies inside a
-        # maximal one already kept.
-        maximal = []
-        for m in sorted(by_origin[orig], key=int.bit_count, reverse=True):
-            if all(m & ~o for o in maximal):
-                maximal.append(m)
-        for m in sorted(maximal, key=ids_of):
-            if m not in seen:
-                seen.add(m)
-                pool.append(m)
-                origins.append(orig)
     return pool, origins
 
 

@@ -1,9 +1,12 @@
-"""Independent checkers: decomposition validation, exact width probes,
-and exhaustive enumeration of decompositions over a candidate bag set.
+"""Independent checkers: decomposition validation, width checks, and
+exhaustive enumeration of decompositions over a candidate bag set.
 
 These are deliberately simple and separate from the solver so they can
 serve as ground truth in tests.  Each runs one pure-Python path on
-Python-int masks, whatever the number of vertices.
+Python-int masks, whatever the number of vertices.  The one exception
+is ``ghw_leq`` above ``SUBSET_VERTEX_CAP`` vertices: there it certifies
+an upper bound with the soft bags of levels 0 and 1, which the bag
+layer builds (ghw <= shw^1 <= shw^0), and never answers None.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .solver import TreeDecomposition, minimum_cover
 
-DEFAULT_SUBSET_VERTEX_CAP = 14
+SUBSET_VERTEX_CAP = 14  # ghw_leq is exact up to this many vertices
 
 
 class OracleBudgetError(RuntimeError):
@@ -280,67 +283,62 @@ class _HwSearch:
             raise OracleBudgetError("hypertree width search exceeded step budget")
 
 
-# -- exact generalized hypertree width ----------------------------------------
+# -- generalized hypertree width ----------------------------------------------
 
 
-def ghw_leq(h, k, max_vertices=DEFAULT_SUBSET_VERTEX_CAP, max_steps=20_000_000,
-            method="auto"):
+def ghw_leq(h, k, max_steps=20_000_000):
     """A width-``k`` generalized hypertree decomposition, or None.
 
-    ``method="subsets"`` is exact: it searches over all vertex sets
-    coverable by at most ``k`` edges (every decomposition can be
-    brought into component normal form with bags shrunk, so this
-    family is complete); it is capped at ``max_vertices`` vertices.
-    ``method="probe"`` only attempts to certify the upper bound, by
-    solving over candidate bags built from sub-edge covers; a negative
-    probe raises instead of answering.  ``"auto"`` picks subsets when
-    they fit and the probe otherwise.
+    Exact on up to :data:`SUBSET_VERTEX_CAP` vertices: it solves over
+    all vertex sets coverable by at most ``k`` edges (every
+    decomposition can be brought into component normal form with bags
+    shrunk, so this family is complete).  Above the cap it only
+    certifies the upper bound, by solving over the soft bags of levels
+    0 and 1 (each covered by at most ``k`` original edges, as ghw <=
+    shw^1 <= shw^0), and raises :class:`OracleBudgetError` instead of
+    answering None when neither level accepts.
     """
+    if h.n_vertices <= SUBSET_VERTEX_CAP:
+        return _ghw_subsets(h, k, max_steps)
+    return _ghw_probe(h, k, max_steps)
+
+
+def _ghw_subsets(h, k, max_steps):
+    """Exact ghw <= k: solve over every vertex set of ``h`` that at most
+    ``k`` edges cover (2^n sets)."""
     from .solver import attach_covers, solve
 
-    if method == "auto":
-        method = "subsets" if h.n_vertices <= max_vertices else "probe"
-    if method == "subsets":
-        if h.n_vertices > max_vertices:
-            raise OracleBudgetError(
-                f"generalized width check capped at {max_vertices} vertices"
-            )
-        family = []
-        for m in range(1, 1 << h.n_vertices):
-            if minimum_cover(h, m, max_size=k) is not None:
-                family.append(m)
-        res = solve(h, family, max_evals=max_steps)
-        if not res.accepted:
-            return None
-        return attach_covers(res.decomposition, max_size=k)
-    if method == "probe":
-        return _ghw_probe(h, k, max_steps)
-    raise ValueError(f"unknown method {method!r}")
+    family = [m for m in range(1, 1 << h.n_vertices)
+              if minimum_cover(h, m, max_size=k) is not None]
+    res = solve(h, family, max_evals=max_steps)
+    if not res.accepted:
+        return None
+    return attach_covers(res.decomposition, max_size=k)
 
 
 def _ghw_probe(h, k, max_steps):
-    """Certify ghw <= k by solving over sub-edge-derived candidate bags.
+    """Certify ghw <= k by solving over the level-0 soft bags, then over
+    level 1 when level 0 rejects.
 
-    Sound for acceptance (every bag is covered by at most ``k``
-    original edges); raises when no certificate is found, since the
-    candidate set is not exhaustive at this size.
+    Sound for acceptance: every soft bag is covered by at most ``k``
+    members of its level's pool, each a sub-edge of its origin edge.
+    Raises when neither level accepts, since these bags are not
+    exhaustive.
     """
     from . import bags as bagmod
     from .solver import attach_covers, solve
 
-    level0 = bagmod.soft_bags(h, k, max_bags=2_000_000, max_steps=max_steps)
-    res = solve(h, level0)
-    pool, origins = level0.pool, level0.origins
+    level = bagmod.soft_bags(h, k, max_bags=2_000_000, max_steps=max_steps)
+    res = solve(h, level)
     if not res.accepted:
-        pool, origins = bagmod.trimmed_next_pool(level0)
-        masks = set(level0.bags)
-        masks.update(bagmod.cover_union_masks(pool, k, max_steps))
-        res = solve(h, sorted(masks))
-        if not res.accepted:
-            raise OracleBudgetError("upper-bound probe found no certificate")
+        nxt = bagmod.iterate_level(level, max_bags=2_000_000, max_steps=max_steps)
+        if nxt is not level:
+            level, res = nxt, solve(h, nxt)
+    if not res.accepted:
+        raise OracleBudgetError("upper-bound probe found no certificate")
     td = res.decomposition
-    attach_covers(td, pool_masks=pool, max_size=k)
-    td.covers = [tuple(sorted({origins[i] for i in c})) for c in td.covers]
+    attach_covers(td, pool_masks=level.pool, max_size=k)
+    td.covers = [tuple(sorted({level.origins[i] for i in c})) for c in td.covers]
     rep = validate_td(h, td, k=k, check_compnf=False)
     if not rep.ok:
         raise OracleBudgetError("probe produced an invalid decomposition")

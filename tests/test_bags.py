@@ -27,11 +27,10 @@ from softdecomp.bags import (
     _distinct,
     _separator_unions,
     cover_union_masks,
-    trimmed_next_pool,
 )
 from softdecomp.gallery import cycle, gallery_names
 from softdecomp.hypergraph import (
-    Hypergraph, bit_columns, ids_of, mask_of, parse_hypergraph, popcount,
+    Hypergraph, bit_columns, mask_of, parse_hypergraph, popcount,
 )
 
 from conftest import (
@@ -233,24 +232,6 @@ def reference_next_pool(prev):
     return pool
 
 
-def reference_trimmed_pool(prev):
-    """``trimmed_next_pool`` with one set comprehension over all bags per member."""
-    by_origin = {}
-    for sub, origin in zip(prev.pool, prev.origins):
-        for m in {sub & bm for bm in prev.bags}:
-            if m and m != sub and m.bit_count() >= 2:
-                by_origin.setdefault(origin, set()).add(m)
-    pool = list(zip(prev.pool, prev.origins))
-    seen = set(prev.pool)
-    for orig in sorted(by_origin):
-        cands = by_origin[orig]
-        for m in sorted(cands, key=ids_of):
-            if m not in seen and not any(o != m and not m & ~o for o in cands):
-                seen.add(m)
-                pool.append((m, orig))
-    return pool
-
-
 def reference_sub_edges(members, bags):
     """Per member, its distinct nonzero intersections with the bags, ascending."""
     return [sorted({p & b for b in bags if p & b}) for p in members]
@@ -333,19 +314,6 @@ def test_sub_edges_above_64_vertices():
     assert bags_module._sub_edges(members, masks, 65) == reference_sub_edges(members, masks)
 
 
-def test_trimmed_next_pool_matches_the_comprehension():
-    # Not on H3prime+all: the oracle's pairwise maximality check is
-    # quadratic in the 27k sub-edges of its edge over all vertices.
-    cases = [(name, bs) for name, bs in _pool_cases() if name != "H3prime+all k=3"]
-    rng = random.Random(2024)
-    for i in range(20):
-        h = random_connected_hypergraph(rng, max_vertices=9, max_edges=8, max_arity=8)
-        cases.append((f"random {i}", soft_bags(h, rng.randint(1, 3))))
-    for name, lvl0 in cases:
-        got = list(zip(*trimmed_next_pool(lvl0)))
-        assert got == reference_trimmed_pool(lvl0), name
-
-
 # --- cover unions and counting views ----------------------------------------
 
 
@@ -425,8 +393,9 @@ def test_forced_gates_reach_both_combo_paths(monkeypatch):
     # Forcing pure Python must keep _combo_unions off numpy, and forcing
     # numpy must take it there, or the twin tests compare a path with itself.
     calls = []
-    distinct = bags_module._distinct
-    monkeypatch.setattr(bags_module, "_distinct", lambda v: calls.append(len(v)) or distinct(v))
+    distinct = bags_module._distinct_blocks
+    monkeypatch.setattr(bags_module, "_distinct_blocks",
+                        lambda blocks, width, n: calls.append(n) or distinct(blocks, width, n))
     masks = list(gallery("H2").hypergraph.edge_masks)
 
     def build():

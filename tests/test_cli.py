@@ -169,6 +169,16 @@ def test_widths_respects_max_k(tmp_path, capsys):
     assert "> 1" in capsys.readouterr().out
 
 
+def test_widths_ghw_above_the_subset_cap_prints_an_upper_bound(tmp_path, capsys):
+    # H3prime has 18 vertices: k = 1 and 2 have no certificate, k = 3 has one.
+    p = tmp_path / "h3prime.hg"
+    p.write_text(gallery("H3prime").hypergraph.serialize())
+    assert main(["widths", "--input", str(p), "--measure", "ghw", "--max-k", "3"]) == 0
+    assert capsys.readouterr().out == "ghw <= 3\n"
+    assert main(["widths", "--input", str(p), "--measure", "ghw", "--max-k", "2"]) == 3
+    assert "k in 1..2" in capsys.readouterr().err
+
+
 def test_verify_valid_and_invalid(tmp_path, hg_file, capsys):
     good = tmp_path / "good.td"
     good.write_text("0 -1 {a,b}\n1 0 {b,c}\n2 1 {c,d}\n")

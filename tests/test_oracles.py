@@ -1,6 +1,7 @@
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,17 @@ from softdecomp import (
     hw_leq,
     parse_hypergraph,
     soft_bags,
+    soft_bags_level,
     solve,
     validate_td,
 )
 from softdecomp.hypergraph import ids_of, mask_of
+from softdecomp.oracles import _ghw_probe, _ghw_subsets
 
 from conftest import random_connected_hypergraph, random_stats
+
+
+STEPS = 20_000_000  # ghw_leq's default step budget
 
 
 def _failed(report, name):
@@ -159,10 +165,10 @@ def test_probe_method_agrees_when_it_answers():
     for _ in range(10):
         h = random_connected_hypergraph(rng, max_vertices=7, max_edges=6)
         for k in (1, 2, 3):
-            if ghw_leq(h, k, method="subsets") is None:
+            if _ghw_subsets(h, k, STEPS) is None:
                 continue
             try:
-                td = ghw_leq(h, k, method="probe")
+                td = _ghw_probe(h, k, STEPS)
             except OracleBudgetError:
                 continue  # the probe may fail to certify; it must not lie
             rep = validate_td(h, td, k=k, check_compnf=False)
@@ -174,8 +180,26 @@ def test_oracle_budget_errors():
     h = gallery("H3").hypergraph
     with pytest.raises(OracleBudgetError):
         hw_leq(h, 3, max_steps=1_000)  # the search runs out of steps
-    with pytest.raises(OracleBudgetError):
-        ghw_leq(gallery("H2").hypergraph, 2, max_vertices=4, method="subsets")
+
+
+def test_probe_certifies_exactly_where_level_one_accepts():
+    # ghw <= shw^1 <= shw^0: the probe's certificates are the soft levels.
+    rng = random.Random(5)
+    for i in range(40):
+        h = random_connected_hypergraph(rng, max_vertices=16, max_edges=16)
+        for k in (1, 2, 3):
+            accepts = solve(h, soft_bags_level(h, k, 1)).accepted
+            try:
+                td = _ghw_probe(h, k, STEPS)
+            except OracleBudgetError:
+                assert not accepts, (i, k)
+                continue
+            assert accepts, (i, k)
+            rep = validate_td(h, td, k=k, check_compnf=False)
+            assert rep.ok, rep.failures
+            for bag, cover in zip(td.bags, td.covers):
+                assert len(cover) <= k
+                assert not bag & ~reduce(or_, [h.edge_masks[e] for e in cover]), (i, k)
 
 
 def _brute_hw_leq(h, k):

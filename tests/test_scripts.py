@@ -40,8 +40,8 @@ SOLVE_DIGESTS = {
     "random verdicts": "7f75c8d5e27ab30b0c9867fb367429e559210891124766ab23317957b14f6921",
     "cycles": "9d8f880dfccd9b870f567775acdc8061fbd2c2c00e53a0a0592b82c58cc27749",
     "cycles verdicts": "17f3d8af5f0dd0026e213770c1335355d68077d1b4f1394063b2a08dd2a175f7",
-    "bags": "076a97d60cbaabf0bbb6b668af226ecd6da23da2e8e144a0528a9865afb0519c",
-    "bag sets": "e1357ac2d68e0b51c1f1fb841da4f7f1bb134754c0ec132a0c534b9c11d1252c",
+    "bags": "c11a4e5af22880864f188f7f5cf821873c5d46f20ca070ef2f18eb7a35ca5d36",
+    "bag sets": "8b1775127fef2221cf9428d42a1909cffdae77505be4ac56603750b9c913d731",
 }
 # ``hw_leq(h, k).to_text()`` (or None) over the script's 946 hw cases.
 HW_DIGEST = "49d0ff57c2e7f9fb343ba9af26a3d00a0089233cbd39412590eb4b54aab43def"
