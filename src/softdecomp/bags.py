@@ -18,19 +18,28 @@ one XOR of Python ints per set and vertex, with no limit on the number
 of vertices); a wider member, whose split could reach ``2 ** arity``
 sets, is one row of :func:`_intersections`, as the bags are.
 
-Every list the module makes is deduplicated and in ascending mask
-order: separator unions, cover unions, component entries, each pool
-member's sub-edges and the bag set.  Above a size gate, and while every
-mask fits one uint64 word, the enumerations over all pairs run in
+Every mask sequence the module makes is deduplicated and in ascending
+mask order: separator unions, cover unions, component entries, each
+pool member's sub-edges and the bag set.  Above a size gate, and while
+every mask fits one uint64 word, the enumerations over all pairs run in
 numpy, with the same results.  Each kernel's gate is set by
 measurement: the unions of edge or pool combinations
 (:func:`_combo_unions`) go to numpy from ``_COMBO_THRESHOLD`` (200)
 combinations, the other pair loops from ``_NUMPY_THRESHOLD``.  The
 numpy paths work in blocks of ``_BLOCK`` values and deduplicate through
 :func:`_distinct_blocks`: flags in a table indexed by value for narrow
-values (at most ``_DENSE_RATIO`` cells per value), else a sort.  This is the
-package's only vectorized module: everything else runs on Python-int
-masks.  The block search takes two kernels from it:
+values (at most ``_DENSE_RATIO`` cells per value), else a sort.
+
+A numpy path returns its masks as a sorted uint64 array and a Python
+path as a sorted list of ints, and each step takes either: the cover
+unions go on to the bags, the bags to the next level's sub-edge split
+and to the block search's index, with no Python int made in between.
+Python ints appear where a caller reads them: the public
+:func:`cover_union_masks`, the separator unions, the pool, and
+:attr:`CandidateBagSet.bags` and ``covers``, built on first read.
+
+This is the package's only vectorized module: everything else runs on
+Python-int masks.  The block search takes two kernels from it:
 :func:`candidate_index` sorts its candidates and builds their
 per-vertex bitset index, in numpy above ``_INDEX_THRESHOLD`` (256)
 masks, and :func:`_balanced_bags` tells a long reject whether any
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
@@ -76,6 +85,13 @@ class CandidateBagSet:
     set yields them.  ``components`` holds the component entries, each a
     ``(union, separator)`` mask pair, and ``covers`` the cover unions,
     both ascending by union.
+
+    ``bags`` (a tuple of ints) and ``covers`` (a list of ints) are built
+    on first read from ``bag_masks`` and ``cover_masks``, which hold the
+    same masks as the bag layer made them: a uint64 array on a numpy
+    path, ints on a Python one.  The next level and the block search
+    read the arrays, so a large bag set is never turned into Python ints
+    there.  Equality leaves the two out, as the other fields fix them.
     """
 
     hypergraph: Hypergraph
@@ -83,9 +99,17 @@ class CandidateBagSet:
     level: int
     pool: list  # vertex masks: the edges in order, then each level's new sub-edges
     origins: list  # the id of the edge each pool member lies in
-    bags: tuple
+    bag_masks: object = field(repr=False, compare=False)
     components: tuple
-    covers: list
+    cover_masks: object = field(repr=False, compare=False)
+
+    @cached_property
+    def bags(self):
+        return tuple(_ints(self.bag_masks))
+
+    @cached_property
+    def covers(self):
+        return _ints(self.cover_masks)
 
     def masks(self):
         return list(self.bags)
@@ -94,7 +118,7 @@ class CandidateBagSet:
         return iter(self.bags)
 
     def __len__(self):
-        return len(self.bags)
+        return len(self.bag_masks)
 
     def witness(self, m):
         """Bag ``m``'s first witness ``(lambda1, lambda2, component)``: pool
@@ -176,23 +200,34 @@ def _separator_unions(h, k, max_steps):
     """
     if _n_combos(h.n_edges, k) + 1 > max_steps:
         raise ResourceBudgetError("separator enumeration exceeded step budget")
-    return [0, *_combo_unions(h.edge_masks, k)]
+    return [0, *_ints(_combo_unions(h.edge_masks, k))]
 
 
 def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
     """Distinct unions of at most ``k`` of the masks ``pool``, ascending."""
+    return _ints(_cover_unions(pool, k, max_steps))
+
+
+def _cover_unions(pool, k, max_steps):
+    """:func:`cover_union_masks` as :func:`_combo_unions` returns them, a
+    uint64 array on its numpy path.  ``iterate_level`` calls it by this
+    module name, which perfbench wraps to time the layer."""
     if _n_combos(len(pool), k) > max_steps:
         raise ResourceBudgetError("cover enumeration exceeded step budget")
     return _combo_unions(pool, k)
 
 
-_cover_unions = cover_union_masks  # the name iterate_level calls and perfbench times
+def _ints(masks):
+    """The masks ``masks`` as Python ints: a uint64 array's ``tolist()``,
+    else ``masks`` itself."""
+    return masks.tolist() if isinstance(masks, np.ndarray) else masks
 
 
 def _fits_uint64(*mask_lists):
     """Whether every mask in the lists fits one uint64 word, as the
-    vectorized paths need."""
-    return all(max(masks, default=0) >> 64 == 0 for masks in mask_lists)
+    vectorized paths need; a uint64 array does by its type."""
+    return all(isinstance(masks, np.ndarray) or max(masks, default=0) >> 64 == 0
+               for masks in mask_lists)
 
 
 def _n_combos(n, k):
@@ -201,7 +236,8 @@ def _n_combos(n, k):
 
 
 def _combo_unions(masks, k):
-    """Distinct unions of 1..k of ``masks``, ascending.
+    """Distinct unions of 1..k of the int masks ``masks``, ascending: a
+    uint64 array from the numpy path, else a list.
 
     Runs in numpy above ``_COMBO_THRESHOLD`` combinations, for
     ``k <= 3`` and masks of at most 64 bits.  The gate is the measured
@@ -214,7 +250,7 @@ def _combo_unions(masks, k):
     if total > _COMBO_THRESHOLD and k <= 3 and _fits_uint64(masks):
         blocks = _union_blocks(np.array(masks, dtype=np.uint64), k)
         # No union is wider than the widest mask, itself a union.
-        return _distinct_blocks(blocks, max(masks).bit_length(), total).tolist()
+        return _distinct_blocks(blocks, max(masks).bit_length(), total)
     return sorted({
         reduce(or_, combo) for size in range(1, k + 1) for combo in combinations(masks, size)
     })
@@ -297,35 +333,46 @@ def _starts(values):
 def _intersections(rows, cols):
     """Distinct nonzero masks ``rows[i] & cols[j]``, ascending.
 
-    Above a size gate, and when every mask fits 64 bits, they are found
-    in numpy, in blocks of at most ``_BLOCK`` intersections to bound
-    memory.  It forms the bags, component unions times cover unions,
-    and the sub-edges of each pool member too wide for the split of
-    :func:`_sub_edges`.
+    ``rows`` is an int list, ``cols`` an int list or a uint64 array.
+    Above ``_NUMPY_THRESHOLD`` pairs or with ``cols`` an array, and when
+    every mask fits 64 bits, the masks are found in numpy, in blocks of
+    at most ``_BLOCK`` intersections to bound memory, and returned as a
+    uint64 array; else as a list of ints.  It forms the bags, component
+    unions times cover unions, and the sub-edges of each pool member
+    too wide for the split of :func:`_sub_edges`.
+
+    An array ``cols`` comes from the numpy path of :func:`_combo_unions`,
+    so it holds hundreds of masks or more, and there numpy wins at any
+    number of rows: one row against 200 random masks of 18, 40 and 64
+    vertices took 22, 21 and 14 µs in numpy and 26, 38 and 31 µs as ints
+    (the ``tolist()`` included); against 18,000 masks 0.16-0.24 ms and
+    2.7-7.3 ms (best of 51, Xeon VM, CPython 3.11, numpy 2.4).
     """
-    if len(rows) * len(cols) <= _NUMPY_THRESHOLD or not _fits_uint64(rows, cols):
+    small = len(rows) * len(cols) <= _NUMPY_THRESHOLD and not isinstance(cols, np.ndarray)
+    if small or not _fits_uint64(rows, cols):
         return sorted({row & col for row in rows for col in cols} - {0})
-    row_arr = np.array(rows, dtype=np.uint64)
-    col_arr = np.array(cols, dtype=np.uint64)
+    row_arr = np.asarray(rows, dtype=np.uint64)
+    col_arr = np.asarray(cols, dtype=np.uint64)
     step = max(1, _BLOCK // max(len(cols), 1))
     blocks = ((row_arr[lo:lo + step, None] & col_arr[None, :]).ravel()
               for lo in range(0, len(rows), step))
     width = int(np.bitwise_or.reduce(row_arr) & np.bitwise_or.reduce(col_arr)).bit_length()
     found = _distinct_blocks(blocks, width, len(rows) * len(cols))
-    return found[found != 0].tolist()
+    return found[1:] if len(found) and found[0] == 0 else found
 
 
 def _sub_edges(members, bags, n):
     """Each member's distinct nonzero intersections with ``bags``.
 
-    Returns one ascending list per mask in ``members``.  Masks range
-    over ``n`` vertices.
+    Returns one ascending int list per mask in ``members``.  ``bags``
+    is an int list or uint64 array; masks range over ``n`` vertices.
 
     A member of at most ``_SPLIT_ARITY`` vertices is split on the
-    per-vertex bitset index of the bags, bit ``j`` of column ``v``
-    standing for ``bags[j]``.  Starting from the set of all bags, each
-    of the member's vertices ``v`` splits every set into the bags with
-    ``v`` (one AND with column ``v``) and those without (one XOR).
+    per-vertex bitset index of the bags (:func:`_bit_columns`), bit
+    ``j`` of column ``v`` standing for ``bags[j]``.  Starting from the
+    set of all bags, each of the member's vertices ``v`` splits every
+    set into the bags with ``v`` (one AND with column ``v``) and those
+    without (one XOR).
     After the last vertex each nonempty set holds the bags of one
     intersection.  That is a few big-int operations of ``len(bags)``
     bits per set, whatever the number of vertices, but a member of
@@ -345,10 +392,10 @@ def _sub_edges(members, bags, n):
     out = []
     for p in members:
         if p.bit_count() > _SPLIT_ARITY:
-            out.append(_intersections([p], bags))
+            out.append(_ints(_intersections([p], bags)))
             continue
         if index is None:
-            index = bit_columns(n, bags)
+            index = _bit_columns(n, bags)
         sets = [(every, 0)]
         for v in ids_of(p):
             col, bit = index[v], 1 << v
@@ -374,36 +421,58 @@ def candidate_index(n, masks):
     The empty set is left out: it is never a basis, as a root block's
     head is empty itself and any other block needs a vertex of its head.
 
-    ``masks`` range over ``n`` vertices; above ``_INDEX_THRESHOLD`` (256)
-    masks on up to 64 vertices, where every mask fits one uint64 word,
-    the index is built in numpy, with the same result.  There the
-    columns are unpacked one byte of the masks at a time, so no
-    temporary is much larger than the masks themselves, and the masks
-    are deduplicated by :func:`_distinct`, as numpy's ``unique`` takes
-    13.0 ms on H3prime's 62,045 level-1 bags at k=3 against 0.49.  The
-    gate is the measured crossover: on random masks of 18, 40 and 64
-    vertices numpy wins from about 200 to 250 masks (at 256: 61 against
-    73, 82 against 108 and 81 against 112 µs, best of 201).  The index of those 62,045 bags takes 16.7 ms of CPU in
-    Python and 3.4 in numpy, of H3's 29,732 level-0 bags at k=3 7.1 and
-    1.7, and of ``cycle(64)``'s 7,936 at k=2 4.6 and 0.8 (best of 54,
-    Xeon VM, CPython 3.11, numpy 2.4).
+    ``masks`` is a :class:`CandidateBagSet` or an iterable of int masks
+    over ``n`` vertices.  Above ``_INDEX_THRESHOLD`` (256) masks on up to
+    64 vertices, where every mask fits one uint64 word, the index is
+    built in numpy, with the same result: a bag set's ``bag_masks``
+    array, distinct and nonzero already, is sorted as it is, and other
+    masks are first deduplicated by :func:`_distinct`, as numpy's
+    ``unique`` takes 13.0 ms on H3prime's 62,045 level-1 bags at k=3
+    against 0.49.  The columns come from :func:`_bit_columns`.  The gate
+    is the measured crossover: on random masks of 18, 40 and 64 vertices
+    numpy wins from about 200 to 250 masks (at 256: 61 against 73, 82
+    against 108 and 81 against 112 µs, best of 201).  From a bag set
+    the index of H3prime's 62,045 level-1 bags at k=3 takes 2.3 ms of
+    CPU, from the same bags as an int list 4.2 in numpy and 16.6 in
+    Python; of H3's 29,732 level-0 bags at k=3 0.9, 1.8 and 7.7; of
+    ``cycle(64)``'s 7,936 at k=2 0.5, 0.8 and 5.0 (best of 54, Xeon VM,
+    CPython 3.11, numpy 2.4).
     """
+    masks = masks.bag_masks if isinstance(masks, CandidateBagSet) else list(masks)
     if len(masks) <= _INDEX_THRESHOLD or n > 64:
-        bags = sorted(set(masks) - {0})
+        bags = sorted(set(_ints(masks)) - {0})
         bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
         return bags, bit_columns(n, bags)
-    arr = _distinct(np.fromiter(masks, dtype=np.uint64, count=len(masks)))
-    arr = arr[arr != 0]
+    if isinstance(masks, np.ndarray):
+        arr = masks
+    else:
+        arr = _distinct(np.fromiter(masks, dtype=np.uint64, count=len(masks)))
+        arr = arr[1:] if arr[0] == 0 else arr
     arr = arr[np.argsort(64 - np.bitwise_count(arr), kind="stable")]
-    rows = arr.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return arr.tolist(), _bit_columns(n, arr)
+
+
+def _bit_columns(n, masks):
+    """``bit_columns(n, masks)`` of an int list or a uint64 array.
+
+    The numpy column kernel of :func:`candidate_index`, with its gate:
+    above ``_INDEX_THRESHOLD`` masks on up to 64 vertices the masks are
+    unpacked in numpy one byte at a time, so no temporary is much
+    larger than the masks themselves; else ``bit_columns`` builds the
+    columns.  It indexes the block search's candidates and the bags
+    that :func:`_sub_edges` splits.
+    """
+    if len(masks) <= _INDEX_THRESHOLD or n > 64:
+        return bit_columns(n, _ints(masks))
+    rows = np.asarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
     has = []
     for b in range((n + 7) // 8):
-        # bits[i, j]: bit i of byte b of arr[j], i.e. vertex 8 * b + i.
+        # bits[i, j]: bit i of byte b of masks[j], i.e. vertex 8 * b + i.
         bits = np.unpackbits(rows[:, b], bitorder="little").reshape(-1, 8).T
         columns = np.packbits(np.ascontiguousarray(bits[:min(8, n - 8 * b)]),
                               axis=1, bitorder="little")
         has += [int.from_bytes(column.tobytes(), "little") for column in columns]
-    return arr.tolist(), has
+    return has
 
 
 def _component_entries(h, seps):
@@ -519,7 +588,7 @@ def _adjacency_bytes(h):
 def _enumerate_bags(h, k, pool, origins, components, covers, level, max_bags, max_steps):
     if len(covers) * len(components) > max_steps:
         raise ResourceBudgetError("bag enumeration exceeded step budget")
-    bags = tuple(_intersections([cm for cm, _ in components], covers))
+    bags = _intersections([cm for cm, _ in components], covers)
     if len(bags) > max_bags:
         raise ResourceBudgetError("bag count exceeded budget")
     return CandidateBagSet(h, k, level, pool, origins, bags, components, covers)
@@ -564,7 +633,7 @@ def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):
     """
     pool, origins = list(prev.pool), list(prev.origins)
     seen = set(pool)
-    found = _sub_edges(prev.pool, prev.bags, prev.hypergraph.n_vertices)
+    found = _sub_edges(prev.pool, prev.bag_masks, prev.hypergraph.n_vertices)
     for origin, subs in zip(prev.origins, found):
         for m in subs:
             if m not in seen:

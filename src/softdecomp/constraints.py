@@ -453,7 +453,7 @@ def solve_constrained(h, bags, constraint, order):
             stacklevel=2,
         )
     k = getattr(bags, "k", None)
-    search = _Search(h, list(bags), DEFAULT_MAX_EVALS)
+    search = _Search(h, bags, DEFAULT_MAX_EVALS)
     entries = {}  # block -> Entry, or None if no tree satisfies
     scored = {}  # (X, *Ys) -> Entry, or None if the tree fails
     root_covers = {}  # root bag -> minimum cover, filled on first use

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .hypergraph import ids_of
 from .solver import TreeDecomposition, minimum_cover
 
 SUBSET_VERTEX_CAP = 14  # ghw_leq is exact up to this many vertices
@@ -43,10 +44,11 @@ def validate_td(h, td, bag_masks=None, k=None, check_compnf=True, check_special=
     """Validate ``td`` against the decomposition conditions.
 
     Checks edge coverage, connectedness, optional membership of every
-    bag in ``bag_masks``, optional cover width ``k``, the
-    component-normal-form condition, and (for hypertree
-    decompositions, with covers attached) the descendant condition
-    that a cover vertex reappearing below must be in the bag.
+    bag in ``bag_masks``, optional cover width ``k``, that each attached
+    cover's edges contain its bag, the component-normal-form condition,
+    and (for hypertree decompositions, with covers attached) the
+    descendant condition that a cover vertex reappearing below must be
+    in the bag.
     """
     rep = ValidationReport()
     n = len(td.bags)
@@ -89,6 +91,17 @@ def validate_td(h, td, bag_masks=None, k=None, check_compnf=True, check_special=
                 rep.record("cover-width", False, f"node {i} not coverable by {k} edges")
         if "cover-width" not in rep.checks:
             rep.record("cover-width", True)
+
+    if td.covers is not None:
+        for i, bag in enumerate(td.bags):
+            lam = 0
+            for e in td.covers[i]:
+                lam |= h.edge_masks[e]
+            if bag & ~lam:
+                missing = ",".join(h.vertex_names[v] for v in ids_of(bag & ~lam))
+                rep.record("cover-containment", False, f"node {i} cover misses {{{missing}}}")
+        if "cover-containment" not in rep.checks:
+            rep.record("cover-containment", True)
 
     if check_compnf:
         ok = True

@@ -362,7 +362,7 @@ def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
     Disconnected hypergraphs are solved per connected component, and
     the decomposition has one root per component.
     """
-    search = _Search(h, list(bags), max_evals)
+    search = _Search(h, bags, max_evals)
     root_blocks = [(0, comp) for comp in h.vertex_components(0)]
     table = BasisTable(search.sat)
     for block in root_blocks:

@@ -400,7 +400,7 @@ def test_forced_gates_reach_both_combo_paths(monkeypatch):
 
     def build():
         calls.clear()
-        return bags_module._combo_unions(masks, 2), len(calls)
+        return [int(m) for m in bags_module._combo_unions(masks, 2)], len(calls)
 
     (numpy_unions, numpy_calls), (python_unions, python_calls) = _both_paths(monkeypatch, build)
     assert numpy_unions == python_unions
@@ -458,6 +458,66 @@ def test_twins_agree_in_ascending_order(monkeypatch, k):
             monkeypatch.setattr(bags_module, "_BLOCK", block)
             sides.extend(_both_paths(monkeypatch, build))
         assert all(side == sides[0] for side in sides)
+
+
+def _handoff_cases():
+    """(label, hypergraph, k, level): random graphs, then the largest
+    gallery bag set, whose bags and covers stay uint64 arrays."""
+    rng = random.Random(2626)
+    for i in range(12):
+        h = random_connected_hypergraph(rng, max_vertices=14, max_edges=12, max_arity=5)
+        yield f"random {i}", h, rng.randint(1, 3), rng.randint(0, 1)
+    yield "H3prime L1 k=3", gallery("H3prime").hypergraph, 3, 1
+
+
+def test_bag_sets_hand_out_python_ints_on_both_paths(monkeypatch):
+    for label, h, k, level in _handoff_cases():
+
+        def build():
+            bs = soft_bags_level(h, k, level)
+            assert type(bs.bags) is tuple and type(bs.covers) is list, label
+            assert all(type(m) is int for m in (*bs.bags, *bs.covers)), label
+            assert all(type(m) is int for m in bs.pool), label
+            assert len(bs) == len(bs.bags), label
+            return bs.bags, bs.covers, bs.components, bs.pool
+
+        numpy_side, python_side = _both_paths(monkeypatch, build)
+        assert numpy_side == python_side, label
+
+
+def test_candidate_index_reads_the_bag_set_array(monkeypatch):
+    for label, h, k, level in _handoff_cases():
+        force_bag_paths(monkeypatch, FORCE_NUMPY)
+        bs = soft_bags_level(h, k, level)
+        monkeypatch.undo()
+        assert isinstance(bs.bag_masks, np.ndarray), label
+        n = h.n_vertices
+        got = bags_module.candidate_index(n, bs)
+        assert got == bags_module.candidate_index(n, list(bs.bags)), label
+        assert all(type(m) is int for m in got[0]), label
+
+
+def test_sub_edges_index_in_numpy_matches_bit_columns(monkeypatch):
+    # The split index built in numpy from the bags' uint64 array must give
+    # the lists that bit_columns over the same bags as ints gives.
+    unpacked = []
+    real = np.unpackbits
+    monkeypatch.setattr(np, "unpackbits", lambda *a, **kw: unpacked.append(1) or real(*a, **kw))
+    for label, h, k, _ in [*_handoff_cases(), ("H3 k=3", gallery("H3").hypergraph, 3, 0)]:
+        bs = soft_bags(h, k)
+        arr = np.array(bs.bags, dtype=np.uint64)
+        n = h.n_vertices
+        force_bag_paths(monkeypatch, FORCE_NUMPY)
+        unpacked.clear()
+        got = bags_module._sub_edges(bs.pool, arr, n)
+        assert unpacked or not len(arr), label
+        assert bags_module._bit_columns(n, arr) == bit_columns(n, list(bs.bags)), label
+        force_bag_paths(monkeypatch, FORCE_PYTHON)
+        unpacked.clear()
+        assert got == bags_module._sub_edges(bs.pool, list(bs.bags), n), label
+        assert not unpacked, label
+        assert got == reference_sub_edges(bs.pool, bs.bags), label
+        assert all(type(m) is int for subs in got for m in subs), label
 
 
 @pytest.mark.parametrize("max_vertices", [6, 20, 64])

@@ -223,6 +223,23 @@ def test_only_ctd_mode_checks_component_normal_form(tmp_path, capsys):
         assert ("check cover-descent: ok" in out) == (mode == "hw"), mode
 
 
+def test_verify_rejects_a_cover_that_misses_its_bag(tmp_path, capsys):
+    # {x,y,z} needs both edges: the cover {a} has one edge, but misses z.
+    h = tmp_path / "ab.hg"
+    h.write_text("a(x,y), b(y,z)\n")
+    td = tmp_path / "one.td"
+    td.write_text("0 -1 {x,y,z} cover{a}\n")
+    for mode in ("ghw", "hw"):
+        args = ["verify", "--td", str(td), "--hypergraph", str(h), "--k", "1", "--mode", mode]
+        assert main(args) == 1, mode
+        out = capsys.readouterr().out
+        assert "result: INVALID\n" in out, mode
+        assert "cover-containment: node 0 cover misses {z}" in out, mode
+    td.write_text("0 -1 {x,y,z} cover{a,b}\n")
+    assert main(["verify", "--td", str(td), "--hypergraph", str(h), "--k", "2"]) == 0
+    assert "check cover-containment: ok" in capsys.readouterr().out
+
+
 def test_sql_input(tmp_path, capsys):
     q = tmp_path / "q.sql"
     q.write_text(
