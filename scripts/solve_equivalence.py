@@ -32,6 +32,10 @@ Three more digests cover the layers under and beside the search:
   ``cycle(70)`` at k = 1, 2, and 300 graphs of the same random stream
   at k = 1..3.
 
+For each of the first three inputs the script also prints the total
+``evals`` of its runs and the number of root blocks that the
+balanced-bag check decided (``SolveResult.check_decided``).
+
 ``tests/test_scripts.py`` pins every digest through :func:`solve_digests`
 and :func:`hw_digest`.  Run from the repository root:
 
@@ -101,14 +105,15 @@ def bag_set_fingerprint(bags):
             sorted(union for union, _ in bags.components), sorted(bags.covers))
 
 
-def solve_digests():
+def solve_digests(counts=None):
     """The ``gallery``, ``random``, ``cycles``, ``bags`` and ``bag sets``
     digests, and the ``<input> verdicts`` digest of each of the first
     three.
 
     Returns ``{name: (runs, solve CPU seconds, hex digest)}``; the two
     bag entries count bag sets, and they and the verdict entries carry
-    no time.
+    no time.  A dict ``counts`` gets, per input, ``(evals, root blocks
+    the check decided)`` summed over its runs.
     """
     out = {}
     bag_digest = hashlib.sha256()
@@ -117,7 +122,7 @@ def solve_digests():
     for which in ("gallery", "random", "cycles"):
         digest = hashlib.sha256()
         verdicts = hashlib.sha256()
-        runs = 0
+        runs = evals = decided = 0
         elapsed = 0.0
         for h, k, level in cases(which):
             bags = soft_bags_level(h, k, level)
@@ -128,12 +133,16 @@ def solve_digests():
             res = solve(h, bags)
             elapsed += time.process_time() - start
             runs += 1
+            evals += res.evals
+            decided += res.check_decided
             text = res.decomposition.to_text() if res.accepted else ""
             entries = sorted(res.table.entries.items())
             digest.update(repr((res.accepted, res.evals, entries, text)).encode())
             verdicts.update(repr((res.accepted, text)).encode())
         out[which] = (runs, elapsed, digest.hexdigest())
         out[f"{which} verdicts"] = (runs, None, verdicts.hexdigest())
+        if counts is not None:
+            counts[which] = (evals, decided)
     out["bags"] = (bag_sets, None, bag_digest.hexdigest())
     out["bag sets"] = (bag_sets, None, set_digest.hexdigest())
     return out
@@ -153,10 +162,13 @@ def hw_digest():
 
 def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
-    for which, (runs, elapsed, digest) in solve_digests().items():
+    counts = {}
+    for which, (runs, elapsed, digest) in solve_digests(counts).items():
         unit = "sets" if which.startswith("bag") else "runs"
         time_note = "" if elapsed is None else f"solve {elapsed:6.2f} s CPU"
         print(f"{which:16} {runs:4} {unit}  {time_note:20}  {digest}")
+    for which, (evals, decided) in counts.items():
+        print(f"{which:16} evals {evals:7}  root blocks decided by the check {decided:3}")
     runs, elapsed, digest = hw_digest()
     print(f"{'hw':16} {runs:4} runs  {f'hw_leq {elapsed:5.2f} s CPU':20}  {digest}")
 

@@ -34,16 +34,21 @@ A numpy path returns its masks as a sorted uint64 array and a Python
 path as a sorted list of ints, and each step takes either: the cover
 unions go on to the bags, the bags to the next level's sub-edge split
 and to the block search's index, with no Python int made in between.
-Python ints appear where a caller reads them: the public
-:func:`cover_union_masks`, the separator unions, the pool, and
-:attr:`CandidateBagSet.bags` and ``covers``, built on first read.
+At level 0 the separator unions are such an array too, with the empty
+separator in front: all of them go to the component split, and all but
+the empty one, as the level-0 cover unions, to the bags.  Python ints
+appear where a caller reads them: the public :func:`cover_union_masks`,
+the separators of the distinct component entries, the pool, and
+:attr:`CandidateBagSet.bags` and ``covers``, built on first read.  Small
+inputs, below every size gate, stay on int lists throughout.
 
 This is the package's only vectorized module: everything else runs on
 Python-int masks.  The block search takes two kernels from it:
 :func:`candidate_index` sorts its candidates and builds their
 per-vertex bitset index, in numpy above ``_INDEX_THRESHOLD`` (256)
-masks, and :func:`_balanced_bags` tells a long reject whether any
-candidate bag is balanced.
+masks, and :func:`_any_balanced` tells a long reject whether any
+candidate bag in its component is balanced, picking them from the
+index's uint64 array.
 
 Enumeration carries masks only.  A bag's witness, the pool and edge ids
 behind it, is searched for when :meth:`CandidateBagSet.witness` asks.
@@ -195,12 +200,16 @@ def _first_combo(masks, k, target):
 
 def _separator_unions(h, k, max_steps):
     """Distinct ``union(lambda2)`` masks, ascending, so the empty
-    separator comes first.  Raises when the ``sum(C(|E|, s) for s in
-    0..k)`` combinations exceed ``max_steps``.
+    separator comes first: :func:`_combo_unions`' masks behind a 0, a
+    uint64 array on its numpy path.  Raises when the ``sum(C(|E|, s)
+    for s in 0..k)`` combinations exceed ``max_steps``.
     """
     if _n_combos(h.n_edges, k) + 1 > max_steps:
         raise ResourceBudgetError("separator enumeration exceeded step budget")
-    return [0, *_ints(_combo_unions(h.edge_masks, k))]
+    unions = _combo_unions(h.edge_masks, k)
+    if isinstance(unions, np.ndarray):
+        return np.concatenate([np.zeros(1, dtype=np.uint64), unions])
+    return [0, *unions]
 
 
 def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
@@ -415,11 +424,13 @@ def _sub_edges(members, bags, n):
 def candidate_index(n, masks):
     """The block search's candidates and their per-vertex bitset index.
 
-    Returns ``(bags, has)``: ``bags`` the distinct nonzero ``masks``,
-    largest first, ties by mask value, and ``has[v]`` the int whose bit
-    ``i`` is set when ``bags[i]`` contains vertex ``v`` (``bit_columns``).
-    The empty set is left out: it is never a basis, as a root block's
-    head is empty itself and any other block needs a vertex of its head.
+    Returns ``(bags, has, arr)``: ``bags`` the distinct nonzero
+    ``masks``, largest first, ties by mask value, ``has[v]`` the int
+    whose bit ``i`` is set when ``bags[i]`` contains vertex ``v``
+    (``bit_columns``), and ``arr`` the same bags as a uint64 array, or
+    None above 64 vertices.  The empty set is left out: it is never a
+    basis, as a root block's head is empty itself and any other block
+    needs a vertex of its head.
 
     ``masks`` is a :class:`CandidateBagSet` or an iterable of int masks
     over ``n`` vertices.  Above ``_INDEX_THRESHOLD`` (256) masks on up to
@@ -442,14 +453,15 @@ def candidate_index(n, masks):
     if len(masks) <= _INDEX_THRESHOLD or n > 64:
         bags = sorted(set(_ints(masks)) - {0})
         bags.sort(key=int.bit_count, reverse=True)  # stable: ties stay by mask
-        return bags, bit_columns(n, bags)
+        arr = np.array(bags, dtype=np.uint64) if n <= 64 else None
+        return bags, bit_columns(n, bags), arr
     if isinstance(masks, np.ndarray):
         arr = masks
     else:
         arr = _distinct(np.fromiter(masks, dtype=np.uint64, count=len(masks)))
         arr = arr[1:] if arr[0] == 0 else arr
     arr = arr[np.argsort(64 - np.bitwise_count(arr), kind="stable")]
-    return arr.tolist(), _bit_columns(n, arr)
+    return arr.tolist(), _bit_columns(n, arr), arr
 
 
 def _bit_columns(n, masks):
@@ -478,23 +490,26 @@ def _bit_columns(n, masks):
 def _component_entries(h, seps):
     """Distinct component unions over the separators ``seps``, masks only.
 
-    Returns ``(union, separator)`` mask pairs ascending by union: the
+    Returns ``(union, separator)`` int pairs ascending by union: the
     distinct unions of the components of the separators from
-    ``_separator_unions``, each with the first separator, in ``seps``
-    order, that has it.  On up to 64 vertices and above a size gate,
-    all separators are split at once in numpy, with the same result.
+    ``_separator_unions`` (an int list or a uint64 array), each with the
+    first separator, in ``seps`` order, that has it.  On up to 64
+    vertices and above a size gate, all separators are split at once in
+    numpy, with the same result, and only the separators of the entries
+    become ints.
     """
     # Measured crossover: at 18 vertices numpy wins from about 60
     # separators, and the pure-Python split of one separator costs more
     # the more vertices it has.
     if len(seps) * h.n_vertices ** 2 > _NUMPY_THRESHOLD and _fits_uint64([h.all_vertices_mask]):
+        seps = np.asarray(seps, dtype=np.uint64)
         owner, _, unions = _component_unions_batch(h, seps)
         order = np.argsort(unions, kind="stable")  # ties stay in separator order
         unions, owner = unions[order], owner[order]
         first = _starts(unions)  # each union's first separator
-        return tuple(zip(unions[first].tolist(), [seps[i] for i in owner[first].tolist()]))
+        return tuple(zip(unions[first].tolist(), seps[owner[first]].tolist()))
     entries = {}  # component union -> its first separator
-    for sep in seps:
+    for sep in _ints(seps):
         for union in h.component_unions(sep):
             entries.setdefault(union, sep)
     return tuple(sorted(entries.items()))
@@ -565,6 +580,14 @@ def _balanced_bags(h, bags, edges):
         meets = np.count_nonzero(comps[lo:lo + step, None] & edge_arr, axis=1)
         heavy[owner[lo:lo + step][2 * meets > len(edges)]] = True
     return ~heavy
+
+
+def _any_balanced(h, bags, c):
+    """Whether a bag of the uint64 array ``bags`` inside the vertex set
+    ``c`` is balanced (:func:`_balanced_bags`) for the edges meeting ``c``."""
+    inside = bags[bags & np.uint64(h.all_vertices_mask & ~c) == 0]
+    edges = [e for e in h.edge_masks if e & c]
+    return bool(_balanced_bags(h, inside, edges).any())
 
 
 def _adjacency_bytes(h):

@@ -62,12 +62,28 @@ only one, as no edge meets two components.  Neighbours ``t`` and ``u``
 cannot point at each other: a bag holding an edge that meets both
 heavy components would lie on both sides, so they meet disjoint sets
 of more than ``m / 2`` edges each.  A walk along the pointers thus
-never turns back and stops at a balanced node.  So once a root block
-not known to have a basis has tried ``_CHECK_AFTER`` = 512 candidates,
-on up to 64 vertices, it fails if no candidate inside ``C0`` is
-balanced (``bags._balanced_bags``), a check made at most once per root
-block.  The gallery's accepts try at most 129 root candidates; its
-three rejects have no balanced bag.
+never turns back and stops at a balanced node.  So a root block not
+known to have a basis, on up to 64 vertices, fails at once if no
+candidate inside ``C0`` is balanced (``bags._any_balanced``), a check
+made at most once per root block, once it has tried ``_check_after(n)``
+candidates out of ``n`` bags.
+
+When to check is a ski-rental choice: walking on costs about ``w`` per
+root candidate, the check about ``a + b * n``, so it runs once the walk
+has cost as much as the check would, after ``F + n // R`` tries with
+``F = a / w`` and ``R = w / b``.  On the gallery's rejects (H3 and
+H3prime at k=2, 2,864 to 7,217 bags) a root candidate costs
+``w`` = 6.5 µs, and the check ``a`` = 0.26 ms plus ``b`` = 0.25 µs per
+bag (fit over 2,864 to 62,045 bags; best of 21-31, raw CPU, Xeon VM,
+CPython 3.11, numpy 2.4), so ``_CHECK_FIXED`` = 40 and
+``_CHECK_RATIO`` = 26.  The worst case is an accept that reaches the
+trigger: it pays the check after walking about as long as the check
+takes, so at most about twice its walk.  None does on the measured
+inputs: the gallery's accepts try at most 129 root candidates (H3prime
+at level 1, k=3, whose 62,045 bags trigger at 2,426), random 16-vertex
+accepts at most 12 and the bundled SQL queries at most 3.  The
+gallery's three rejects have no balanced bag and end after 151, 153 and
+318 evaluations, where a fixed trigger after 512 tries took 513.
 
 The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
 ``Y ⊊ C``, or ``Y = C`` and ``X ⊊ S``, so ``(|C|, |S|)`` falls
@@ -90,18 +106,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bags import _balanced_bags, candidate_index
+from .bags import _any_balanced, candidate_index
 from .hypergraph import Hypergraph, ids_of, mask_of
 
 DEFAULT_MAX_EVALS = 5_000_000
 
-# Root candidates tried before the balanced-bag check (module docstring).
-_CHECK_AFTER = 512
+# The balanced-bag check's trigger (module docstring): its fixed cost over
+# the walk's cost per root candidate, and the walk's cost per root
+# candidate over its cost per bag.
+_CHECK_FIXED = 40
+_CHECK_RATIO = 26
 
 # Byte tables for reading the bitset index: _NONZERO maps every nonzero
 # byte to 1, and _BYTE_BITS[x] lists the bits set in byte x.
 _NONZERO = bytes([0] + [1] * 255)
 _BYTE_BITS = tuple(ids_of(x) for x in range(256))
+
+
+def _check_after(n_bags):
+    """Root candidates a root block tries before the balanced-bag check,
+    over ``n_bags`` candidate bags: the break-even of the module docstring."""
+    return _CHECK_FIXED + n_bags // _CHECK_RATIO
 
 
 class SolverBudgetError(RuntimeError):
@@ -236,14 +261,16 @@ class SolveResult:
     decomposition: TreeDecomposition | None
     table: BasisTable
     evals: int  # blocks the search decided
+    check_decided: int = 0  # root blocks the balanced-bag check failed
 
 
 class _Search:
     def __init__(self, h, bag_masks, max_evals):
         self.h = h
         # Candidate order: large bags first, ties by mask value.  Bit i
-        # of every index set below stands for bags[i].
-        self.bags, self.has = candidate_index(h.n_vertices, bag_masks)
+        # of every index set below stands for bags[i]; bag_arr holds the
+        # bags as a uint64 array, or None above 64 vertices.
+        self.bags, self.has, self.bag_arr = candidate_index(h.n_vertices, bag_masks)
         self.every = every = (1 << len(self.bags)) - 1
         self.lacks = [every ^ has for has in self.has]
         # dead[i]: union of the components Y of bags[i] whose block
@@ -253,6 +280,7 @@ class _Search:
         self.live = [every] * h.n_vertices
         self.max_evals = max_evals
         self.evals = 0
+        self.check_decided = 0
         self.sat = {}  # block -> (X, subs)
         # heads[x]: (index of x in bags, {Y: N(Y)} over the [x]-components
         # Y by smallest vertex); the root head, the empty set, has index -1.
@@ -269,13 +297,13 @@ class _Search:
 
     def checked(self, candidates, c):
         """``candidates`` of the root block of the component ``c``, cut
-        off after ``_CHECK_AFTER`` when no bag inside ``c`` is balanced
-        (module docstring)."""
+        off after ``_check_after`` tries when no bag inside ``c`` is
+        balanced (module docstring)."""
+        trigger = _check_after(len(self.bags))
         for tried, candidate in enumerate(candidates):
-            if tried == _CHECK_AFTER:
-                edges = [e for e in self.h.edge_masks if e & c]
-                if not _balanced_bags(self.h, [x for x in self.bags if not x & ~c], edges).any():
-                    return
+            if tried == trigger and not _any_balanced(self.h, self.bag_arr, c):
+                self.check_decided += 1
+                return
             yield candidate
 
     def candidates(self, head, c, conn):
@@ -338,7 +366,7 @@ class _Search:
         head, comps = self.heads[s]  # filled by the block's parent
         dead = self.dead
         candidates = self.candidates(head, c, s & comps[c])
-        if head < 0 and self.h.n_vertices <= 64:
+        if head < 0 and self.bag_arr is not None:
             candidates = self.checked(candidates, c)
         for i, x in candidates:
             # A sub-block of x may have failed since the index was read.
@@ -367,7 +395,7 @@ def solve(h, bags, max_evals=DEFAULT_MAX_EVALS):
     table = BasisTable(search.sat)
     for block in root_blocks:
         if not search.evaluate(block):
-            return SolveResult(False, None, table, search.evals)
+            return SolveResult(False, None, table, search.evals, search.check_decided)
     return SolveResult(True, extract_decomposition(h, table, root_blocks), table, search.evals)
 
 

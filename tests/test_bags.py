@@ -25,6 +25,7 @@ from softdecomp.bags import (
     DEFAULT_MAX_STEPS,
     _component_unions_batch,
     _distinct,
+    _ints,
     _separator_unions,
     cover_union_masks,
 )
@@ -411,7 +412,7 @@ def _python_component_entries(h, k):
     """The reference loop: components of each separator, first seen kept
     with its separator, then sorted by union."""
     entries, seen = [], set()
-    for sep in _separator_unions(h, k, DEFAULT_MAX_STEPS):
+    for sep in _ints(_separator_unions(h, k, DEFAULT_MAX_STEPS)):
         for union in h.component_unions(sep):
             if union not in seen:
                 seen.add(union)
@@ -492,9 +493,10 @@ def test_candidate_index_reads_the_bag_set_array(monkeypatch):
         monkeypatch.undo()
         assert isinstance(bs.bag_masks, np.ndarray), label
         n = h.n_vertices
-        got = bags_module.candidate_index(n, bs)
-        assert got == bags_module.candidate_index(n, list(bs.bags)), label
+        got = _plain_index(bags_module.candidate_index(n, bs))
+        assert got == _plain_index(bags_module.candidate_index(n, list(bs.bags))), label
         assert all(type(m) is int for m in got[0]), label
+        assert got[2] == got[0], label
 
 
 def test_sub_edges_index_in_numpy_matches_bit_columns(monkeypatch):
@@ -574,6 +576,12 @@ def test_component_entries_above_64_vertices_use_python(monkeypatch):
         assert numpy_side == python_side == _python_component_entries(h, k)
 
 
+def _plain_index(index):
+    """``candidate_index``'s ``(bags, has, arr)`` with ``arr`` as ints."""
+    bags, has, arr = index
+    return bags, has, None if arr is None else arr.tolist()
+
+
 def _index_both_paths(monkeypatch, n, masks):
     """``candidate_index(n, masks)`` forced to numpy, then to pure Python,
     each with its number of ``np.bitwise_count`` calls, which only the
@@ -584,7 +592,8 @@ def _index_both_paths(monkeypatch, n, masks):
 
     def build():
         calls.clear()
-        return bags_module.candidate_index(n, masks), len(calls)
+        index = _plain_index(bags_module.candidate_index(n, masks))
+        return index, len(calls)
 
     return _both_paths(monkeypatch, build)
 
@@ -604,7 +613,7 @@ def test_candidate_index_twins(monkeypatch, n):
         want = sorted(set(masks) - {0}, key=lambda m: (-popcount(m), m))
         (numpy_side, numpy_calls), (python_side, python_calls) = _index_both_paths(
             monkeypatch, n, masks)
-        assert numpy_side == python_side == (want, bit_columns(n, want))
+        assert numpy_side == python_side == (want, bit_columns(n, want), want)
         assert (numpy_calls > 0, python_calls) == (bool(masks), 0)
 
 
@@ -614,7 +623,7 @@ def test_candidate_index_above_64_vertices_uses_python(monkeypatch):
     want = sorted(masks, key=lambda m: (-popcount(m), m))
     (numpy_side, numpy_calls), (python_side, python_calls) = _index_both_paths(
         monkeypatch, h.n_vertices, masks)
-    assert numpy_side == python_side == (want, bit_columns(h.n_vertices, want))
+    assert numpy_side == python_side == (want, bit_columns(h.n_vertices, want), None)
     assert numpy_calls == python_calls == 0
 
 
@@ -643,7 +652,7 @@ def test_separator_unions_match_a_plain_loop(monkeypatch):
                 for i in combo:
                     m |= h.edge_masks[i]
                 want.add(m)
-        assert _separator_unions(h, k, DEFAULT_MAX_STEPS) == sorted(want)
+        assert _ints(_separator_unions(h, k, DEFAULT_MAX_STEPS)) == sorted(want)
 
 
 # --- resource budgets --------------------------------------------------------

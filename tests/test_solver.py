@@ -5,21 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softdecomp import (
+    ConnectedCover,
     Hypergraph,
     SolverBudgetError,
+    StatsCatalog,
     TreeDecomposition,
     attach_covers,
+    cost_order,
     edge_cover_bags,
     gallery,
     parse_hypergraph,
     soft_bags,
     soft_bags_level,
     solve,
+    solve_constrained,
+    sql_to_cq,
     validate_td,
 )
 from softdecomp import bags as bags_module
 from softdecomp import solver as solver_module
-from softdecomp.gallery import cycle
+from softdecomp.gallery import SQL_QUERIES, cycle, gallery_names
 from softdecomp.solver import BasisTable, extract_decomposition, minimum_cover, td_from_text
 from softdecomp.hypergraph import ids_of, mask_of, popcount
 
@@ -392,24 +397,24 @@ def test_balanced_bags_match_one_by_one():
 
 
 def _record_checks(monkeypatch):
-    """Patch the solver's kernel to record, per call, the vertex count
+    """Patch the check's kernel to record, per call, the vertex count
     and whether any bag was balanced; returns the record."""
     calls = []
-    real = solver_module._balanced_bags
+    real = bags_module._balanced_bags
 
     def recorded(h, bags, edges):
         got = real(h, bags, edges)
         calls.append((h.n_vertices, bool(got.any())))
         return got
 
-    monkeypatch.setattr(solver_module, "_balanced_bags", recorded)
+    monkeypatch.setattr(bags_module, "_balanced_bags", recorded)
     return calls
 
 
 def test_check_keeps_the_reference_verdicts(monkeypatch):
     # With the check after the first candidate, every root block whose
     # first candidate is no basis is checked, and a failed check ends it.
-    monkeypatch.setattr(solver_module, "_CHECK_AFTER", 1)
+    monkeypatch.setattr(solver_module, "_check_after", lambda n_bags: 1)
     calls = _record_checks(monkeypatch)
     rejects = 0
     for h, masks in _random_bag_sets(500, 300):
@@ -449,24 +454,83 @@ def test_long_rejects_end_on_the_check(monkeypatch, name, level, disjoint):
     if disjoint:
         h = _with_triangle(h)
     calls = _record_checks(monkeypatch)
-    res = solve(h, soft_bags_level(h, 2, level))
+    bags = soft_bags_level(h, 2, level)
+    res = solve(h, bags)
     assert not res.accepted and calls == [(h.n_vertices, False)]
-    assert res.evals <= solver_module._CHECK_AFTER + 8
+    assert res.evals <= solver_module._check_after(len(bags)) + 8
+    assert res.check_decided == 1
 
 
 def test_short_searches_never_check(monkeypatch):
-    # Root blocks that accept, or run out of candidates, before
-    # _CHECK_AFTER tries are not checked.
+    # Root blocks that accept, or run out of candidates, before their
+    # trigger are not checked: short rejects, every gallery accept at
+    # levels 0 and 1, and the pre-pass of the bundled SQL queries.
     calls = _record_checks(monkeypatch)
-    for name, k in [("H2", 1), ("C5", 1), ("H3", 3)]:
+    for name, k in [("H2", 1), ("C5", 1)]:
         h = gallery(name).hypergraph
         solve(h, soft_bags(h, k))
+    accepts = 0
+    for name in gallery_names():
+        h = gallery(name).hypergraph
+        for level in (0, 1):
+            for k in (2, 3):
+                before = len(calls)
+                res = solve(h, soft_bags_level(h, k, level))
+                if not res.accepted:
+                    del calls[before:]
+                accepts += res.accepted
+    for name, sql in SQL_QUERIES.items():
+        _, h = sql_to_cq(sql)
+        bags = soft_bags(h, gallery(name).widths["concov_shw"])
+        stats = StatsCatalog(h, {e: 10 + 7 * e for e in range(h.n_edges)})
+        assert solve_constrained(h, bags, ConnectedCover(), cost_order(stats)).accepted
     assert calls == []
+    assert accepts == 4 * len(gallery_names()) - 4  # H3 and H3prime reject at k=2
+
+
+def test_random_verdicts_hold_under_the_trigger(monkeypatch):
+    # On 16 x 16 random graphs the rule keeps the reference verdicts and
+    # trees.  A root block checks once it has tried its trigger's worth
+    # of candidates, and a failed check is its last step; a reject with
+    # a balanced bag walks on.
+    calls = _record_checks(monkeypatch)
+    tries = []
+    checked = solver_module._Search.checked
+
+    def counted(self, candidates, c):
+        tries.append(0)
+        for candidate in checked(self, candidates, c):
+            tries[-1] += 1
+            yield candidate
+
+    monkeypatch.setattr(solver_module._Search, "checked", counted)
+    rng = random.Random(5)
+    decided = walked_on = 0
+    for _ in range(60):
+        h = random_connected_hypergraph(rng, max_vertices=16, max_edges=16)
+        for k in (1, 2, 3):
+            masks = list(soft_bags(h, k).bags)
+            calls.clear()
+            tries.clear()
+            res = solve(h, masks)
+            accepted, td, _ = reference_solve(h, masks)
+            assert res.accepted == accepted
+            if accepted:
+                assert (res.decomposition.bags, res.decomposition.parents) == (td.bags, td.parents)
+                assert calls == []
+                continue
+            trigger = solver_module._check_after(len(masks))
+            assert len(calls) == sum(t >= trigger for t in tries)
+            if res.check_decided:
+                assert calls[-1] == (h.n_vertices, False) and tries[-1] == trigger
+            decided += res.check_decided
+            walked_on += any(balanced for _, balanced in calls)
+    assert decided > 0 and walked_on > 0
 
 
 def test_check_stays_off_above_64_vertices(monkeypatch):
     calls = _record_checks(monkeypatch)
-    monkeypatch.setattr(solver_module, "_CHECK_AFTER", 0)
+    monkeypatch.setattr(solver_module, "_check_after", lambda n_bags: 0)
     for n in (64, 65, 66):
         h = cycle(n)
         assert solve(h, soft_bags(h, 2)).accepted
