@@ -28,7 +28,10 @@ measurement: the unions of edge or pool combinations
 combinations, the other pair loops from ``_NUMPY_THRESHOLD``.  The
 numpy paths work in blocks of ``_BLOCK`` values and deduplicate through
 :func:`_distinct_blocks`: flags in a table indexed by value for narrow
-values (at most ``_DENSE_RATIO`` cells per value), else a sort.
+values (at most ``_DENSE_RATIO`` cells per value), else a sort.  No
+numpy index is a uint64 array, which numpy would first copy to its
+index type with a range check: a table index is an int64 view or
+buffer of values known to be far below ``2 ** 63``.
 
 A numpy path returns its masks as a sorted uint64 array and a Python
 path as a sorted list of ints, and each step takes either: the cover
@@ -310,21 +313,26 @@ def _distinct_blocks(blocks, width, n):
     ====  =======  ==========  =========  =========  =========  =========
     w     values   1 cell      2 cells    4 cells    8 cells    12 cells
     ====  =======  ==========  =========  =========  =========  =========
-    18    gallery  3.05/1.27   2.01/0.93  0.93/0.49  0.38/0.31  0.28/0.24
-    18    random   5.14/2.01   2.05/1.12  0.80/0.71  0.34/0.51  0.22/0.79
-    20    random   21.7/8.19   8.96/4.83  3.73/3.11  1.53/2.03  0.93/3.22
-    22    random   98.6/52.6   34.4/24.7  14.0/15.5  7.22/9.99  4.44/14.5
+    18    gallery  2.12/0.52   1.02/0.27  0.51/0.16  0.24/0.11  0.17/0.08
+    18    random   3.35/0.71   1.32/0.40  0.56/0.30  0.23/0.23  0.16/0.42
+    20    random   14.7/3.09   6.19/1.91  2.69/1.38  1.08/1.11  0.70/1.70
+    22    random   76.2/29.6   29.8/13.2  12.7/9.82  6.06/5.63  3.66/8.62
     ====  =======  ==========  =========  =========  =========  =========
 
     The gallery rows are windows of the unions of 1..3 members of
     H3prime's level-1 pool, duplicates included.  Up to 4 cells per
-    value the table wins or ties; from 8 cells the sort wins on random
-    values.
+    value the table wins; at 8 cells the two are within 10 % on random
+    values, and at 12 the sort wins.  With the values indexed as uint64,
+    which numpy first copies to its index type, the table took up to
+    twice as long (1.09 ms for 1 cell of gallery values, 0.29 for 4).
     """
     if n and 1 << width <= _DENSE_RATIO * n:
         flags = np.zeros(1 << width, dtype=bool)
         for values in blocks:
-            flags[values] = True
+            # Each value is below 2 ** width <= _DENSE_RATIO * n, far below
+            # 2 ** 63, so its int64 view (numpy's index type on 64-bit
+            # hosts) is the same number, and numpy makes no checked copy.
+            flags[values.view(np.int64)] = True
         return np.flatnonzero(flags).astype(np.uint64)
     found = [values[_starts(values)] for values in map(np.sort, blocks)]
     values = found[0] if len(found) == 1 else np.sort(np.concatenate(found))
@@ -355,7 +363,10 @@ def _intersections(rows, cols):
     number of rows: one row against 200 random masks of 18, 40 and 64
     vertices took 22, 21 and 14 µs in numpy and 26, 38 and 31 µs as ints
     (the ``tolist()`` included); against 18,000 masks 0.16-0.24 ms and
-    2.7-7.3 ms (best of 51, Xeon VM, CPython 3.11, numpy 2.4).
+    2.7-7.3 ms (best of 51, Xeon VM, CPython 3.11, numpy 2.4).  The bag
+    step of H3prime at level 1, k=3, 13 component unions times 62,045
+    cover unions, dedupes in a flag table and takes 1.24 ms (2.03 while
+    the table was indexed with uint64 values; best of 21 in three runs).
     """
     small = len(rows) * len(cols) <= _NUMPY_THRESHOLD and not isinstance(cols, np.ndarray)
     if small or not _fits_uint64(rows, cols):
@@ -530,13 +541,6 @@ def _component_unions_batch(h, seps):
     unions, :func:`_balanced_bags` the components.
     """
     table = _adjacency_bytes(h)
-
-    def neighbourhoods(masks):  # union of the edges meeting each mask
-        out = np.zeros_like(masks)
-        for b, row in enumerate(table):
-            out |= row[(masks >> np.uint64(8 * b)) & np.uint64(0xFF)]
-        return out
-
     one = np.uint64(1)
     free = ~np.asarray(seps, dtype=np.uint64) & np.uint64(h.all_vertices_mask)
     rest = free.copy()
@@ -550,13 +554,13 @@ def _component_unions_batch(h, seps):
         comp = rest & (~rest + one)  # lowest remaining vertex
         grow = np.arange(len(comp))
         while len(grow):
-            grown = neighbourhoods(comp[grow]) & free[grow]
+            grown = _byte_unions(table, comp[grow]) & free[grow]
             moved = grown != comp[grow]
             grow = grow[moved]
             comp[grow] = grown[moved]
         owners.append(owner)
         comps.append(comp)
-        unions.append(neighbourhoods(comp))
+        unions.append(_byte_unions(table, comp))
         rest &= ~comp
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
@@ -569,15 +573,21 @@ def _balanced_bags(h, bags, edges):
     """A bool array, true where no [X]-component of the bag ``X`` of
     ``bags`` meets more than half of the edge masks ``edges``.
 
-    ``h`` has at most 64 vertices.  The edges meeting each component
-    are counted in blocks of at most ``_BLOCK`` (component, edge) pairs.
+    ``h`` has at most 64 vertices.  The edges meeting a component are
+    the OR of its vertices' rows of :func:`_incidence`, read a byte of
+    the component at a time from :func:`_byte_tables`, and counted by
+    popcount; components go in blocks of at most ``_BLOCK`` words.
+    :func:`_any_balanced` over H3's 2,864 level-0 bags at k=2 takes
+    0.37 ms, over H3prime's 62,045 level-1 bags at k=3 5.5 ms; an AND
+    of every (component, edge) pair took 0.76 and 14.8 ms (best of 21
+    in three runs, Xeon VM, CPython 3.11, numpy 2.4).
     """
     owner, comps, _ = _component_unions_batch(h, bags)
-    edge_arr = np.array(edges, dtype=np.uint64)
+    table = _byte_tables(_incidence(h.n_vertices, edges))
     heavy = np.zeros(len(bags), dtype=bool)
-    step = max(1, _BLOCK // max(len(edges), 1))
+    step = max(1, _BLOCK // max(table.shape[2], 1))
     for lo in range(0, len(comps), step):
-        meets = np.count_nonzero(comps[lo:lo + step, None] & edge_arr, axis=1)
+        meets = np.bitwise_count(_byte_unions(table, comps[lo:lo + step])).sum(axis=1)
         heavy[owner[lo:lo + step][2 * meets > len(edges)]] = True
     return ~heavy
 
@@ -591,21 +601,63 @@ def _any_balanced(h, bags, c):
 
 
 def _adjacency_bytes(h):
-    """``h.adjacency`` as per-byte lookup tables, for up to 64 vertices.
+    """``h.adjacency`` as per-byte lookup tables, for up to 64 vertices:
+    row ``b``, column ``x`` of this ``(ceil(n / 8), 256)`` uint64 array
+    is the union of ``adjacency[8 * b + i]`` over the bits ``i`` set in
+    ``x`` (:func:`_byte_tables`).  0.016 ms on H3's 18 vertices, where a
+    Python loop over the 256 bytes took 0.090 (best of 51)."""
+    return _byte_tables(np.array(h.adjacency, dtype=np.uint64).reshape(-1, 1))[:, :, 0]
 
-    A uint64 array of shape ``(ceil(n / 8), 256)``: row ``b``, column
-    ``x`` is the union of ``adjacency[8 * b + i]`` over the bits ``i``
-    set in ``x``.
+
+def _incidence(n, edges):
+    """The ``m`` edge masks ``edges`` over ``n`` (at most 64) vertices as
+    per-vertex edge bitsets: a uint64 array of shape ``(n, ceil(m /
+    64))`` whose row ``v`` has bit ``j % 64`` of word ``j // 64`` set
+    when ``v`` lies in ``edges[j]``."""
+    words = -(-len(edges) // 64)
+    bits = np.array(edges, dtype=np.uint64) >> np.arange(n, dtype=np.uint64)[:, None]
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :(len(edges) + 7) // 8] = np.packbits(
+        (bits & np.uint64(1)).astype(bool), axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _byte_tables(rows):
+    """Per-byte OR tables of the ``n`` rows of the 2-D uint64 array
+    ``rows``, one row per vertex.
+
+    Returns an array of shape ``(ceil(n / 8), 256, rows.shape[1])``:
+    entry ``[b, x]`` is the OR of ``rows[8 * b + i]`` over the bits
+    ``i`` set in ``x``.  Built by doubling, one numpy OR per bit for all
+    bytes at once: entries ``s..2s-1`` are entries ``0..s-1`` with row
+    ``8 * b + log2(s)`` added, or copied where that row is past ``n``.
     """
-    adj = h.adjacency
-    table = np.zeros(((h.n_vertices + 7) // 8, 256), dtype=np.uint64)
-    for b, row in enumerate(table):
-        unions = [0] * 256
-        for x in range(1, 256):
-            v = 8 * b + (x & -x).bit_length() - 1
-            unions[x] = unions[x & (x - 1)] | (adj[v] if v < len(adj) else 0)
-        row[:] = unions
+    n, width = rows.shape
+    bytes_ = (n + 7) // 8
+    padded = np.zeros((8 * bytes_, width), dtype=np.uint64)
+    padded[:n] = rows
+    padded = padded.reshape(bytes_, 8, 1, width)
+    table = np.zeros((bytes_, 256, width), dtype=np.uint64)
+    for i in range(8):
+        s = 1 << i
+        np.bitwise_or(table[:, :s], padded[:, i], out=table[:, s:2 * s])
     return table
+
+
+def _byte_unions(table, masks):
+    """The OR of ``table[b, byte b of m]`` over the bytes ``b`` of each
+    uint64 mask ``m`` of ``masks``, for a table of :func:`_byte_tables`:
+    an array of shape ``(len(masks), table.shape[2])``, or ``(len(masks),)``
+    for a 2-D table."""
+    out = np.zeros((len(masks), *table.shape[2:]), dtype=np.uint64)
+    index = np.empty(len(masks), dtype=np.int64)
+    for b, row in enumerate(table):
+        # A byte is at most 255, so the uint64 shift written into the int64
+        # buffer is the same number, and numpy indexes with it as it is.
+        np.right_shift(masks, np.uint64(8 * b), out=index.view(np.uint64))
+        index &= 0xFF
+        out |= row[index]
+    return out
 
 
 def _enumerate_bags(h, k, pool, origins, components, covers, level, max_bags, max_steps):

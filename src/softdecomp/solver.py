@@ -73,17 +73,17 @@ root candidate, the check about ``a + b * n``, so it runs once the walk
 has cost as much as the check would, after ``F + n // R`` tries with
 ``F = a / w`` and ``R = w / b``.  On the gallery's rejects (H3 and
 H3prime at k=2, 2,864 to 7,217 bags) a root candidate costs
-``w`` = 6.5 µs, and the check ``a`` = 0.26 ms plus ``b`` = 0.25 µs per
+``w`` = 6.7 µs, and the check ``a`` = 0.155 ms plus ``b`` = 0.11 µs per
 bag (fit over 2,864 to 62,045 bags; best of 21-31, raw CPU, Xeon VM,
-CPython 3.11, numpy 2.4), so ``_CHECK_FIXED`` = 40 and
-``_CHECK_RATIO`` = 26.  The worst case is an accept that reaches the
+CPython 3.11, numpy 2.4), so ``_CHECK_FIXED`` = 23 and
+``_CHECK_RATIO`` = 61.  The worst case is an accept that reaches the
 trigger: it pays the check after walking about as long as the check
 takes, so at most about twice its walk.  None does on the measured
 inputs: the gallery's accepts try at most 129 root candidates (H3prime
-at level 1, k=3, whose 62,045 bags trigger at 2,426), random 16-vertex
+at level 1, k=3, whose 62,045 bags trigger at 1,040), random 16-vertex
 accepts at most 12 and the bundled SQL queries at most 3.  The
-gallery's three rejects have no balanced bag and end after 151, 153 and
-318 evaluations, where a fixed trigger after 512 tries took 513.
+gallery's three rejects have no balanced bag and end after 70, 71 and
+142 evaluations, where a fixed trigger after 512 tries took 513.
 
 The search is acyclic: a sub-block ``(X, Y)`` of ``(S, C)`` has
 ``Y ⊊ C``, or ``Y = C`` and ``X ⊊ S``, so ``(|C|, |S|)`` falls
@@ -114,8 +114,8 @@ DEFAULT_MAX_EVALS = 5_000_000
 # The balanced-bag check's trigger (module docstring): its fixed cost over
 # the walk's cost per root candidate, and the walk's cost per root
 # candidate over its cost per bag.
-_CHECK_FIXED = 40
-_CHECK_RATIO = 26
+_CHECK_FIXED = 23
+_CHECK_RATIO = 61
 
 # Byte tables for reading the bitset index: _NONZERO maps every nonzero
 # byte to 1, and _BYTE_BITS[x] lists the bits set in byte x.

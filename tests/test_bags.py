@@ -542,6 +542,104 @@ def test_component_unions_batch_of_nothing():
         assert len(owner) == len(comps) == len(unions) == 0
 
 
+
+def plain_byte_tables(rows, n):
+    """The per-byte OR tables of the int masks ``rows[0..n-1]``, one
+    Python loop per byte: entry ``[b][x]`` ORs ``rows[8 * b + i]`` over
+    the bits ``i`` of ``x``, vertices past ``n`` adding nothing."""
+    tables = []
+    for b in range((n + 7) // 8):
+        unions = [0] * 256
+        for x in range(1, 256):
+            v = 8 * b + (x & -x).bit_length() - 1
+            unions[x] = unions[x & (x - 1)] | (rows[v] if v < n else 0)
+        tables.append(unions)
+    return tables
+
+
+def _words_to_int(words):
+    return sum(int(w) << 64 * i for i, w in enumerate(words))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 63, 64])
+def test_byte_tables_match_a_plain_loop(n):
+    rng = random.Random(n)
+    # n vertices: a path, then random edges
+    named = [(f"p{v}", [f"v{v}", f"v{v + 1}"]) for v in range(n - 1)] or [("e", ["v0"])]
+    named += [(f"e{i}", [f"v{v}" for v in rng.sample(range(n), min(n, 3))]) for i in range(n)]
+    h = Hypergraph.from_named_edges(named)
+    assert h.n_vertices == n
+    assert bags_module._adjacency_bytes(h).tolist() == plain_byte_tables(h.adjacency, n)
+    rows = [rng.getrandbits(64) for _ in range(n)]
+    got = bags_module._byte_tables(np.array(rows, dtype=np.uint64).reshape(-1, 1))
+    assert got.shape == ((n + 7) // 8, 256, 1)
+    assert got[:, :, 0].tolist() == plain_byte_tables(rows, n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 63, 64])
+def test_incidence_tables_match_a_plain_loop(n):
+    rng = random.Random(n)
+    for m in (0, 1, 63, 64, 65, 129):
+        edges = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(m)]
+        # Row v of the incidence: bit j set when vertex v lies in edges[j].
+        want = [sum(1 << j for j, e in enumerate(edges) if e >> v & 1) for v in range(n)]
+        incidence = bags_module._incidence(n, edges)
+        assert incidence.shape == (n, -(-m // 64))
+        assert [_words_to_int(row) for row in incidence] == want
+        got = bags_module._byte_tables(incidence)
+        assert [[_words_to_int(entry) for entry in table] for table in got] == (
+            plain_byte_tables(want, n))
+
+
+def test_table_indexes_stay_below_two_to_the_63(monkeypatch):
+    # The flag table of _distinct_blocks reads its values as int64
+    # indexes; every value handed to it is below 2 ** width, so the table
+    # path sees small values and the sort path takes the 64-bit ones.
+    paths = []
+    real = bags_module._distinct_blocks
+
+    def checked(blocks, width, n):
+        table = 1 << width <= bags_module._DENSE_RATIO * n
+        paths.append(table)
+
+        def each():
+            for values in blocks:
+                assert not len(values) or int(values.max()) < 1 << width
+                yield values
+        return real(each(), width, n)
+
+    monkeypatch.setattr(bags_module, "_distinct_blocks", checked)
+    rng = random.Random(63)
+    top = [1 << 63 | rng.getrandbits(64) for _ in range(30)] + [1 << 63, (1 << 64) - 1]
+    wide = top + [rng.getrandbits(64) for _ in range(30)]
+    # At the ratio's edge: the widest values that still get a table.
+    ratio = bags_module._DENSE_RATIO
+    rows = [1 << 9 | rng.getrandbits(9) for _ in range(4)]
+    cols = [1 << 9 | rng.getrandbits(9) for _ in range(64)]  # 256 pairs of width 10
+    narrow = [1 << 6 | rng.getrandbits(6) for _ in range(10)]  # width 7, 55 combos
+    dense = [1 << 9] + [rng.getrandbits(10) for _ in range(255)]  # width 10, 256 values
+    assert 1 << 10 == ratio * len(rows) * len(cols) == ratio * len(dense)
+    assert 1 << 7 <= ratio * 55 < 1 << 8
+    for threshold in (FORCE_NUMPY, FORCE_PYTHON):
+        force_bag_paths(monkeypatch, threshold)
+        for values in (wide, dense):
+            paths.clear()
+            got = _distinct(np.array(values, dtype=np.uint64))
+            assert got.tolist() == sorted(set(values))
+            assert paths == [values is not wide]
+        for a, b in ((top, wide), (rows, cols)):
+            paths.clear()
+            got = bags_module._intersections(a, b)
+            assert _ints(got) == sorted({x & y for x in a for y in b} - {0})
+            assert paths == ([b is cols] if threshold == FORCE_NUMPY else [])
+        for masks, k in ((wide, 3), (narrow, 2)):
+            paths.clear()
+            got = bags_module._combo_unions(masks, k)
+            assert _ints(got) == sorted({reduce(or_, c) for size in range(1, k + 1)
+                                         for c in combinations(masks, size)})
+            assert paths == ([masks is narrow] if threshold == FORCE_NUMPY else [])
+
+
 def _component_entry_graphs():
     rng = random.Random(64)
     graphs = [(random_connected_hypergraph(rng, max_vertices=20, max_edges=12), 3)

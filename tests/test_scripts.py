@@ -1,10 +1,12 @@
 """Every script under ``scripts/`` still imports and parses ``--help``,
-the block search and the hw oracle still give the answers
+``scripts/kernel_times.py`` times every kernel it names, the block
+search and the hw oracle still give the answers
 ``scripts/solve_equivalence.py`` pins, the constrained optimizer those
 ``scripts/optimizer_equivalence.py`` pins, and compiled plans those
 ``scripts/plan_equivalence.py`` pins."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -26,6 +28,25 @@ def test_script_help(script):
     assert done.stdout.startswith("usage:")
 
 
+def test_kernel_times_runs_once_on_h2():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_times.py"), "--repeats", "1",
+         "--graphs", "H2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    shared = {"_intersections", "candidate_index", "_any_balanced"}
+    assert got["repeats"] == 1
+    assert {op: set(ms) for op, ms in got["ms"].items()} == {
+        f"H2 L{level} k={k}": shared | (
+            {"_separator_unions", "_component_entries"} if level == 0 else {"_cover_unions"})
+        for level in (0, 1) for k in (2, 3)
+    }
+    assert all(t >= 0 for ms in got["ms"].values() for t in ms.values())
+
+
 # The digests of ``scripts/solve_equivalence.py``: verdicts, ``evals``,
 # basis tables and trees of ``solve``, and the bag sets it runs on.  A
 # change to any of them is a change to the answers, not a speed-up.
@@ -35,9 +56,9 @@ def test_script_help(script):
 # reorders the bag layer's lists.
 SOLVE_DIGESTS = {
     # The balanced-bag check's break-even trigger ends the gallery's three
-    # rejects after 151, 153 and 318 evals, not 513 each; their verdicts
-    # and every other digest are unchanged.
-    "gallery": "bf1b1b92b1bf5b53ed39050dc5f995fcc104b0c00189469aee4f979b666d6e49",
+    # rejects after 70, 71 and 142 evals; their verdicts and every other
+    # digest are unchanged.
+    "gallery": "9f19c487c68aa10a7740089acbb9a432fb75503bdf0228d60f7ff4735c0809c4",
     "gallery verdicts": "21f21af872cab754079180316cde9401a41db34a8cfa9e34d9bb992050f268fe",
     "random": "2efd3deb0692edca51d9b579763cfe17cc7d46f2ad3f49580835588d36c46394",
     "random verdicts": "7f75c8d5e27ab30b0c9867fb367429e559210891124766ab23317957b14f6921",

@@ -396,6 +396,32 @@ def test_balanced_bags_match_one_by_one():
     assert seen == {True, False}
 
 
+def _edge_count_graph(rng, n, m):
+    """A connected hypergraph on ``n`` vertices with exactly ``m``
+    distinct edges: a path, then random edges of 2 to 4 vertices."""
+    edges = {(v, v + 1) for v in range(n - 1)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), rng.randint(2, 4)))))
+    return Hypergraph.from_named_edges(
+        [(f"e{i}", [f"v{v}" for v in vs]) for i, vs in enumerate(sorted(edges))])
+
+
+@pytest.mark.parametrize("m", [64, 65, 128, 129])
+def test_balanced_bags_count_edges_across_words(m):
+    # One, two, two and three words of edge bits per component, and a
+    # component meeting an edge of the last word.
+    rng = random.Random(m)
+    for n in (40, 64):
+        h = _edge_count_graph(rng, n, m)
+        edges = list(h.edge_masks)
+        masks = [mask_of(rng.sample(range(n), rng.randint(1, n - 1))) for _ in range(300)]
+        got = bags_module._balanced_bags(h, masks, edges).tolist()
+        assert got == [_is_balanced(h, x, edges) for x in masks]
+        assert set(got) == {True, False}
+        meets = [sum(1 for e in edges if e & y) for x in masks for y in h.vertex_components(x)]
+        assert max(meets) > 64 * ((m - 1) // 64)
+
+
 def _record_checks(monkeypatch):
     """Patch the check's kernel to record, per call, the vertex count
     and whether any bag was balanced; returns the record."""
