@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Width-hierarchy sweep over random connected hypergraphs.
 
-For each random graph the script computes the least accepting k for the
-generalized-hypertree certificate, the level-0 and level-1 soft solvers,
-and the exact hypertree certificate, and verifies
+For each random graph the script computes the exact generalized
+hypertree width, the least accepting k of the level-0 and level-1 soft
+solvers, and the exact hypertree width, and verifies
 
     ghw <= level-1 <= level-0 <= hw
 

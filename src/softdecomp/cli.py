@@ -36,7 +36,7 @@ from .constraints import (
 from .costs import MissingStatisticError, StatsCatalog
 from .cq import QuerySyntaxError, UnsupportedSqlError, parse_cq, sql_to_cq
 from .hypergraph import parse_hypergraph
-from .oracles import SUBSET_VERTEX_CAP, OracleBudgetError, ghw_leq, hw_leq, validate_td
+from .oracles import OracleBudgetError, ghw_leq, hw_leq, validate_td
 from .plans import compile_plan, emit_sql, execute_plan, plan_from_json, plan_to_json
 from .solver import SolverBudgetError, attach_covers, solve, td_from_text
 
@@ -175,24 +175,6 @@ def _min_k(check, max_k):
     return None
 
 
-def _ghw_upper_bound(h, max_k):
-    """Print ``ghw <= K`` for the least ``K`` the ghw probe certifies; a
-    probe without a certificate says nothing about its ``k``."""
-    def certified(k):
-        try:
-            return ghw_leq(h, k) is not None
-        except OracleBudgetError:
-            return False
-
-    found = _min_k(certified, max_k)
-    if found is None:
-        raise OracleBudgetError(
-            f"no ghw certificate for k in 1..{max_k}, and the exact check"
-            f" stops at {SUBSET_VERTEX_CAP} vertices ({h.n_vertices} here)")
-    print(f"ghw <= {found}")
-    return EXIT_ACCEPT
-
-
 def _cmd_widths(args):
     _, h = _load_input(args.input, args.format)
     measure = args.measure
@@ -203,12 +185,9 @@ def _cmd_widths(args):
         found = _min_k(
             lambda k: solve(h, soft_bags_level(h, k, level)).accepted, args.max_k
         )
-    elif measure == "hw":
-        found = _min_k(lambda k: hw_leq(h, k) is not None, args.max_k)
-    elif measure == "ghw":
-        if h.n_vertices > SUBSET_VERTEX_CAP:
-            return _ghw_upper_bound(h, args.max_k)
-        found = _min_k(lambda k: ghw_leq(h, k) is not None, args.max_k)
+    elif measure in ("hw", "ghw"):
+        oracle = hw_leq if measure == "hw" else ghw_leq
+        found = _min_k(lambda k: oracle(h, k) is not None, args.max_k)
     else:
         raise UsageError(f"unknown measure {measure!r}")
     if found is None:
@@ -293,7 +272,8 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["hg", "cq", "sql"], default="hg")
     p.add_argument("--measure", required=True,
-                   help="shw | shw:i (iteration level i) | hw | ghw")
+                   help="shw | shw:i (iteration level i) | hw | ghw; hw and ghw"
+                   " are exact, each one pure-Python search")
     p.add_argument("--max-k", type=_int_from(1), default=6)
     p.set_defaults(func=_cmd_widths)
 

@@ -2,11 +2,8 @@
 exhaustive enumeration of decompositions over a candidate bag set.
 
 These are deliberately simple and separate from the solver so they can
-serve as ground truth in tests.  Each runs one pure-Python path on
-Python-int masks, whatever the number of vertices.  The one exception
-is ``ghw_leq`` above ``SUBSET_VERTEX_CAP`` vertices: there it certifies
-an upper bound with the soft bags of levels 0 and 1, which the bag
-layer builds (ghw <= shw^1 <= shw^0), and never answers None.
+serve as ground truth in tests.  Every oracle is one pure-Python path
+on Python-int masks, whatever the number of vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from dataclasses import dataclass, field
 from .hypergraph import ids_of
 from .solver import TreeDecomposition, minimum_cover
 
-SUBSET_VERTEX_CAP = 14  # ghw_leq is exact up to this many vertices
+GHW_MAX_BAGS = 2_000_000  # ghw_leq raises before its family could pass this
 
 
 class OracleBudgetError(RuntimeError):
@@ -293,7 +290,7 @@ class _HwSearch:
     def _tick(self, n):
         self.spent += n
         if self.spent > self.max_steps:
-            raise OracleBudgetError("hypertree width search exceeded step budget")
+            raise OracleBudgetError("width search exceeded step budget")
 
 
 # -- generalized hypertree width ----------------------------------------------
@@ -302,60 +299,42 @@ class _HwSearch:
 def ghw_leq(h, k, max_steps=20_000_000):
     """A width-``k`` generalized hypertree decomposition, or None.
 
-    Exact on up to :data:`SUBSET_VERTEX_CAP` vertices: it solves over
-    all vertex sets coverable by at most ``k`` edges (every
-    decomposition can be brought into component normal form with bags
-    shrunk, so this family is complete).  Above the cap it only
-    certifies the upper bound, by solving over the soft bags of levels
-    0 and 1 (each covered by at most ``k`` original edges, as ghw <=
-    shw^1 <= shw^0), and raises :class:`OracleBudgetError` instead of
-    answering None when neither level accepts.
+    Exact: it solves over the family of every non-empty vertex set that
+    at most ``k`` edges cover, that is every non-empty sub-mask of a
+    union of at most ``k`` edges (every decomposition can be brought
+    into component normal form with bags shrunk, so this family is
+    complete).  The distinct unions come from
+    :meth:`_HwSearch._region_unions`, largest first, and the walk skips
+    a union already in the family: it is a sub-mask of an earlier union,
+    so all of its sub-masks are in already.  On H3prime at k=3 the walk
+    visits 804k sub-masks for 62,045 sets, against 2.57M without the
+    skip.
+
+    Two budgets raise :class:`OracleBudgetError`: ``max_steps``, charged
+    with the unions' build and every sub-mask the walk visits, and
+    :data:`GHW_MAX_BAGS`: a walk that could take the family past it
+    raises before it starts.  ``max_steps`` also caps the block search's
+    evaluations (:class:`~softdecomp.solver.SolverBudgetError`).
     """
-    if h.n_vertices <= SUBSET_VERTEX_CAP:
-        return _ghw_subsets(h, k, max_steps)
-    return _ghw_probe(h, k, max_steps)
-
-
-def _ghw_subsets(h, k, max_steps):
-    """Exact ghw <= k: solve over every vertex set of ``h`` that at most
-    ``k`` edges cover (2^n sets)."""
     from .solver import attach_covers, solve
 
-    family = [m for m in range(1, 1 << h.n_vertices)
-              if minimum_cover(h, m, max_size=k) is not None]
+    search = _HwSearch(h, k, max_steps)
+    family = set()
+    for u in search._region_unions(h.all_vertices_mask):
+        if u in family:
+            continue
+        walk = (1 << u.bit_count()) - 1
+        search._tick(walk)
+        if len(family) + walk > GHW_MAX_BAGS:
+            raise OracleBudgetError(f"ghw family could pass {GHW_MAX_BAGS:,} bags")
+        m = u
+        while m:
+            family.add(m)
+            m = (m - 1) & u
     res = solve(h, family, max_evals=max_steps)
     if not res.accepted:
         return None
     return attach_covers(res.decomposition, max_size=k)
-
-
-def _ghw_probe(h, k, max_steps):
-    """Certify ghw <= k by solving over the level-0 soft bags, then over
-    level 1 when level 0 rejects.
-
-    Sound for acceptance: every soft bag is covered by at most ``k``
-    members of its level's pool, each a sub-edge of its origin edge.
-    Raises when neither level accepts, since these bags are not
-    exhaustive.
-    """
-    from . import bags as bagmod
-    from .solver import attach_covers, solve
-
-    level = bagmod.soft_bags(h, k, max_bags=2_000_000, max_steps=max_steps)
-    res = solve(h, level)
-    if not res.accepted:
-        nxt = bagmod.iterate_level(level, max_bags=2_000_000, max_steps=max_steps)
-        if nxt is not level:
-            level, res = nxt, solve(h, nxt)
-    if not res.accepted:
-        raise OracleBudgetError("upper-bound probe found no certificate")
-    td = res.decomposition
-    attach_covers(td, pool_masks=level.pool, max_size=k)
-    td.covers = [tuple(sorted({level.origins[i] for i in c})) for c in td.covers]
-    rep = validate_td(h, td, k=k, check_compnf=False)
-    if not rep.ok:
-        raise OracleBudgetError("probe produced an invalid decomposition")
-    return td
 
 
 # -- exhaustive decomposition enumeration -------------------------------------

@@ -169,14 +169,18 @@ def test_widths_respects_max_k(tmp_path, capsys):
     assert "> 1" in capsys.readouterr().out
 
 
-def test_widths_ghw_above_the_subset_cap_prints_an_upper_bound(tmp_path, capsys):
-    # H3prime has 18 vertices: k = 1 and 2 have no certificate, k = 3 has one.
+def test_widths_ghw_is_exact_above_14_vertices(tmp_path, capsys):
+    # H3prime has 18 vertices: k = 2 has no decomposition, k = 3 has one.
     p = tmp_path / "h3prime.hg"
     p.write_text(gallery("H3prime").hypergraph.serialize())
     assert main(["widths", "--input", str(p), "--measure", "ghw", "--max-k", "3"]) == 0
-    assert capsys.readouterr().out == "ghw <= 3\n"
-    assert main(["widths", "--input", str(p), "--measure", "ghw", "--max-k", "2"]) == 3
-    assert "k in 1..2" in capsys.readouterr().err
+    assert capsys.readouterr().out == "ghw = 3\n"
+    assert main(["widths", "--input", str(p), "--measure", "ghw", "--max-k", "2"]) == 1
+    assert capsys.readouterr().out == "ghw > 2\n"
+    # One edge of 24 vertices has 2^24 - 1 sub-masks: a budget overrun.
+    p.write_text(f"e({','.join(f'v{i}' for i in range(24))})\n")
+    assert main(["widths", "--input", str(p), "--measure", "ghw"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
 def test_verify_valid_and_invalid(tmp_path, hg_file, capsys):

@@ -1,7 +1,6 @@
 import random
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +12,7 @@ from softdecomp import (
     attach_covers,
     enumerate_all_ctds,
     gallery,
+    gallery_names,
     ghw_leq,
     hw_leq,
     parse_hypergraph,
@@ -22,12 +22,9 @@ from softdecomp import (
     validate_td,
 )
 from softdecomp.hypergraph import ids_of, mask_of
-from softdecomp.oracles import _ghw_probe, _ghw_subsets
+from softdecomp.solver import minimum_cover
 
 from conftest import random_connected_hypergraph, random_stats
-
-
-STEPS = 20_000_000  # ghw_leq's default step budget
 
 
 def _failed(report, name):
@@ -160,46 +157,84 @@ def test_ghw_at_most_hw(seed):
             break
 
 
-def test_probe_method_agrees_when_it_answers():
+def _ghw_reference(h, k):
+    """ghw <= k over every vertex set of ``h`` that at most ``k`` edges
+    cover, found by testing all 2^n of them."""
+    family = [m for m in range(1, 1 << h.n_vertices)
+              if minimum_cover(h, m, max_size=k) is not None]
+    return solve(h, family).accepted
+
+
+def _cover_ok(h, td, k):
+    """``td`` validates, each bag inside its attached cover of at most
+    ``k`` edges (validate_td's cover-width and cover-containment)."""
+    assert td.covers is not None
+    rep = validate_td(h, td, k=k)
+    assert rep.ok, rep.failures
+
+
+def test_ghw_matches_the_subset_reference():
+    # Verdict for verdict against the 2^n family: 9 x 9 graphs, dense
+    # graphs that reach width 3, and graphs of exactly 14 vertices.
     rng = random.Random(7)
-    for _ in range(10):
-        h = random_connected_hypergraph(rng, max_vertices=7, max_edges=6)
+    graphs = [random_connected_hypergraph(rng, 9, 9) for _ in range(60)]
+    rng = random.Random(11)
+    graphs += [_random_graph(rng) for _ in range(60)]
+    rng = random.Random(14)
+    big = []
+    while len(big) < 3:
+        h = random_connected_hypergraph(rng, 14, 14)
+        if h.n_vertices == 14:
+            big.append(h)
+    graphs += big
+    widths = []
+    for h in graphs:
+        width = None
         for k in (1, 2, 3):
-            if _ghw_subsets(h, k, STEPS) is None:
-                continue
-            try:
-                td = _ghw_probe(h, k, STEPS)
-            except OracleBudgetError:
-                continue  # the probe may fail to certify; it must not lie
-            rep = validate_td(h, td, k=k, check_compnf=False)
-            assert rep.ok, rep.failures
-            break
+            td = ghw_leq(h, k)
+            assert (td is not None) == _ghw_reference(h, k), (h.serialize(), k)
+            if td is not None:
+                _cover_ok(h, td, k)
+                width = width or k
+        widths.append(width)
+    assert {1, 2, 3} <= set(widths)
+
+
+def test_gallery_ghw_is_exact():
+    # Each recorded ghw w: no decomposition of width w - 1, a valid one
+    # of width w (H3 and H3prime have 18 vertices).
+    recorded = [name for name in gallery_names() if "ghw" in gallery(name).widths]
+    assert {"H2", "H3", "H3prime"} <= set(recorded)
+    for name in recorded:
+        h, w = gallery(name).hypergraph, gallery(name).widths["ghw"]
+        assert w == 1 or ghw_leq(h, w - 1) is None, name
+        _cover_ok(h, ghw_leq(h, w), w)
 
 
 def test_oracle_budget_errors():
     h = gallery("H3").hypergraph
     with pytest.raises(OracleBudgetError):
         hw_leq(h, 3, max_steps=1_000)  # the search runs out of steps
+    with pytest.raises(OracleBudgetError, match="step budget"):
+        ghw_leq(h, 3, max_steps=10_000)  # in the k-edge unions, before any walk
+    # 2^24 - 1 sub-masks fit the default steps but not the family's cap:
+    # the walk raises before it starts.
+    h = parse_hypergraph(f"e({','.join(f'v{i}' for i in range(24))})")
+    with pytest.raises(OracleBudgetError, match="could pass"):
+        ghw_leq(h, 1)
 
 
-def test_probe_certifies_exactly_where_level_one_accepts():
-    # ghw <= shw^1 <= shw^0: the probe's certificates are the soft levels.
+def test_ghw_at_most_level_one_on_16_vertex_graphs():
+    # ghw <= shw^1 <= shw^0, with ghw exact above 14 vertices too.
     rng = random.Random(5)
     for i in range(40):
         h = random_connected_hypergraph(rng, max_vertices=16, max_edges=16)
         for k in (1, 2, 3):
-            accepts = solve(h, soft_bags_level(h, k, 1)).accepted
-            try:
-                td = _ghw_probe(h, k, STEPS)
-            except OracleBudgetError:
-                assert not accepts, (i, k)
+            td = ghw_leq(h, k)
+            if td is None:
+                assert not solve(h, soft_bags_level(h, k, 1)).accepted, (i, k)
                 continue
-            assert accepts, (i, k)
-            rep = validate_td(h, td, k=k, check_compnf=False)
-            assert rep.ok, rep.failures
-            for bag, cover in zip(td.bags, td.covers):
-                assert len(cover) <= k
-                assert not bag & ~reduce(or_, [h.edge_masks[e] for e in cover]), (i, k)
+            _cover_ok(h, td, k)
 
 
 def _brute_hw_leq(h, k):
