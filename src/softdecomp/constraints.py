@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import NamedTuple
 
-from .costs import node_cost, subtree_cost
+from .costs import bag_terms, combine, subtree_cost
 from .hypergraph import cover_is_connected, ids_of
 from .solver import (
     DEFAULT_MAX_EVALS,
@@ -295,11 +295,12 @@ def _canonical_bags(td):
     return tuple(sorted(ids_of(b) for b in td.bags))
 
 
-def _compose(cost, bag, kids):
-    """The key of the subtree with root ``bag`` over the child keys
-    ``kids``: node count and canonical bags merged from the children's."""
+def _compose(cost, ids, kids):
+    """The key of the subtree whose root bag holds the vertices ``ids``
+    over the child keys ``kids``: node count and canonical bags merged
+    from the children's."""
     nodes = 1
-    bags = [ids_of(bag)]
+    bags = [ids]
     for key in kids:
         nodes += key.nodes
         bags.extend(key.bags)
@@ -315,7 +316,7 @@ def trivial_order():
         return CostKey(0.0, len(td), _canonical_bags(td))
 
     def step(node, kids):
-        return _compose(0.0, node[0], [key for key, _ in kids]), None
+        return _compose(0.0, ids_of(node[0]), [key for key, _ in kids]), None
 
     key.step = step
     key.pairs_with = (AlwaysTrue, ConnectedCover)
@@ -325,15 +326,21 @@ def trivial_order():
 def cost_order(stats):
     """Order partial trees by the cardinality cost model; the
     preference-complete companion of the connected-cover constraint.
-    Its step's state is the subtree's :class:`~softdecomp.costs.CostSummary`."""
+    Its step's state is the subtree's :class:`~softdecomp.costs.CostSummary`.
+    The step computes each node's bag terms and vertex ids once per
+    ``(bag, cover)``, for the life of this order."""
+    local = {}  # (bag, cover) -> (BagTerms, ids_of(bag))
 
     def key(td):
         return CostKey(subtree_cost(td, stats).total, len(td), _canonical_bags(td))
 
     def step(node, kids):
         bag, cover, _ = node
-        summary = node_cost(bag, cover, [state for _, state in kids], stats)[0]
-        return _compose(summary.total, bag, [key for key, _ in kids]), summary
+        got = local.get((bag, cover))
+        if got is None:
+            got = local[(bag, cover)] = bag_terms(bag, cover, stats), ids_of(bag)
+        summary = combine(bag, got[0], [state for _, state in kids])[0]
+        return _compose(summary.total, got[1], [key for key, _ in kids]), summary
 
     key.step = step
     key.pairs_with = (AlwaysTrue, ConnectedCover)
@@ -354,7 +361,7 @@ def cyclicity_order(h):
 
     def step(node, kids):
         depth = _bad_depth(h, node[0], [state for _, state in kids])
-        plain = _compose(float(max(depth, 0)), node[0], [key for key, _ in kids])
+        plain = _compose(float(max(depth, 0)), ids_of(node[0]), [key for key, _ in kids])
         return replace(plain, rank=depth + 1), depth
 
     key.step = step

@@ -7,13 +7,16 @@ relations and materializing its join, each parent pays a scan for its
 semi-joins, and each child contributes a reduced-size term modelling
 how much the up-phase semi-join still has to move.
 
-The formula is written once, in :func:`node_cost`, one node at a time.
-A node needs only its bag, its cover and a :class:`CostSummary` of each
-child subtree, so the cost is a tree aggregation function in the sense
-of Scarcello, Greco and Leone ("Weighted hypertree decompositions and
-optimal query plans", PODS 2004).  :func:`subtree_cost` folds the step
-over a whole tree; the constrained optimizer folds it over the subtrees
-its dynamic programming assembles, without building them.
+The formula is written once, one node at a time, in two parts: the
+terms its bag and cover fix alone (:func:`bag_terms`: the join size,
+the bag cost and the bag's reducible vertices), and their combination
+with a :class:`CostSummary` of each child subtree (:func:`combine`).
+So the cost is a tree aggregation function in the sense of Scarcello,
+Greco and Leone ("Weighted hypertree decompositions and optimal query
+plans", PODS 2004).  :func:`subtree_cost` folds the step over a whole
+tree; the constrained optimizer folds it over the subtrees its dynamic
+programming assembles, without building them, and computes each
+node's bag terms once per bag and cover.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def reduce_attrs(node, td, stats):
 
     A vertex qualifies when it appears in some strict-descendant bag
     through a cover relation where it is not (part of) that relation's
-    primary key.  Leaves map to the empty set.  :func:`node_cost` finds
+    primary key.  Leaves map to the empty set.  :func:`combine` finds
     the same set as :attr:`CostSummary.shrink`, from its children's ``U``.
     """
     if td.covers is None:
@@ -207,34 +210,47 @@ def reduced_size(child, shrink):
     return child.join / (1 + popcount(shrink & child.bag))
 
 
-def node_cost(bag, cover, kids, stats):
-    """One node of the cost recursion, from its children's summaries.
+class BagTerms(NamedTuple):
+    """The terms of the cost recursion that a node's bag and cover fix
+    alone, whatever its children."""
 
-    ``kids`` are the children's :class:`CostSummary` in child order.
-    Returns ``(summary, kid_reduced, bag_cost, scan_cost, fell_back)``:
-    the node's own summary, each child's ReducedSz, the node's bag and
-    scan costs, and whether its join size fell back to the crude bound.
-    A node's ReducedSz is 0 when any child's is 0 (an empty child
-    empties the semi-join chain); ScanCost is charged only when the
-    node scans itself against nonempty children; a child contributes
+    join: float  # |J| of the bag
+    fell_back: bool  # |J| is the crude bound
+    cost: float  # BagCost: see _materialize
+    reducible: int  # union of bag & edge & ~key over the cover
+
+
+def bag_terms(bag, cover, stats):
+    """A node's :class:`BagTerms`."""
+    j, fell_back = stats.join_card(bag, cover)
+    reducible = 0
+    masks = stats.hypergraph.edge_masks
+    for e in cover:
+        reducible |= bag & masks[e] & ~stats.primary_key.get(e, 0)
+    return BagTerms(j, fell_back, _materialize(j, cover, stats), reducible)
+
+
+def combine(bag, terms, kids):
+    """One node of the cost recursion, from its :class:`BagTerms` and
+    its children's :class:`CostSummary` in child order.
+
+    Returns ``(summary, kid_reduced, scan_cost)``: the node's own
+    summary, each child's ReducedSz and the node's scan cost.  A node's
+    ReducedSz is 0 when any child's is 0 (an empty child empties the
+    semi-join chain); ScanCost is charged only when the node scans
+    itself against nonempty children; a child contributes
     ReducedSz·log(ReducedSz) for its semi-join into the node.
     """
-    j, fell_back = stats.join_card(bag, cover)
-    bagc = _materialize(j, cover, stats)
     below = 0
     for kid in kids:
         below |= kid.reducible
     shrink = bag & below
     kid_reduced = [reduced_size(kid, shrink) for kid in kids]
-    scan = _xlog(j) if kids and all(r > 0 for r in kid_reduced) else 0.0
-    total = bagc + scan + sum(kid.total + _xlog(r) for kid, r in zip(kids, kid_reduced))
-    reducible = below
-    masks = stats.hypergraph.edge_masks
-    for e in cover:
-        reducible |= bag & masks[e] & ~stats.primary_key.get(e, 0)
+    scan = _xlog(terms.join) if kids and all(r > 0 for r in kid_reduced) else 0.0
+    total = terms.cost + scan + sum(kid.total + _xlog(r) for kid, r in zip(kids, kid_reduced))
     empty = any(r == 0 for r in kid_reduced)
-    summary = CostSummary(bag, j, total, empty, reducible, shrink)
-    return summary, kid_reduced, bagc, scan, fell_back
+    summary = CostSummary(bag, terms.join, total, empty, terms.reducible | below, shrink)
+    return summary, kid_reduced, scan
 
 
 @dataclass
@@ -252,10 +268,10 @@ class CostReport:
 def subtree_cost(td, stats):
     """Evaluate the full cost recursion over a rooted decomposition.
 
-    A fold of :func:`node_cost` over the nodes, deepest first: each
-    node's summary is built from its children's, and each child's
-    ReducedSz is the one its parent's step gives it; a root's uses the
-    root's own reduce_attrs.
+    A fold of :func:`bag_terms` and :func:`combine` over the nodes,
+    deepest first: each node's summary is built from its children's,
+    and each child's ReducedSz is the one its parent's step gives it;
+    a root's uses the root's own reduce_attrs.
     """
     if td.covers is None:
         raise ValueError("no covers attached")
@@ -267,10 +283,10 @@ def subtree_cost(td, stats):
     fellback = []
     for u in sorted(range(n), key=td.depth, reverse=True):
         kids = td.children(u)
-        summary[u], kid_reduced, bagc[u], scan[u], fb = node_cost(
-            td.bags[u], td.covers[u], [summary[c] for c in kids], stats
-        )
-        if fb:
+        terms = bag_terms(td.bags[u], td.covers[u], stats)
+        summary[u], kid_reduced, scan[u] = combine(td.bags[u], terms, [summary[c] for c in kids])
+        bagc[u] = terms.cost
+        if terms.fell_back:
             fellback.append(u)
         for c, r in zip(kids, kid_reduced):
             reduced[c] = r

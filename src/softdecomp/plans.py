@@ -9,17 +9,29 @@ after the up phase with a root nonemptiness probe.  The interpreter and
 the SQL emitter both walk that schedule.
 
 The interpreter picks its own join order; the plan text does not fix
-one.  A node's table, and the final join, start from the first listed
+one.  A node's table, and the final join, first project each relation
+to the target variables (the bag, or the output) and the variables of
+the other relations it joins with.  They start from the first listed
 relation and then always take the first remaining relation that shares
 a variable with the result so far; a Cartesian step happens only when
-none does (a node in ``cartesian_nodes``).  After each join, variables
-that are neither in the target (the bag, or the output) nor used by a
-relation still to join are projected away.
+none does (a node in ``cartesian_nodes``).  Each join is fused with its
+projection: it builds only the variables that are in the target or
+used by a relation still to join, and a relation that adds no such
+variable only filters the result by its keys.
+
+After the down phase the interpreter reads the answer from one node
+when it can.  An empty root table gives an empty answer.  On a tree
+with the running intersection property, as every valid decomposition
+has, the full reducer leaves each node table the projection of the
+query onto its bag, so when one bag holds every output variable the
+answer is that node's table projected to the output.  Otherwise the
+final join runs.  The emitted SQL always ends in the final join.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -104,20 +116,41 @@ def _getter(positions):
     return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _join(rows_a, vars_a, rows_b, vars_b):
+def _columns(positions):
+    """A row's values at ``positions``, always as a tuple: a slice when
+    they are consecutive, as one position always is."""
+    if positions and positions == list(range(positions[0], positions[-1] + 1)):
+        return itemgetter(slice(positions[0], positions[-1] + 1))
+    return _getter(positions)
+
+
+def _join(rows_a, vars_a, rows_b, vars_b, keep=None):
+    """The natural join of two ``(rows, vars)`` relations, projected to
+    ``keep``: every variable of a, then those b adds, when None.
+
+    Returns ``(rows, keep)``.  Only the ``keep`` columns are built.
+    When b adds no kept variable the join is a filter of a by b's keys.
+    """
     shared = [v for v in vars_a if v in vars_b]
-    out_vars = list(vars_a) + [v for v in vars_b if v not in vars_a]
+    new = [v for v in vars_b if v not in vars_a]
+    keep = (*vars_a, *new) if keep is None else tuple(keep)
     key_a = _getter([vars_a.index(v) for v in shared])
     key_b = _getter([vars_b.index(v) for v in shared])
-    extra = [i for i, v in enumerate(vars_b) if v not in vars_a]
+    tail = [v for v in new if v in keep]
+    if not tail:
+        keys = set(map(key_b, rows_b))
+        if keep == vars_a:
+            return {row for row in rows_a if key_a(row) in keys}, keep
+        return _project((row for row in rows_a if key_a(row) in keys), vars_a, keep), keep
+    tail_of = _columns([vars_b.index(v) for v in tail])
     index = {}
     for row in rows_b:
-        index.setdefault(key_b(row), []).append(tuple(row[i] for i in extra))
-    out = set()
-    for row in rows_a:
-        for tail in index.get(key_a(row), ()):
-            out.add(row + tail)
-    return out, tuple(out_vars)
+        index.setdefault(key_b(row), []).append(tail_of(row))
+    wide = (*vars_a, *tail)
+    if keep == wide:
+        return {row + t for row in rows_a for t in index.get(key_a(row), ())}, keep
+    pick = _columns([wide.index(v) for v in keep])
+    return {pick(row + t) for row in rows_a for t in index.get(key_a(row), ())}, keep
 
 
 def _semijoin(rows_a, vars_a, rows_b, vars_b):
@@ -130,33 +163,43 @@ def _semijoin(rows_a, vars_a, rows_b, vars_b):
 
 
 def _project(rows, vars_from, vars_to):
-    idx = [vars_from.index(v) for v in vars_to]
-    if len(idx) == 1:
-        return {(row[idx[0]],) for row in rows}
-    return set(map(_getter(idx), rows))
+    """``rows`` over ``vars_to`` as a set; ``rows`` itself when the
+    variables are the same."""
+    if vars_from == vars_to:
+        return rows
+    return set(map(_columns([vars_from.index(v) for v in vars_to]), rows))
 
 
 def _join_connected(relations, out_vars):
     """Join ``(rows, vars)`` relations and project the result to
     ``out_vars``.
 
-    Starts from the first relation; each next one is the first remaining
-    relation that shares a variable with the result so far, or the
-    first remaining one when none does (a Cartesian step).  After each
-    join, variables outside ``out_vars`` that no remaining relation uses
-    are projected away.
+    First each relation is projected to ``out_vars`` and the variables
+    of the other relations.  Then the join starts from the first
+    relation; each next one is the first remaining relation that shares
+    a variable with the result so far, or the first remaining one when
+    none does (a Cartesian step).  Each join keeps only the variables
+    in ``out_vars`` or used by a relation still to join (see
+    :func:`_join`); the last keeps ``out_vars``.
     """
+    out_vars = tuple(out_vars)
+    wanted = set(out_vars)
     pending = list(relations)
+    if len(pending) > 1:
+        uses = Counter(v for _, vs in pending for v in vs)
+        for i, (rows, vs) in enumerate(pending):
+            live = tuple(v for v in vs if v in wanted or uses[v] > 1)
+            pending[i] = _project(rows, vs, live), live
     rows, vs = pending.pop(0)
     while pending:
         i = next((i for i, (_, b) in enumerate(pending) if not set(b).isdisjoint(vs)), 0)
         rows_b, vars_b = pending.pop(i)
-        rows, vs = _join(rows, vs, rows_b, vars_b)
-        needed = set(out_vars).union(*(b for _, b in pending))
-        live = tuple(v for v in vs if v in needed)
-        if pending and len(live) < len(vs):
-            rows, vs = _project(rows, vs, live), live
-    return _project(rows, vs, tuple(out_vars))
+        keep = out_vars
+        if pending:
+            needed = wanted.union(*(b for _, b in pending))
+            keep = tuple(v for v in dict.fromkeys((*vs, *vars_b)) if v in needed)
+        rows, vs = _join(rows, vs, rows_b, vars_b, keep)
+    return _project(rows, vs, out_vars)
 
 
 def _atom_rows(atom, db):
@@ -164,15 +207,14 @@ def _atom_rows(atom, db):
     that agree wherever the atom repeats a variable."""
     if atom.relation not in db:
         raise PlanError(f"no relation {atom.relation!r} in the database")
+    rows = db[atom.relation]
+    out = set(map(tuple, rows))
     arity = len(atom.variables)
-    out = set()
-    for row in db[atom.relation]:
-        if len(row) != arity:
-            raise PlanError(
-                f"relation {atom.relation!r} has arity {len(row)}, "
-                f"atom expects {arity}"
-            )
-        out.add(tuple(row))
+    if set(map(len, out)) - {arity}:
+        width = next(n for n in map(len, rows) if n != arity)  # the first bad row's
+        raise PlanError(
+            f"relation {atom.relation!r} has arity {width}, atom expects {arity}"
+        )
     first = [atom.variables.index(v) for v in atom.variables]
     repeats = [(i, j) for i, j in enumerate(first) if i != j]
     if repeats:
@@ -184,9 +226,18 @@ def _atom_table(atom, db):
     """The atom's rows over its distinct variables, as ``(rows, vars)``."""
     rows = _atom_rows(atom, db)
     dedup_vars = tuple(dict.fromkeys(atom.variables))
-    if len(dedup_vars) < len(atom.variables):
-        rows = _project(rows, tuple(atom.variables), dedup_vars)
-    return rows, dedup_vars
+    return _project(rows, tuple(atom.variables), dedup_vars), dedup_vars
+
+
+def _running_intersection(td):
+    """Whether the nodes holding each vertex form one subtree: exactly
+    one of them is a root or has a parent without the vertex."""
+    once = twice = 0
+    for u, p in enumerate(td.parents):
+        top = td.bags[u] & ~td.bags[p] if p >= 0 else td.bags[u]
+        twice |= once & top
+        once |= top
+    return not twice
 
 
 def execute_plan(plan, db):
@@ -198,12 +249,16 @@ def execute_plan(plan, db):
 
     Each atom's relation is read once, in node order, so a missing
     relation or a wrong arity raises ``PlanError`` for the first such
-    atom.  Every node's table is built first: its atoms are joined in a
-    connected order with early projection (see the module docstring).
-    Then the schedule's semi-joins run, and the final join orders and
-    projects the node tables the same way.
+    atom.  Every node's table is built first: its atoms, each projected
+    to the bag and the variables the other atoms share, are joined in a
+    connected order, each join fused with its projection.  Then the
+    schedule's semi-joins run, and the answer is read from one node
+    when its bag holds every output variable, else from the final join,
+    which orders and projects the node tables the same way (see the
+    module docstring).  :func:`emit_sql` always writes the final join.
     """
     cq = plan.query
+    td = plan.decomposition
     atom_tables = {}
     for atoms in plan.node_atoms:
         for i in atoms:
@@ -220,13 +275,19 @@ def execute_plan(plan, db):
             tables[target], node_vars[target], tables[source], node_vars[source]
         )
 
-    up, down, order = _schedule(plan.decomposition)
+    up, down, order = _schedule(td)
     for child, parent in up:
         semijoin(parent, child)
     if cq.boolean:
-        return all(tables[r] for r in plan.decomposition.roots())
+        return all(tables[r] for r in td.roots())
+    if not all(tables[r] for r in td.roots()):
+        return []
     for child, parent in down:
         semijoin(child, parent)
+    wanted = set(cq.output)
+    host = next((u for u in order if wanted.issubset(node_vars[u])), None)
+    if host is not None and _running_intersection(td):
+        return _sorted_rows(_project(tables[host], node_vars[host], cq.output))
     return _sorted_rows(_join_connected([(tables[u], node_vars[u]) for u in order], cq.output))
 
 

@@ -8,6 +8,7 @@ from softdecomp import (
     MissingStatisticError,
     StatsCatalog,
     attach_covers,
+    cost_order,
     parse_hypergraph,
     soft_bags,
     solve,
@@ -78,6 +79,23 @@ def test_keyed_shared_attribute_is_not_reducible():
     report = subtree_cost(td, stats)
     # no reduction: the leaf semi-joins at its full size of 8
     assert report.node_reduced_size[1] == pytest.approx(8.0)
+
+
+def test_cost_steps_of_two_catalogs_keep_their_own_bag_terms():
+    # One order's memo of bag terms is its own: the same node keyed by
+    # orders over different catalogs, in turn, matches each catalog's
+    # whole-tree cost.
+    h, td, stats = _chain()
+    other = StatsCatalog(h, {0: 50, 1: 7, 2: 8}, {}, {0: 0, 1: mask_of([1]), 2: 0})
+    leaf = (td.bags[1], td.covers[1], ())
+    root = (td.bags[0], td.covers[0], (leaf,))
+    for _ in range(2):
+        for catalog in (stats, other):
+            step = cost_order(catalog).step
+            leaf_key, leaf_state = step(leaf, [])
+            key, _ = step(root, [(leaf_key, leaf_state)])
+            assert key.cost == subtree_cost(td, catalog).total
+            assert step(root, [(leaf_key, leaf_state)])[0] == key
 
 
 def test_reduce_attrs_of_leaf_is_empty():

@@ -1,3 +1,4 @@
+import json
 import random
 import sqlite3
 from collections import Counter
@@ -24,6 +25,7 @@ from softdecomp import (
     sql_to_cq,
 )
 from softdecomp import plans
+from softdecomp.cq import Atom
 from softdecomp.gallery import SQL_QUERIES, gallery
 from softdecomp.plans import PlanError, _schedule
 from softdecomp.solver import TreeDecomposition
@@ -142,8 +144,8 @@ def _record_join_sizes(monkeypatch):
     sizes = []
     join = plans._join
 
-    def counted(*args):
-        out = join(*args)
+    def counted(*args, **kwargs):
+        out = join(*args, **kwargs)
         sizes.append(len(out[0]))
         return out
 
@@ -196,6 +198,120 @@ def test_bundled_queries_join_without_cartesian_blowup(name, monkeypatch):
     sizes = _record_join_sizes(monkeypatch)
     assert execute_plan(plan, db) == expected
     assert max(sizes) <= _join_bound(db)
+
+
+def _plain_join(rows_a, vars_a, rows_b, vars_b):
+    """Every pair of rows that agree on the shared variables, as a's
+    row plus b's other values: the unfused reference."""
+    extra = [i for i, v in enumerate(vars_b) if v not in vars_a]
+    pairs = [(vars_a.index(v), i) for i, v in enumerate(vars_b) if v in vars_a]
+    rows = {ra + tuple(rb[i] for i in extra)
+            for ra in rows_a for rb in rows_b if all(ra[i] == rb[j] for i, j in pairs)}
+    return rows, tuple(vars_a) + tuple(vars_b[i] for i in extra)
+
+
+@pytest.mark.parametrize("atom_a, atom_b, keep", [
+    # b adds no variable: a filter of a by b's keys, kept whole or projected
+    (("x", "y", "z"), ("z", "y"), ("x", "y", "z")),
+    (("x", "y", "z"), ("z", "y"), ("z", "x")),
+    # no shared variable: a Cartesian step, kept in another order
+    (("x", "y"), ("z", "w"), ("w", "x", "z")),
+    (("x", "y"), ("y", "z"), ()),
+    (("x", "y"), ("y", "z"), ("x", "y", "z")),
+    (("x", "y"), ("y", "z"), ("z", "y")),
+    # repeated variables: the atom tables are over the distinct ones
+    (("x", "x", "y"), ("y", "z", "z", "x"), ("z", "x")),
+    (("x", "x", "y"), ("y", "z", "z"), ("x", "z")),
+])
+def test_fused_join_equals_the_projected_join(atom_a, atom_b, keep):
+    rng = random.Random(f"{atom_a}{atom_b}{keep}")
+    for _ in range(20):
+        db = {rel: [tuple(rng.randrange(4) for _ in vs) for _ in range(rng.randrange(25))]
+              for rel, vs in (("a", atom_a), ("b", atom_b))}
+        table_a = plans._atom_table(Atom("a", "a", atom_a), db)
+        table_b = plans._atom_table(Atom("b", "b", atom_b), db)
+        rows, vs = _plain_join(*table_a, *table_b)
+        assert plans._join(*table_a, *table_b, keep) == (plans._project(rows, vs, keep), keep)
+        assert plans._join(*table_a, *table_b) == (rows, vs)
+
+
+def test_wrong_arity_names_the_first_bad_row():
+    cq, plan = _plan("ans(x) :- r(x,y), s(y,x).")
+    db = {"r": [(1, 2), (1, 2, 3), (1,)], "s": [(1, 2)]}
+    with pytest.raises(PlanError, match=r"^relation 'r' has arity 3, atom expects 2$"):
+        execute_plan(plan, db)
+
+
+# --- the answer read --------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(plans, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(plans, name, counted)
+    return calls
+
+
+def test_empty_component_empties_the_answer():
+    # The output lies in r's component; s's component has no row.
+    cq, plan = _plan("ans(x) :- r(x,y), s(u,v).")
+    assert len(plan.decomposition.roots()) == 2
+    db = {"r": [(1, 2), (3, 4)], "s": []}
+    assert execute_plan(plan, db) == naive_evaluate(cq, db) == []
+    db["s"] = [(5, 6)]
+    assert execute_plan(plan, db) == naive_evaluate(cq, db) == [(1,), (3,)]
+
+
+def test_output_in_one_bag_skips_the_final_join(monkeypatch):
+    cq, plan = _plan("ans(y,x) :- r(x,y), s(y,z).")
+    db = {"r": [(1, 2), (2, 3), (9, 9)], "s": [(2, 5), (3, 5), (3, 6)]}
+    calls = _count_calls(monkeypatch, "_join_connected")
+    assert execute_plan(plan, db) == naive_evaluate(cq, db) == [(2, 1), (3, 2)]
+    assert len(calls) == len(plan.node_vars) == 2
+
+
+def test_output_across_bags_takes_the_final_join(monkeypatch):
+    cq, plan = _plan("ans(x,z) :- r(x,y), s(y,z).")
+    assert not any({"x", "z"} <= set(vs) for vs in plan.node_vars)
+    db = {"r": [(1, 2), (2, 3), (9, 9)], "s": [(2, 5), (3, 5), (3, 6)]}
+    calls = _count_calls(monkeypatch, "_join_connected")
+    assert execute_plan(plan, db) == naive_evaluate(cq, db) == [(1, 5), (2, 5), (2, 6)]
+    assert len(calls) == len(plan.node_vars) + 1
+    assert calls[-1][1] == ("x", "z")
+
+
+def test_boolean_query_stops_after_the_up_phase(monkeypatch):
+    cq, plan = _plan("r(x,y), s(y,z), t(z,w)")
+    up = _schedule(plan.decomposition)[0]
+    assert up
+    db = {"r": [(1, 2)], "s": [(2, 3)], "t": [(3, 4)]}
+    semijoins = _count_calls(monkeypatch, "_semijoin")
+    joins = _count_calls(monkeypatch, "_join_connected")
+    assert execute_plan(plan, db) is True
+    assert len(semijoins) == len(up)
+    assert len(joins) == len(plan.node_vars)
+
+
+def test_tree_without_running_intersection_takes_the_final_join():
+    # y sits in nodes 0 and 2 but not in node 1 between them, so the
+    # reduced table of node 0 keeps x = 2, which no s row supports.
+    cq, _ = parse_cq("ans(x) :- r(x,y), s(y,z), u(z).")
+    text = json.dumps({
+        "atoms": [{"name": a.name, "relation": a.relation, "variables": list(a.variables),
+                   "columns": []} for a in cq.atoms],
+        "output": ["x"],
+        "node_vars": [["x", "y"], ["z"], ["y", "z"]],
+        "node_atoms": [[0], [2], [1]],
+        "parents": [-1, 0, 1],
+    })
+    plan = plan_from_json(text)
+    db = {"r": [(1, 1), (2, 2)], "s": [(1, 5)], "u": [(5,)]}
+    assert execute_plan(plan, db) == naive_evaluate(cq, db) == [(1,)]
 
 
 # --- serialization ---------------------------------------------------------
