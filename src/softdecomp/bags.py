@@ -40,10 +40,10 @@ and to the block search's index, with no Python int made in between.
 At level 0 the separator unions are such an array too, with the empty
 separator in front: all of them go to the component split, and all but
 the empty one, as the level-0 cover unions, to the bags.  Python ints
-appear where a caller reads them: the public :func:`cover_union_masks`,
-the separators of the distinct component entries, the pool, and
-:attr:`CandidateBagSet.bags` and ``covers``, built on first read.  Small
-inputs, below every size gate, stay on int lists throughout.
+appear where a caller reads them: the separators of the distinct
+component entries, the pool, and :attr:`CandidateBagSet.bags` and
+``covers``, built on first read.  Small inputs, below every size gate,
+stay on int lists throughout.
 
 This is the package's only vectorized module: everything else runs on
 Python-int masks.  The block search takes two kernels from it:
@@ -53,18 +53,16 @@ masks, and :func:`_any_balanced` tells a long reject whether any
 candidate bag in its component is balanced, picking them from the
 index's uint64 array.
 
-Enumeration carries masks only.  A bag's witness, the pool and edge ids
-behind it, is searched for when :meth:`CandidateBagSet.witness` asks.
+Enumeration carries masks only, not the pool and edge ids behind a bag.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import or_
 
 import numpy as np
 
@@ -119,86 +117,11 @@ class CandidateBagSet:
     def covers(self):
         return _ints(self.cover_masks)
 
-    def masks(self):
-        return list(self.bags)
-
     def __iter__(self):
         return iter(self.bags)
 
     def __len__(self):
         return len(self.bag_masks)
-
-    def witness(self, m):
-        """Bag ``m``'s first witness ``(lambda1, lambda2, component)``: pool
-        ids, edge ids and the vertex union of a component.
-
-        The component entry and the cover union are the first pair, in
-        the stored orders, that intersect in ``m``; ``lambda1`` and
-        ``lambda2`` are the first combinations with their unions.
-        Raises ``KeyError`` when ``m`` is not a bag.
-        """
-        i = bisect_left(self.bags, m)
-        if i == len(self.bags) or self.bags[i] != m:
-            raise KeyError(m)
-        # Bit j of has[v] stands for covers[j]; a cover meets a component in
-        # m when it has every vertex of m and no other vertex of the component.
-        has = self._cover_columns
-        above = reduce(and_, [has[v] for v in ids_of(m)])
-        for component, sep in self.components:
-            if not m & ~component:
-                hits = above & ~reduce(or_, [has[v] for v in ids_of(component & ~m)], 0)
-                if hits:
-                    break
-        lambda1 = _first_combo(self.pool, self.k, self.covers[(hits & -hits).bit_length() - 1])
-        lambda2 = _first_combo(self.hypergraph.edge_masks, self.k, sep)
-        return lambda1, lambda2, component
-
-    @cached_property
-    def _cover_columns(self):
-        return bit_columns(self.hypergraph.n_vertices, self.covers)
-
-    def serialize(self):
-        h = self.hypergraph
-        lines = []
-        for m in sorted(self.bags, key=ids_of):
-            lambda1, lambda2, component = self.witness(m)
-            vs = ",".join(h.vertex_names[v] for v in ids_of(m))
-            l1 = ",".join(h.edge_names[self.origins[i]] for i in lambda1)
-            l2 = ",".join(h.edge_names[i] for i in lambda2)
-            comp = ",".join(h.vertex_names[v] for v in ids_of(component))
-            lines.append(
-                f"bag {vs} | lambda1 {l1} | lambda2 {l2} | comp {comp} | level {self.level}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _first_combo(masks, k, target):
-    """The first combination of at most ``k`` of ``masks`` with union ``target``.
-
-    Combinations come by size, then lexicographically, as in
-    :func:`_combo_unions`.  Only members inside ``target`` can take
-    part, and, as smaller sizes failed, only members that add a missing
-    vertex.
-    """
-    if not target:
-        return ()
-    inside = [i for i, m in enumerate(masks) if not m & ~target]
-
-    def search(size, start, need):
-        if size == 1:
-            return next(((i,) for i in inside[start:] if not need & ~masks[i]), None)
-        for p in range(start, len(inside) - size + 1):
-            m = masks[inside[p]]
-            if m & need:
-                tail = search(size - 1, p + 1, need & ~m)
-                if tail is not None:
-                    return (inside[p], *tail)
-        return None
-
-    for size in range(1, k + 1):
-        found = search(size, 0, target)
-        if found is not None:
-            return found
 
 
 def _separator_unions(h, k, max_steps):
@@ -215,15 +138,12 @@ def _separator_unions(h, k, max_steps):
     return [0, *unions]
 
 
-def cover_union_masks(pool, k, max_steps=DEFAULT_MAX_STEPS):
-    """Distinct unions of at most ``k`` of the masks ``pool``, ascending."""
-    return _ints(_cover_unions(pool, k, max_steps))
-
-
 def _cover_unions(pool, k, max_steps):
-    """:func:`cover_union_masks` as :func:`_combo_unions` returns them, a
-    uint64 array on its numpy path.  ``iterate_level`` calls it by this
-    module name, which perfbench wraps to time the layer."""
+    """Distinct unions of at most ``k`` of the masks ``pool``, ascending,
+    as :func:`_combo_unions` returns them: a uint64 array on its numpy
+    path.  Raises when the combinations exceed ``max_steps``.
+    ``iterate_level`` calls it by this module name, which perfbench
+    wraps to time the layer."""
     if _n_combos(len(pool), k) > max_steps:
         raise ResourceBudgetError("cover enumeration exceeded step budget")
     return _combo_unions(pool, k)
@@ -703,7 +623,7 @@ def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):
 
     Returns ``(pool, origins)``, a new member taking the origin of the
     first member, in pool order, it is a sub-edge of.  Raises, as
-    :func:`cover_union_masks` would on the whole pool, as soon as the
+    :func:`_cover_unions` would on the whole pool, as soon as the
     pool has more cover combinations than ``max_steps``.
     """
     pool, origins = list(prev.pool), list(prev.origins)

@@ -9,7 +9,9 @@ and the tree's ``parents``, against a CSV directory).
 Exit codes: 0 success/ACCEPT, 1 REJECT or failed validation, 2 usage
 error (including a statistics file of the wrong shape or that names
 an unknown relation, an out-of-range count or width, and a file that
-cannot be read or written), 3 resource budget exceeded.
+cannot be read or written), 3 resource budget exceeded (including a
+decomposition deeper than Python's recursion limit, which the
+recursive block search and tree extraction reach on long paths).
 """
 
 from __future__ import annotations
@@ -306,7 +308,8 @@ def main(argv=None):
             OSError, MissingStatisticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceBudgetError, SolverBudgetError, OracleBudgetError) as exc:
+    except (ResourceBudgetError, SolverBudgetError, OracleBudgetError,
+            RecursionError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -543,13 +543,13 @@ class TopNResult:
     truncated: bool
 
 
-def enumerate_top_n(h, bags, constraint, order, n, max_trees=20_000, max_steps=2_000_000):
+def enumerate_top_n(h, bags, constraint, order, n, max_steps=2_000_000):
     """Up to n cheapest distinct satisfying decompositions, ascending.
 
-    Exhausts the tree space below a configurable budget; when the
-    budget interrupts enumeration the (possibly shorter) result is
-    flagged as truncated.  The trees are distinct up to isomorphism
-    of the rooted bag-trees, as
+    Exhausts the tree space below a budget of 20,000 trees and
+    ``max_steps`` search steps; when the budget interrupts enumeration
+    the (possibly shorter) result is flagged as truncated.  The trees
+    are distinct up to isomorphism of the rooted bag-trees, as
     :func:`~softdecomp.oracles.iter_all_ctds` yields each one once.
     """
     from .oracles import OracleBudgetError, enumerate_all_ctds
@@ -558,7 +558,7 @@ def enumerate_top_n(h, bags, constraint, order, n, max_trees=20_000, max_steps=2
     k = getattr(bags, "k", None)
     truncated = False
     try:
-        trees = enumerate_all_ctds(h, masks, max_trees=max_trees, max_steps=max_steps)
+        trees = enumerate_all_ctds(h, masks, max_trees=20_000, max_steps=max_steps)
     except OracleBudgetError:
         # budget interrupted the exhaustive sweep: fall back to the
         # single globally minimal tree and flag the truncation

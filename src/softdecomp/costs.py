@@ -157,35 +157,6 @@ def _materialize(j, cover, stats):
     return float(j) + sum(_xlog(stats.relation_card[e]) for e in cover)
 
 
-def bag_cost(bag, cover, stats):
-    """Cost of materializing one bag (see :func:`_materialize`); a
-    single-relation bag needs no join size."""
-    j = stats.join_card(bag, cover)[0] if len(cover) > 1 else 0
-    return _materialize(j, cover, stats)
-
-
-def reduce_attrs(node, td, stats):
-    """Vertices of a node's bag that its descendants can shrink.
-
-    A vertex qualifies when it appears in some strict-descendant bag
-    through a cover relation where it is not (part of) that relation's
-    primary key.  Leaves map to the empty set.  :func:`combine` finds
-    the same set as :attr:`CostSummary.shrink`, from its children's ``U``.
-    """
-    if td.covers is None:
-        raise ValueError("no covers attached")
-    bag = td.bags[node]
-    out = 0
-    for d in td.subtree(node):
-        if d == node:
-            continue
-        for e in td.covers[d]:
-            em = td.hypergraph.edge_masks[e]
-            key = stats.primary_key.get(e, 0)
-            out |= bag & td.bags[d] & em & ~key
-    return out
-
-
 class CostSummary(NamedTuple):
     """What a subtree offers its parent in the cost recursion.
 
@@ -199,12 +170,13 @@ class CostSummary(NamedTuple):
     total: float  # cost of the subtree
     empty: bool  # some child's ReducedSz is 0, so the root's is too
     reducible: int  # U: union of bag & edge & ~key over the subtree's nodes and covers
-    shrink: int  # the root's reduce_attrs: its bag & the union of its children's U
+    shrink: int  # the root's ReduceAttrs: its bag & the union of its children's U
 
 
 def reduced_size(child, shrink):
-    """ReducedSz of a subtree under a parent whose reduce_attrs is
-    ``shrink``; a root uses its own ``shrink``."""
+    """ReducedSz of a subtree under a parent whose ReduceAttrs (the
+    vertices of its bag that its descendants can shrink) is ``shrink``;
+    a root uses its own ``shrink``."""
     if child.empty:
         return 0.0
     return child.join / (1 + popcount(shrink & child.bag))
@@ -271,7 +243,7 @@ def subtree_cost(td, stats):
     A fold of :func:`bag_terms` and :func:`combine` over the nodes,
     deepest first: each node's summary is built from its children's,
     and each child's ReducedSz is the one its parent's step gives it;
-    a root's uses the root's own reduce_attrs.
+    a root's uses the root's own ReduceAttrs.
     """
     if td.covers is None:
         raise ValueError("no covers attached")

@@ -163,7 +163,7 @@ _UNSUPPORTED = [
 
 def _check_supported(sql):
     lowered = sql.lower()
-    if lowered.count("select") > 1:
+    if len(re.findall(r"\bselect\b", lowered)) > 1:
         raise UnsupportedSqlError("unsupported construct: subquery")
     for pat, name in _UNSUPPORTED:
         if re.search(pat, lowered):

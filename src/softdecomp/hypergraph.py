@@ -159,12 +159,6 @@ class Hypergraph:
         except ValueError:
             raise HypergraphError(f"no edge named {name!r}") from None
 
-    def vertex_id(self, name):
-        try:
-            return self.vertex_names.index(name)
-        except ValueError:
-            raise HypergraphError(f"no vertex named {name!r}") from None
-
     # -- connectivity --------------------------------------------------------
 
     def neighborhood(self, mask):

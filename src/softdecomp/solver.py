@@ -211,12 +211,6 @@ class TreeDecomposition:
             d += 1
         return d
 
-    def width(self):
-        """Largest cover size over all nodes (requires attached covers)."""
-        if self.covers is None:
-            raise ValueError("no covers attached")
-        return max(len(c) for c in self.covers)
-
     def subtree(self, i):
         """Node indices in the subtree rooted at ``i`` (preorder)."""
         out = [i]

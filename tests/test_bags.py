@@ -2,7 +2,7 @@ import ast
 import math
 import pathlib
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import or_
 
@@ -24,10 +24,10 @@ from softdecomp import bags as bags_module
 from softdecomp.bags import (
     DEFAULT_MAX_STEPS,
     _component_unions_batch,
+    _cover_unions,
     _distinct,
     _ints,
     _separator_unions,
-    cover_union_masks,
 )
 from softdecomp.gallery import cycle, gallery_names
 from softdecomp.hypergraph import (
@@ -85,42 +85,14 @@ def brute_cover_unions(edge_masks, k):
 @given(st.integers(0, 10_000), st.integers(1, 3))
 def test_level0_bags_match_definition(seed, k):
     h = random_connected_hypergraph(random.Random(seed), max_vertices=6, max_edges=5)
-    got = set(soft_bags(h, k).masks())
+    got = set(soft_bags(h, k))
     assert got == brute_soft_bags(h, k)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(0, 10_000), st.integers(1, 3))
-def test_witnesses_reproduce_their_bags(seed, k):
-    h = random_connected_hypergraph(random.Random(seed))
-    bag_set = soft_bags(h, k)
-    for m in bag_set.bags:
-        lambda1, lambda2, component = bag_set.witness(m)
-        cover = 0
-        for i in lambda1:
-            cover |= bag_set.pool[i]
-        sep = 0
-        for e in lambda2:
-            sep |= h.edge_masks[e]
-        assert len(lambda1) <= k and len(lambda2) <= k
-        assert component in h.component_unions(sep)
-        assert cover & component == m
-
-
-def test_witness_of_a_non_bag_raises():
-    # Every mask over C5's vertices that is not a bag, the empty one
-    # first: a search that gave up with None would pass unseen.
-    h = gallery("C5").hypergraph
-    bag_set = soft_bags(h, 1)
-    others = [m for m in range(1 << h.n_vertices) if m not in set(bag_set.bags)]
-    assert others[0] == 0 and len(others) > 1
-    for m in others:
-        with pytest.raises(KeyError):
-            bag_set.witness(m)
-
-
+@lru_cache(maxsize=2)
 def _first_witnesses(masks, k):
-    """Union -> its first index combination of at most ``k`` masks, by a plain loop."""
+    """Union -> its first index combination of at most ``k`` of the
+    tuple ``masks``, by a plain loop."""
     first = {}
     for size in range(k + 1):
         for combo in combinations(range(len(masks)), size):
@@ -128,26 +100,46 @@ def _first_witnesses(masks, k):
     return first
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_witness_is_the_first_combination(k):
-    rng = random.Random(900 + k)
-    for _ in range(20):
-        h = random_connected_hypergraph(rng, max_vertices=8, max_edges=7)
-        seps = _first_witnesses(h.edge_masks, k)
-        for level in (0, 1):
-            bag_set = soft_bags_level(h, k, level)
-            covers = _first_witnesses(bag_set.pool, k)
-            for m in bag_set.bags:
-                lambda1, lambda2, _ = bag_set.witness(m)
-                cover = reduce(or_, (bag_set.pool[i] for i in lambda1))
-                sep = reduce(or_, (h.edge_masks[e] for e in lambda2), 0)
-                assert covers[cover] == lambda1 and seps[sep] == lambda2
+def _witness(bag_set, m):
+    """Bag ``m``'s first witness ``(lambda1, lambda2, component)`` by a
+    plain loop: the first (component entry, cover union) pair, in the
+    stored orders, that intersect in ``m``, with the first pool and edge
+    combinations of at most ``k`` members behind the cover union and the
+    separator."""
+    component, sep, cover = next(
+        (union, sep, cover) for union, sep in bag_set.components if not m & ~union
+        for cover in bag_set.covers if cover & union == m)
+    lambda1 = _first_witnesses(tuple(bag_set.pool), bag_set.k)[cover]
+    lambda2 = _first_witnesses(tuple(bag_set.hypergraph.edge_masks), bag_set.k)[sep]
+    return lambda1, lambda2, component
+
+
+def _check_witness(h, bag_set, m):
+    """``m`` is ``union(lambda1) & union(C)``, with at most ``k`` pool
+    members in ``lambda1`` and ``C`` a ``[union(lambda2)]``-component,
+    found by the brute-force closure, for at most ``k`` edges ``lambda2``."""
+    lambda1, lambda2, component = _witness(bag_set, m)
+    cover = reduce(or_, (bag_set.pool[i] for i in lambda1), 0)
+    sep = reduce(or_, (h.edge_masks[e] for e in lambda2), 0)
+    assert len(lambda1) <= bag_set.k and len(lambda2) <= bag_set.k
+    assert component in brute_component_unions(h.edge_masks, sep)
+    assert cover & component == m
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_witnesses_reproduce_their_bags(seed, k):
+    h = random_connected_hypergraph(random.Random(seed))
+    for level in (0, 1):
+        bag_set = soft_bags_level(h, k, level)
+        for m in bag_set.bags:
+            _check_witness(h, bag_set, m)
 
 
 def test_h3prime_level0_certificate():
     # The decomposition behind H3prime's recorded shw = 3: every bag is
     # re-derived from its witness as union(lambda1) & union(C), with C a
-    # [union(lambda2)]-component found by the brute-force closure above.
+    # [union(lambda2)]-component found by the brute-force closure.
     entry = gallery("H3prime")
     h = entry.hypergraph
     assert entry.widths["shw"] == 3
@@ -156,23 +148,14 @@ def test_h3prime_level0_certificate():
     assert bag_set.origins == list(range(h.n_edges))
     td = solve(h, bag_set).decomposition
     for m in td.bags:
-        lambda1, lambda2, component = bag_set.witness(m)
-        assert len(lambda1) <= 3 and len(lambda2) <= 3
-        cover = 0
-        for i in lambda1:
-            cover |= h.edge_masks[i]
-        sep = 0
-        for e in lambda2:
-            sep |= h.edge_masks[e]
-        assert component in brute_component_unions(h.edge_masks, sep)
-        assert cover & component == m
-    rep = validate_td(h, td, bag_masks=set(bag_set.masks()), k=3)
+        _check_witness(h, bag_set, m)
+    rep = validate_td(h, td, bag_masks=set(bag_set), k=3)
     assert rep.ok, rep.failures
 
 
 def test_every_edge_is_a_level0_bag():
     h = gallery("C5").hypergraph
-    masks = set(soft_bags(h, 1).masks())
+    masks = set(soft_bags(h, 1))
     for m in h.edge_masks:
         assert m in masks
 
@@ -323,7 +306,7 @@ def test_sub_edges_above_64_vertices():
 def test_cover_union_masks_are_exactly_small_unions(seed, k):
     h = random_connected_hypergraph(random.Random(seed))
     pool = list(h.edge_masks)
-    assert cover_union_masks(pool, k) == sorted(brute_cover_unions(pool, k))
+    assert _ints(_cover_unions(pool, k, DEFAULT_MAX_STEPS)) == sorted(brute_cover_unions(pool, k))
 
 
 @settings(deadline=None, max_examples=40)
@@ -433,11 +416,11 @@ def _chain_hypergraph(rng, n):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_twins_agree_in_ascending_order(monkeypatch, k):
-    # Pools, bags, component entries, cover unions and witnesses must
-    # not depend on which path ran, nor on how many row blocks a numpy
-    # path takes: at 7 intersections per block, a block holds one row or
-    # a few.  The masks of the 57-64-vertex chains are too wide for a
-    # flag table, so _distinct sorts them under FORCE_NUMPY.
+    # Pools, bags, component entries and cover unions must not depend
+    # on which path ran, nor on how many row blocks a numpy path takes:
+    # at 7 intersections per block, a block holds one row or a few.  The
+    # masks of the 57-64-vertex chains are too wide for a flag table, so
+    # _distinct sorts them under FORCE_NUMPY.
     blocks = (bags_module._BLOCK, 7)
     rng = random.Random(400 + k)
     graphs = [random_connected_hypergraph(rng, max_vertices=8, max_edges=7) for _ in range(30)]
@@ -451,7 +434,7 @@ def test_twins_agree_in_ascending_order(monkeypatch, k):
                 for masks in (bs.bags, bs.components, bs.covers):
                     assert list(masks) == sorted(set(masks))
                 pool = list(zip(bs.pool, bs.origins))
-                out.append((pool, bs.level, bs.bags, bs.components, bs.covers, bs.serialize()))
+                out.append((pool, bs.level, bs.bags, bs.components, bs.covers))
             return out
 
         sides = []

@@ -365,3 +365,18 @@ def test_optimizer_search_budget_is_exit_three(hg_file, monkeypatch, capsys):
     monkeypatch.setattr("softdecomp.constraints.DEFAULT_MAX_EVALS", 1)
     assert main(["decompose", "--input", hg_file, "--k", "1"]) == 3
     assert "evaluation budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--k", "1"],
+    ["widths", "--measure", "shw", "--max-k", "1"],
+])
+def test_tree_deeper_than_the_recursion_limit_is_exit_three(tmp_path, capsys, argv):
+    # A 600-edge path at k=1 has only a path decomposition, deeper than
+    # the recursive block search and tree extraction can walk.
+    p = tmp_path / "path.hg"
+    p.write_text(", ".join(f"e{i}(v{i},v{i + 1})" for i in range(600)))
+    assert main([*argv, "--input", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ")
+    assert "Traceback" not in err

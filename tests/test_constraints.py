@@ -197,7 +197,7 @@ def test_matches_plain_solver_under_trivial_order(seed, k):
     res = solve_constrained(h, bags, AlwaysTrue(), trivial_order())
     assert res.accepted == solve(h, bags).accepted
     if res.accepted:
-        rep = validate_td(h, res.decomposition, bag_masks=set(bags.masks()), k=k)
+        rep = validate_td(h, res.decomposition, bag_masks=set(bags), k=k)
         assert rep.ok, rep.failures
 
 
@@ -230,7 +230,7 @@ def test_solve_constrained_ignores_bag_order():
               for _ in range(60) for k in (1, 2, 3)]
     accepted = 0
     for h, k in cases:
-        masks = soft_bags(h, k).masks()
+        masks = list(soft_bags(h, k))
         shuffled = masks[:]
         rng.shuffle(shuffled)
         trees = set()
@@ -330,7 +330,7 @@ def test_disconnected_input_gives_one_tree_per_component():
     assert res.key.sort_key == order(res.decomposition).sort_key
     top = enumerate_top_n(h, bags, ConnectedCover(), order, 1)
     assert top.keys[0].cost == pytest.approx(res.key.cost)
-    rep = validate_td(h, res.decomposition, bag_masks=set(bags.masks()), k=2)
+    rep = validate_td(h, res.decomposition, bag_masks=set(bags), k=2)
     assert rep.ok, rep.failures
 
 
@@ -377,7 +377,7 @@ def test_partition_order_ranks_partitions_before_cost():
     labels = {0: "p", 1: "q", 2: "q", 3: "p", 4: "q"}
     cheap = [mask_of([1]), mask_of([0, 1, 3, 4]), mask_of([1, 2, 3, 4])]
     bags = soft_bags(h, 2)
-    joins = {m: 2 if m in cheap else 10**8 for m in bags.masks()}
+    joins = {m: 2 if m in cheap else 10**8 for m in bags}
     stats = StatsCatalog(h, {e: 10 for e in range(h.n_edges)}, joins, cap=10**9)
     order = partition_order(h, labels, 2, stats)
     path = attach_covers(TreeDecomposition(h, cheap, [-1, 0, 1]), max_size=2)
@@ -686,7 +686,7 @@ def test_top_n_head_matches_constrained_minimum():
     rng = random.Random(5)
     h = random_connected_hypergraph(rng, max_vertices=5, max_edges=5)
     bags = soft_bags(h, 2)
-    stats = random_stats(rng, h, bags.masks(), unit_joins=True)
+    stats = random_stats(rng, h, list(bags), unit_joins=True)
     order = cost_order(stats)
     top = enumerate_top_n(h, bags, ConnectedCover(), order, 1)
     best = solve_constrained(h, bags, ConnectedCover(), order)

@@ -14,11 +14,23 @@ from softdecomp import (
     solve,
     subtree_cost,
 )
-from softdecomp.costs import bag_cost, fallback_join_card, reduce_attrs
+from softdecomp.costs import bag_terms, fallback_join_card
 from softdecomp.solver import TreeDecomposition
 from softdecomp.hypergraph import mask_of, popcount
 
 from conftest import random_connected_hypergraph, random_stats
+
+
+def reduce_attrs(node, td, stats):
+    """ReduceAttrs by its definition: the vertices of a node's bag that
+    appear in some strict-descendant bag through a cover relation where
+    they are not (part of) that relation's primary key."""
+    bag = td.bags[node]
+    out = 0
+    for d in td.subtree(node)[1:]:
+        for e in td.covers[d]:
+            out |= bag & td.bags[d] & td.hypergraph.edge_masks[e] & ~stats.primary_key.get(e, 0)
+    return out
 
 
 def _chain():
@@ -45,13 +57,13 @@ def _chain():
 
 def test_two_relation_bag_cost():
     h, td, stats = _chain()
-    got = bag_cost(td.bags[0], td.covers[0], stats)
+    got = bag_terms(td.bags[0], td.covers[0], stats).cost
     assert got == pytest.approx(166.44, abs=1e-2)
 
 
 def test_single_relation_bag_is_free():
     h, td, stats = _chain()
-    assert bag_cost(td.bags[1], td.covers[1], stats) == 0.0
+    assert bag_terms(td.bags[1], td.covers[1], stats).cost == 0.0
 
 
 def test_chain_total():

@@ -150,3 +150,10 @@ def test_bundled_sql_reproduces_gallery_structure(name):
     assert h.n_vertices == g.n_vertices
     assert h.n_edges == g.n_edges
     assert _degree_profile(h) == _degree_profile(g)
+
+
+def test_select_inside_a_name_is_not_a_subquery():
+    # "selected" holds "select" as a substring, not as a keyword.
+    cq, h = sql_to_cq("SELECT MIN(r.a) FROM r, s WHERE r.a = s.a AND r.b = s.selected")
+    assert len(cq.atoms) == 2
+    assert h.n_vertices == 2

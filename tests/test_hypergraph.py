@@ -69,13 +69,13 @@ def _path(n):
 
 def test_components_of_path_split_by_middle_vertex():
     h = _path(5)  # v0-v1-v2-v3-v4
-    sep = mask_of([h.vertex_id("v2")])
+    sep = mask_of([h.vertex_names.index("v2")])
     unions = h.component_unions(sep)
     assert len(unions) == 2
     # the separator vertex is pulled into both unions by the touching edges
     left, right = unions
-    assert ids_of(left) == tuple(h.vertex_id(v) for v in ("v0", "v1", "v2"))
-    assert ids_of(right) == tuple(h.vertex_id(v) for v in ("v2", "v3", "v4"))
+    assert ids_of(left) == tuple(h.vertex_names.index(v) for v in ("v0", "v1", "v2"))
+    assert ids_of(right) == tuple(h.vertex_names.index(v) for v in ("v2", "v3", "v4"))
 
 
 def test_full_separator_leaves_nothing():

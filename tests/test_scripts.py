@@ -1,5 +1,6 @@
 """Every script under ``scripts/`` still imports and parses ``--help``,
-``scripts/kernel_times.py`` times every kernel it names, the block
+``scripts/kernel_times.py`` times every kernel it names,
+``scripts/width_table.py`` prints one row per gallery entry, the block
 search and the hw oracle still give the answers
 ``scripts/solve_equivalence.py`` pins, the constrained optimizer those
 ``scripts/optimizer_equivalence.py`` pins, and compiled plans those
@@ -13,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+
+from softdecomp import gallery, gallery_names
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -45,6 +48,23 @@ def test_kernel_times_runs_once_on_h2():
         for level in (0, 1) for k in (2, 3)
     }
     assert all(t >= 0 for ms in got["ms"].values() for t in ms.values())
+
+
+def test_width_table_prints_one_row_per_gallery_entry():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "width_table.py"), "--max-k", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [row.split() for row in done.stdout.splitlines()[2:]]
+    assert [row[0] for row in rows] == gallery_names()
+    # A recorded width shows as itself up to --max-k, and as None above it.
+    for name, _, _, level0, _, ghw, hw, *_ in rows:
+        widths = gallery(name).widths
+        for got, key in ((level0, "shw"), (ghw, "ghw"), (hw, "hw")):
+            if key in widths:
+                assert got == (str(widths[key]) if widths[key] <= 2 else "None"), (name, key)
 
 
 # The digests of ``scripts/solve_equivalence.py``: verdicts, ``evals``,

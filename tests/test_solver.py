@@ -66,7 +66,7 @@ def test_solve_returns_validating_decomposition():
         res = solve(h, bags)
         assert res.accepted
         td = res.decomposition
-        report = validate_td(h, td, bag_masks=set(bags.masks()), k=k)
+        report = validate_td(h, td, bag_masks=set(bags), k=k)
         assert report.ok, report.failures
 
 
@@ -125,7 +125,7 @@ def test_accepted_trees_always_validate(seed, k):
     bags = soft_bags(h, k)
     res = solve(h, bags)
     if res.accepted:
-        report = validate_td(h, res.decomposition, bag_masks=set(bags.masks()), k=k)
+        report = validate_td(h, res.decomposition, bag_masks=set(bags), k=k)
         assert report.ok, report.failures
 
 
@@ -578,7 +578,7 @@ def test_attach_covers_meets_width():
     res = solve(h, soft_bags(h, 2))
     td = attach_covers(res.decomposition)
     assert td.covers is not None
-    assert td.width() <= 2
+    assert max(map(len, td.covers)) <= 2
     for bag, cover in zip(td.bags, td.covers):
         u = 0
         for e in cover:
