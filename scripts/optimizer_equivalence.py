@@ -19,7 +19,10 @@ cost formula is exercised.  ``full`` hashes (verdict, ``sort_key``,
 blocks for the same answers; ``tree`` hashes (verdict, ``to_text()``)
 only.  Two commits give the same answers when their ``answers``
 digests agree.  ``tests/test_scripts.py`` pins all 30 through
-:func:`optimizer_digests`.  Run from the repository root:
+:func:`optimizer_digests`.  Next to each pairing's digests the script
+prints the work its runs did, summed: blocks decided (``evals``),
+pairs scored (``pairs``) and table entries (``entries``), which is
+what ``full`` moves with.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/optimizer_equivalence.py
 """
@@ -99,14 +102,16 @@ def cases(which):
 
 def optimizer_digests():
     """The ``full``, ``tree`` and ``answers`` digests of each input and
-    pairing.
+    pairing, and the work behind them.
 
     Returns ``{input: (runs per pairing, CPU seconds, {pairing: (full,
-    tree, answers)})}``, each digest cut to 16 hex digits.
+    tree, answers)}, {pairing: (evals, pairs, entries)})}``, each digest
+    cut to 16 hex digits and each count summed over the runs.
     """
     out = {}
     for which in ("queries", "random"):
         digests = {name: [hashlib.sha256() for _ in range(3)] for name in PAIRINGS}
+        work = {name: [0, 0, 0] for name in PAIRINGS}
         runs = 0
         start = time.process_time()
         for h, k, bags, stats in cases(which):
@@ -119,18 +124,25 @@ def optimizer_digests():
                 full.update(repr((res.accepted, key, text, len(res.table))).encode())
                 tree.update(repr((res.accepted, text)).encode())
                 answers.update(repr((res.accepted, key, text)).encode())
+                counts = work[name]
+                counts[0] += res.evals
+                counts[1] += res.pairs
+                counts[2] += len(res.table)
         out[which] = (runs, time.process_time() - start,
                       {name: tuple(d.hexdigest()[:16] for d in digests[name])
-                       for name in PAIRINGS})
+                       for name in PAIRINGS},
+                      {name: tuple(work[name]) for name in PAIRINGS})
     return out
 
 
 def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
-    for which, (runs, elapsed, digests) in optimizer_digests().items():
+    for which, (runs, elapsed, digests, work) in optimizer_digests().items():
         print(f"# {which}: {runs} runs per pairing, {elapsed:.1f} s CPU")
         for name, (full, tree, answers) in digests.items():
-            print(f"{which:8} {name:38} full {full}  tree {tree}  answers {answers}")
+            evals, pairs, entries = work[name]
+            print(f"{which:8} {name:38} full {full}  tree {tree}  answers {answers}"
+                  f"  evals {evals}  pairs {pairs}  entries {entries}")
 
 
 if __name__ == "__main__":

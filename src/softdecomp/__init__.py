@@ -9,7 +9,6 @@ accepted decompositions into semi-join evaluation plans.
 from .bags import (
     CandidateBagSet,
     ResourceBudgetError,
-    edge_cover_bags,
     iterate_level,
     soft_bags,
     soft_bags_level,
@@ -92,7 +91,6 @@ __all__ = [
     "cost_order",
     "cycle",
     "cyclicity_order",
-    "edge_cover_bags",
     "emit_sql",
     "enumerate_all_ctds",
     "iter_all_ctds",

@@ -66,7 +66,7 @@ from operator import or_
 
 import numpy as np
 
-from .hypergraph import Hypergraph, bit_columns, cover_is_connected, ids_of
+from .hypergraph import Hypergraph, bit_columns, ids_of
 
 DEFAULT_MAX_BAGS = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
@@ -638,42 +638,6 @@ def _next_pool(prev, max_steps=DEFAULT_MAX_STEPS):
                 pool.append(m)
                 origins.append(origin)
     return pool, origins
-
-
-def edge_cover_bags(h, k, connected=False, max_steps=DEFAULT_MAX_STEPS):
-    """Distinct unions of at most ``k`` edges, usable as decomposition nodes.
-
-    A union that is a strict subset of a single edge is dropped: a node
-    with such a bag is always subsumed by a node carrying the whole edge.
-    With ``connected=True``, only bags with some exact connected cover
-    are kept, i.e. a set of at most ``k`` edges whose union equals the
-    bag and that forms a connected subhypergraph.
-
-    Returns a dict mapping each bag mask to its first (or first
-    connected) witness tuple of edge ids.
-    """
-    masks = h.edge_masks
-    witnesses = {}
-    steps = 0
-    for size in range(1, k + 1):
-        for combo in combinations(range(h.n_edges), size):
-            steps += 1
-            if steps > max_steps:
-                raise ResourceBudgetError("cover enumeration exceeded step budget")
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            if m in witnesses:
-                continue
-            if connected and not cover_is_connected([masks[i] for i in combo]):
-                continue
-            witnesses[m] = combo
-    out = {}
-    for m in sorted(witnesses, key=ids_of):
-        if any(m != em and not m & ~em for em in masks):
-            continue
-        out[m] = witnesses[m]
-    return out
 
 
 def soft_bags_level(h, k, level, max_bags=DEFAULT_MAX_BAGS, max_steps=DEFAULT_MAX_STEPS):

@@ -18,7 +18,14 @@ this DP, not by the plain search.  A sub-block without an entry has
 no satisfying tree, and as constraints are hereditary no tree above
 it satisfies either: it is marked failed as a failed block of the
 plain search is (``_Search.fail``), so ``X`` is not offered again to
-any block whose component meets ``Y_i``.
+any block whose component meets ``Y_i``.  Likewise, when a pair fails
+the constraint and ``Constraint.bag_ok`` says that ``X`` fails as the
+root of any subtree (no connected cover, no covering label), ``X`` is
+marked failed in every component, so no later block walks it or
+decides its sub-blocks.  The verdict is asked only then, at most once
+per bag, and the built-in constraints have it cached by their steps;
+asking it of every walked candidate instead would run the costliest
+verdict, ``connected_cover``, on every bag of a large set.
 
 The optimizer never builds the trees it compares.  Every constraint
 and order exposes a *step* that judges or keys a subtree from its root
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -65,7 +72,7 @@ COST_TOLERANCE = 1e-9
 
 class Constraint:
     """Base class; subclasses implement ``holds(h, td, k)`` and
-    ``step(h, k, node, kids)``.
+    ``step(h, k, node, kids)``, and may refine ``bag_ok(h, bag, k)``.
 
     ``step`` judges the subtree ``node`` from its children's states
     ``kids`` (in child order) and returns its own state, or None when
@@ -74,6 +81,14 @@ class Constraint:
 
     def holds(self, h, td, k):
         raise NotImplementedError
+
+    def bag_ok(self, h, bag, k):
+        """False only when every subtree rooted at ``bag`` fails, whatever
+        its children: ``step`` then returns None for every node with
+        this bag.  As constraints are hereditary, no tree holding
+        ``bag`` as a node satisfies either.  The base class knows no
+        such bag."""
+        return True
 
     def __and__(self, other):
         return Conjunction((self, other))
@@ -95,6 +110,9 @@ class Conjunction(Constraint):
 
     def holds(self, h, td, k):
         return all(p.holds(h, td, k) for p in self.parts)
+
+    def bag_ok(self, h, bag, k):
+        return all(p.bag_ok(h, bag, k) for p in self.parts)
 
     def step(self, h, k, node, kids):
         states = []
@@ -121,6 +139,8 @@ class ConnectedCover(Constraint):
         return True if self.bag_ok(h, node[0], k) else None
 
     def bag_ok(self, h, bag, k):
+        """Whether the bag has a connected cover of at most k edges,
+        cached per ``(bag, k)`` for the last hypergraph asked about."""
         if h is not self._cached_for:
             self._cache.clear()
             self._cached_for = h
@@ -164,11 +184,19 @@ class PartitionClustering(Constraint):
     def holds(self, h, td, k):
         return partitions_used(h, td, self.labels, k) is not None
 
+    def bag_ok(self, h, bag, k):
+        """Whether some label's edges cover the bag within k edges."""
+        return bool(_covering_labels(h, k, self.labels, bag, self._covering_for(h)))
+
     def step(self, h, k, node, kids):
+        return _label_pairs(h, k, self.labels, node[0], kids, self._covering_for(h)) or None
+
+    def _covering_for(self, h):
+        """The ``(bag, k) -> covering labels`` cache, kept for ``h``."""
         if h is not self._cached_for:
             self._covering.clear()
             self._cached_for = h
-        return _label_pairs(h, k, self.labels, node[0], kids, self._covering) or None
+        return self._covering
 
 
 def connected_cover(h, bag, k):
@@ -218,17 +246,24 @@ def _label_pairs(h, k, labels, bag, kids, covering):
     ``k`` edges, and one pair from each child (:func:`_merge_used`).
     ``covering`` caches those labels per ``(bag, k)`` for ``h``.
     """
-    if (bag, k) not in covering:
-        covering[bag, k] = [
+    pairs = set()
+    for p in _covering_labels(h, k, labels, bag, covering):
+        pairs.update((p, used) for used in _merge_used(p, kids))
+    return frozenset(pairs)
+
+
+def _covering_labels(h, k, labels, bag, covering):
+    """The labels, sorted, whose edges cover ``bag`` within ``k``
+    edges; read from, or filled into, the cache ``covering``."""
+    got = covering.get((bag, k))
+    if got is None:
+        got = covering[bag, k] = [
             p for p in sorted(set(labels.values()))
             if minimum_cover(
                 h, bag, [m if labels.get(e) == p else 0 for e, m in enumerate(h.edge_masks)], k
             ) is not None
         ]
-    pairs = set()
-    for p in covering[bag, k]:
-        pairs.update((p, used) for used in _merge_used(p, kids))
-    return frozenset(pairs)
+    return got
 
 
 def _merge_used(p, kids):
@@ -265,24 +300,43 @@ def partitions_used(h, td, labels, k):
 # cost keys and orders
 
 
-@dataclass(frozen=True)
 class CostKey:
     """Totally ordered cost: the real value snapped to the
     ``COST_TOLERANCE`` grid, then node count, then the canonical bag
-    sequence as scale-free tie keys.  ``sort_key`` is that tuple.  A
-    ``rank``, when given, leads it and outweighs any cost; the keys of
-    one order either all carry a rank or none does."""
+    sequence as scale-free tie keys.  ``sort_key`` is that tuple, made
+    once by the constructor.  A ``rank``, when given, leads it and
+    outweighs any cost; the keys of one order either all carry a rank
+    or none does.
 
-    cost: float
-    nodes: int
-    bags: tuple
-    rank: int | None = None
+    Keys are values: two are equal, and hash alike, when their cost,
+    node count, bags and rank are.  They are not to be changed once
+    made.
+    """
 
-    def __post_init__(self):
-        grid = self.cost / COST_TOLERANCE
+    __slots__ = ("cost", "nodes", "bags", "rank", "sort_key")
+
+    def __init__(self, cost, nodes, bags, rank=None):
+        self.cost = cost
+        self.nodes = nodes
+        self.bags = bags
+        self.rank = rank
+        grid = cost / COST_TOLERANCE
         snapped = round(grid) if math.isfinite(grid) else grid
-        tail = (snapped, self.nodes, self.bags)
-        object.__setattr__(self, "sort_key", tail if self.rank is None else (self.rank, *tail))
+        self.sort_key = (snapped, nodes, bags) if rank is None else (rank, snapped, nodes, bags)
+
+    def _fields(self):
+        return self.cost, self.nodes, self.bags, self.rank
+
+    def __eq__(self, other):
+        if other.__class__ is not CostKey:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "CostKey(cost={!r}, nodes={!r}, bags={!r}, rank={!r})".format(*self._fields())
 
     def __lt__(self, other):
         return self.sort_key < other.sort_key
@@ -295,17 +349,17 @@ def _canonical_bags(td):
     return tuple(sorted(ids_of(b) for b in td.bags))
 
 
-def _compose(cost, ids, kids):
+def _compose(cost, ids, kids, rank=None):
     """The key of the subtree whose root bag holds the vertices ``ids``
-    over the child keys ``kids``: node count and canonical bags merged
-    from the children's."""
+    over the children's ``(key, state)`` pairs ``kids``: node count and
+    canonical bags merged from the children's keys."""
     nodes = 1
     bags = [ids]
-    for key in kids:
+    for key, _ in kids:
         nodes += key.nodes
         bags.extend(key.bags)
     bags.sort()
-    return CostKey(cost, nodes, tuple(bags))
+    return CostKey(cost, nodes, tuple(bags), rank)
 
 
 def trivial_order():
@@ -316,7 +370,7 @@ def trivial_order():
         return CostKey(0.0, len(td), _canonical_bags(td))
 
     def step(node, kids):
-        return _compose(0.0, ids_of(node[0]), [key for key, _ in kids]), None
+        return _compose(0.0, ids_of(node[0]), kids), None
 
     key.step = step
     key.pairs_with = (AlwaysTrue, ConnectedCover)
@@ -340,7 +394,7 @@ def cost_order(stats):
         if got is None:
             got = local[(bag, cover)] = bag_terms(bag, cover, stats), ids_of(bag)
         summary = combine(bag, got[0], [state for _, state in kids])[0]
-        return _compose(summary.total, got[1], [key for key, _ in kids]), summary
+        return _compose(summary.total, got[1], kids), summary
 
     key.step = step
     key.pairs_with = (AlwaysTrue, ConnectedCover)
@@ -361,8 +415,7 @@ def cyclicity_order(h):
 
     def step(node, kids):
         depth = _bad_depth(h, node[0], [state for _, state in kids])
-        plain = _compose(float(max(depth, 0)), ids_of(node[0]), [key for key, _ in kids])
-        return replace(plain, rank=depth + 1), depth
+        return _compose(float(max(depth, 0)), ids_of(node[0]), kids, depth + 1), depth
 
     key.step = step
     key.pairs_with = (ShallowCyclicity, AlwaysTrue)
@@ -381,13 +434,14 @@ def partition_order(h, labels, k, stats=None):
 
     def key(td):
         used = partitions_used(h, td, labels, k)
-        return replace(base(td), rank=len(td) + 1 if used is None else used)
+        plain = base(td)
+        return CostKey(plain.cost, plain.nodes, plain.bags, len(td) + 1 if used is None else used)
 
     def step(node, kids):
         plain, state = base.step(node, [(kid, s) for kid, (s, _) in kids])
         pairs = _label_pairs(h, k, labels, node[0], [p for _, (_, p) in kids], covering)
         rank = min((len(u) for _, u in pairs), default=plain.nodes + 1)
-        return replace(plain, rank=rank), (state, pairs)
+        return CostKey(plain.cost, plain.nodes, plain.bags, rank), (state, pairs)
 
     key.step = step
     key.pairs_with = (PartitionClustering, AlwaysTrue)
@@ -431,7 +485,9 @@ def solve_constrained(h, bags, constraint, order):
     entries of the sub-blocks.  Each block's candidates are walked
     once (module docstring).  A candidate is skipped when a sub-block
     has no entry, which marks it failed, or when the tree fails the
-    constraint.  Keys compare with a strict ``<``, so among equal keys
+    constraint; when it fails and ``constraint.bag_ok`` is False for its
+    bag, it is marked failed in every component, as no tree holding it
+    satisfies.  Keys compare with a strict ``<``, so among equal keys
     the first candidate in the search's order wins, whatever the order
     of ``bags``.  The block graph is acyclic, so one pass suffices.
 
@@ -464,6 +520,7 @@ def solve_constrained(h, bags, constraint, order):
     entries = {}  # block -> Entry, or None if no tree satisfies
     scored = {}  # (X, *Ys) -> Entry, or None if the tree fails
     root_covers = {}  # root bag -> minimum cover, filled on first use
+    everything = h.all_vertices_mask
 
     def score(x, parts):
         if x not in root_covers:
@@ -510,6 +567,9 @@ def solve_constrained(h, bags, constraint, order):
                 if subs is None:
                     continue
                 scored[pair] = score(x, subs)
+                if scored[pair] is None and not constraint.bag_ok(h, x, k):
+                    # No tree holding x satisfies: drop x from every block.
+                    search.fail(i, everything)
             got = scored[pair]
             if got is not None and (best is None or got.key < best.key):
                 best = got

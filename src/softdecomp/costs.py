@@ -217,10 +217,22 @@ def combine(bag, terms, kids):
     for kid in kids:
         below |= kid.reducible
     shrink = bag & below
-    kid_reduced = [reduced_size(kid, shrink) for kid in kids]
-    scan = _xlog(terms.join) if kids and all(r > 0 for r in kid_reduced) else 0.0
-    total = terms.cost + scan + sum(kid.total + _xlog(r) for kid, r in zip(kids, kid_reduced))
-    empty = any(r == 0 for r in kid_reduced)
+    # One pass over the children, with reduced_size and _xlog written
+    # out; ``below_cost`` sums from 0 in child order, as sum() would.
+    kid_reduced = []
+    below_cost = 0
+    positive = True
+    empty = False
+    log2 = math.log2
+    for kid in kids:
+        r = 0.0 if kid.empty else kid.join / (1 + (shrink & kid.bag).bit_count())
+        kid_reduced.append(r)
+        below_cost += kid.total + (r * log2(r) if r > 1 else 0.0)
+        if not r > 0:
+            positive = False
+            empty = empty or r == 0
+    scan = _xlog(terms.join) if kids and positive else 0.0
+    total = terms.cost + scan + below_cost
     summary = CostSummary(bag, terms.join, total, empty, terms.reducible | below, shrink)
     return summary, kid_reduced, scan
 

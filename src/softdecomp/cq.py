@@ -148,26 +148,34 @@ def parse_cq(text):
 # SQL
 
 
-_UNSUPPORTED = [
-    (r"\bor\b", "OR"),
-    (r"\bunion\b", "UNION"),
-    (r"\bgroup\s+by\b", "GROUP BY"),
-    (r"\bouter\b", "OUTER JOIN"),
-    (r"\bleft\b", "LEFT JOIN"),
-    (r"\bright\b", "RIGHT JOIN"),
-    (r"\bnot\b", "NOT"),
-    (r"[<>]|!=", "non-equality comparison"),
-    (r"\blike\b", "LIKE"),
-]
+# The constructs the SQL parser rejects, in the order it reports them;
+# a subquery (more than one SELECT) is reported before any of them.
+_UNSUPPORTED = (
+    "OR",
+    "UNION",
+    "GROUP BY",
+    "OUTER JOIN",
+    "LEFT JOIN",
+    "RIGHT JOIN",
+    "NOT",
+    "non-equality comparison",
+    "LIKE",
+)
+# One scan of the lowered text finds every construct: group 1 is a
+# SELECT, group i + 2 the construct _UNSUPPORTED[i].
+_CONSTRUCT_RE = re.compile(
+    r"\b(?:(select)|(or)|(union)|(group\s+by)|(outer)|(left)|(right)|(not))\b"
+    r"|([<>]|!=)|\b(like)\b"
+)
 
 
 def _check_supported(sql):
-    lowered = sql.lower()
-    if len(re.findall(r"\bselect\b", lowered)) > 1:
+    hits = [m.lastindex for m in _CONSTRUCT_RE.finditer(sql.lower())]
+    if hits.count(1) > 1:
         raise UnsupportedSqlError("unsupported construct: subquery")
-    for pat, name in _UNSUPPORTED:
-        if re.search(pat, lowered):
-            raise UnsupportedSqlError(f"unsupported construct: {name}")
+    first = min((g for g in hits if g > 1), default=None)
+    if first is not None:
+        raise UnsupportedSqlError(f"unsupported construct: {_UNSUPPORTED[first - 2]}")
 
 
 _FROM_ITEM_RE = re.compile(

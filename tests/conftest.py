@@ -6,10 +6,12 @@ failures reproduce from the seed alone.
 
 import random
 import string
+from itertools import combinations
 
 import pytest
 
 from softdecomp import ConjunctiveQuery, Atom, StatsCatalog
+from softdecomp.hypergraph import cover_is_connected, ids_of
 from softdecomp.gallery import random_connected_hypergraph  # noqa: F401  (tests import it from here)
 
 
@@ -25,6 +27,38 @@ def force_bag_paths(monkeypatch, threshold):
     for name in vars(bags):
         if name.endswith("_THRESHOLD"):
             monkeypatch.setattr(bags, name, threshold)
+
+
+def edge_cover_bags(h, k, connected=False):
+    """Distinct unions of at most ``k`` edges, usable as decomposition
+    nodes: the plain edge-cover bag family that criterion 2 counts.
+
+    A union that is a strict subset of a single edge is dropped: a node
+    with such a bag is always subsumed by a node carrying the whole edge.
+    With ``connected=True``, only bags with some exact connected cover
+    are kept, i.e. a set of at most ``k`` edges whose union equals the
+    bag and that forms a connected subhypergraph.
+
+    Returns a dict mapping each bag mask, by ascending vertex ids, to
+    its first (or first connected) witness tuple of edge ids.
+    """
+    masks = h.edge_masks
+    witnesses = {}
+    for size in range(1, k + 1):
+        for combo in combinations(range(h.n_edges), size):
+            m = 0
+            for i in combo:
+                m |= masks[i]
+            if m in witnesses:
+                continue
+            if connected and not cover_is_connected([masks[i] for i in combo]):
+                continue
+            witnesses[m] = combo
+    return {
+        m: witnesses[m]
+        for m in sorted(witnesses, key=ids_of)
+        if not any(m != em and not m & ~em for em in masks)
+    }
 
 
 def brute_component_unions(edge_masks, sep):

@@ -22,7 +22,6 @@ from softdecomp import (
     attach_covers,
     compile_plan,
     cost_order,
-    edge_cover_bags,
     enumerate_all_ctds,
     enumerate_top_n,
     execute_plan,
@@ -45,6 +44,7 @@ from softdecomp.hypergraph import ids_of, mask_of
 from softdecomp.solver import TreeDecomposition, minimum_cover
 
 from conftest import (
+    edge_cover_bags,
     random_connected_hypergraph,
     random_cq,
     random_database,

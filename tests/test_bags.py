@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from softdecomp import (
     ResourceBudgetError,
-    edge_cover_bags,
     gallery,
     iterate_level,
     soft_bags,
@@ -38,6 +37,7 @@ from conftest import (
     FORCE_NUMPY,
     FORCE_PYTHON,
     brute_component_unions,
+    edge_cover_bags,
     force_bag_paths,
     random_connected_hypergraph,
 )
@@ -743,8 +743,6 @@ def test_step_budget_raises():
     h = gallery("H2").hypergraph
     with pytest.raises(ResourceBudgetError):
         soft_bags(h, 2, max_steps=3)
-    with pytest.raises(ResourceBudgetError):
-        edge_cover_bags(h, 2, max_steps=3)
 
 
 def test_next_pool_stops_at_the_step_budget(monkeypatch):

@@ -31,13 +31,14 @@ from softdecomp import (
 from softdecomp.gallery import SQL_QUERIES, witness_order
 from softdecomp.oracles import OracleBudgetError
 from softdecomp.constraints import (
+    Constraint,
     CostKey,
     connected_cover,
     cyclicity_depth,
     partitions_used,
 )
 from softdecomp import solver as solver_module
-from softdecomp.solver import TreeDecomposition
+from softdecomp.solver import TreeDecomposition, minimum_cover
 from softdecomp.hypergraph import mask_of
 
 from conftest import random_connected_hypergraph, random_stats
@@ -168,6 +169,18 @@ def test_cost_key_order_is_transitive():
     for x, y, z in permutations([a, b, c]):
         assert not (x < y and y < z and z < x)
     assert {tuple(sorted(p)) for p in permutations([a, b, c])} == {(a, c, b)}
+
+
+def test_cost_keys_are_values():
+    a = CostKey(1.5, 2, ((0,), (1,)), rank=3)
+    b = CostKey(1.5, 2, ((0,), (1,)), rank=3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.sort_key == (3, 1_500_000_000, 2, ((0,), (1,)))
+    # Equality is on the fields, not on the snapped sort key.
+    assert CostKey(1.0, 2, ()) != CostKey(1.0 + 1e-12, 2, ())
+    assert a != CostKey(1.5, 2, ((0,), (1,)))
+    assert a != (1.5, 2, ((0,), (1,)), 3)
+    assert repr(a) == "CostKey(cost=1.5, nodes=2, bags=((0,), (1,)), rank=3)"
 
 
 # --- the optimizing solver ----------------------------------------------------
@@ -393,8 +406,12 @@ def test_partition_order_ranks_partitions_before_cost():
         assert key.cost == subtree_cost(td, stats).total
 
 
+def _labelled(h):
+    return {e: "p" if e % 2 else "q" for e in range(h.n_edges)}
+
+
 def _pairings(h, k, stats):
-    labels = {e: "p" if e % 2 else "q" for e in range(h.n_edges)}
+    labels = _labelled(h)
     return [
         (AlwaysTrue(), trivial_order()),
         (ConnectedCover(), cost_order(stats)),
@@ -648,6 +665,123 @@ def test_a_sub_block_without_satisfying_trees_prunes_its_candidate(monkeypatch):
     top = enumerate_top_n(h, bags, ConnectedCover(), trivial_order(), n=1)
     assert keys == [top.keys[0].sort_key] * 2
     assert trees[0] == trees[1]
+
+
+def _builtin_constraints(h):
+    labels = _labelled(h)
+    return [
+        AlwaysTrue(),
+        ConnectedCover(),
+        ShallowCyclicity(0),
+        ShallowCyclicity(1),
+        PartitionClustering(labels),
+        ConnectedCover() & ShallowCyclicity(1),
+        ConnectedCover() & PartitionClustering(labels),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:constraint/order pairing")
+def test_a_bag_failing_alone_fails_under_any_children():
+    # bag_ok False is sound: step fails the bag as a leaf and over child
+    # states taken from real DP entries of the same constraint.
+    rng = random.Random(4242)
+    refuted = [0] * 7  # bags refuted, per entry of _builtin_constraints
+    for _ in range(25):
+        h = random_connected_hypergraph(rng, 7, 7)
+        for k in (2, 3):
+            bags = soft_bags(h, k)
+            for which, constraint in enumerate(_builtin_constraints(h)):
+                kids = list(solve_constrained(h, bags, constraint, trivial_order()).table.values())
+                for x in bags:
+                    if constraint.bag_ok(h, x, k):
+                        continue
+                    refuted[which] += 1
+                    cover = minimum_cover(h, x, max_size=k)
+                    assert constraint.step(h, k, (x, cover, ()), []) is None
+                    for n in (1, 2):
+                        for _ in range(3):
+                            if len(kids) < n:
+                                break
+                            below = rng.sample(kids, n)
+                            node = (x, cover, tuple(e.node for e in below))
+                            assert constraint.step(h, k, node, [e.holds_state for e in below]) is None
+    # Exactly the constraints with a bag-local verdict refute bags.
+    assert [bool(n) for n in refuted] == [False, True, False, False, True, True, True]
+
+
+class _Unmarked(Constraint):
+    """``inner`` with the base class's ``bag_ok``: the DP marks no bag
+    failed by itself."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def holds(self, h, td, k):
+        return self.inner.holds(h, td, k)
+
+    def step(self, h, k, node, kids):
+        return self.inner.step(h, k, node, kids)
+
+
+@pytest.mark.filterwarnings("ignore:constraint/order pairing")
+def test_marking_a_bag_failed_alone_changes_no_answer():
+    # Every built-in pairing, with and without the mark: the same
+    # verdict, key and tree, and never more work with the mark.
+    rng = random.Random(77)
+    cases = []
+    for name, sql in SQL_QUERIES.items():
+        _, h = sql_to_cq(sql)
+        cases.append((h, gallery(name).widths["concov_shw"]))
+    cases += [(random_connected_hypergraph(rng, 7, 7), k) for _ in range(20) for k in (2, 3)]
+    saved = 0
+    for h, k in cases:
+        bags = soft_bags(h, k)
+        stats = random_stats(rng, h, witness_order(h, k))
+        for constraint, order in _pairings(h, k, stats):
+            got = []
+            for c in (constraint, _Unmarked(constraint)):
+                res = solve_constrained(h, bags, c, order)
+                text = res.decomposition.to_text() if res.accepted else None
+                got.append((res.accepted, res.key and res.key.sort_key, text, res.evals, res.pairs))
+            marked, unmarked = got
+            assert marked[:3] == unmarked[:3]
+            assert unmarked[3] >= marked[3] and unmarked[4] >= marked[4]
+            saved += unmarked[4] - marked[4]
+    assert saved > 0
+
+
+def test_a_bag_is_asked_for_its_verdict_only_after_failing():
+    # Asking every walked candidate first would run the verdict on every
+    # bag of a large set; the DP asks only for a bag whose pair just
+    # failed, and never again after a False verdict marks the bag.
+    failed, refuted = set(), []
+
+    class Spy(PartitionClustering):
+        def step(self, h, k, node, kids):
+            state = super().step(h, k, node, kids)
+            if state is None:
+                failed.add(node[0])
+            return state
+
+        def bag_ok(self, h, bag, k):
+            assert bag in failed
+            ok = super().bag_ok(h, bag, k)
+            if not ok:
+                refuted.append(bag)
+            return ok
+
+    rng = random.Random(31)
+    runs = 0
+    for _ in range(20):
+        h = random_connected_hypergraph(rng, 7, 7)
+        for k in (2, 3):
+            failed.clear()
+            refuted.clear()
+            labels = _labelled(h)
+            solve_constrained(h, soft_bags(h, k), Spy(labels), partition_order(h, labels, k))
+            assert len(refuted) == len(set(refuted))
+            runs += bool(refuted)
+    assert runs > 5
 
 
 # --- top-n enumeration ---------------------------------------------------------

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from softdecomp import (
@@ -8,6 +11,7 @@ from softdecomp import (
     parse_cq,
     sql_to_cq,
 )
+from softdecomp.cq import _check_supported
 
 
 def test_parse_with_head():
@@ -157,3 +161,95 @@ def test_select_inside_a_name_is_not_a_subquery():
     cq, h = sql_to_cq("SELECT MIN(r.a) FROM r, s WHERE r.a = s.a AND r.b = s.selected")
     assert len(cq.atoms) == 2
     assert h.n_vertices == 2
+
+
+# --- the check for unsupported constructs ------------------------------------
+
+# The check as ten searches: a second SELECT first, then each construct
+# in this order.  The one-scan check must give the same verdicts.
+_REFERENCE_PATTERNS = [
+    (r"\bor\b", "OR"),
+    (r"\bunion\b", "UNION"),
+    (r"\bgroup\s+by\b", "GROUP BY"),
+    (r"\bouter\b", "OUTER JOIN"),
+    (r"\bleft\b", "LEFT JOIN"),
+    (r"\bright\b", "RIGHT JOIN"),
+    (r"\bnot\b", "NOT"),
+    (r"[<>]|!=", "non-equality comparison"),
+    (r"\blike\b", "LIKE"),
+]
+
+
+def _reference_message(sql):
+    lowered = sql.lower()
+    if len(re.findall(r"\bselect\b", lowered)) > 1:
+        return "unsupported construct: subquery"
+    for pat, name in _REFERENCE_PATTERNS:
+        if re.search(pat, lowered):
+            return f"unsupported construct: {name}"
+    return None
+
+
+def _message(sql):
+    try:
+        _check_supported(sql)
+    except UnsupportedSqlError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize(
+    "sql, construct",
+    [
+        ("SELECT * FROM r, s WHERE r.a = s.a OR r.b = s.b", "OR"),
+        ("SELECT a FROM r UNION SELECT a FROM s", "subquery"),
+        ("SELECT * FROM r UNION ALL t", "UNION"),
+        ("SELECT * FROM r, s WHERE r.a = s.a GROUP\n  BY r.a", "GROUP BY"),
+        ("SELECT * FROM r FULL OUTER JOIN s ON r.a = s.a", "OUTER JOIN"),
+        ("SELECT * FROM r LEFT JOIN s ON r.a = s.a", "LEFT JOIN"),
+        ("SELECT * FROM r RIGHT JOIN s ON r.a = s.a", "RIGHT JOIN"),
+        ("SELECT * FROM r, s WHERE NOT r.a = s.a", "NOT"),
+        ("SELECT * FROM r WHERE r.a > 3", "non-equality comparison"),
+        ("SELECT * FROM r WHERE r.a <= 3", "non-equality comparison"),
+        ("SELECT * FROM r WHERE r.a != 3", "non-equality comparison"),
+        ("SELECT * FROM r, s WHERE r.a LIKE 'x%'", "LIKE"),
+        ("SELECT * FROM r WHERE r.a = (SELECT MIN(b) FROM s)", "subquery"),
+        # Two constructs: the one reported first wins, wherever it stands.
+        ("SELECT * FROM r WHERE r.a LIKE 'x' OR r.b = 1", "OR"),
+        ("SELECT * FROM r LEFT OUTER JOIN s ON r.a = s.a", "OUTER JOIN"),
+        ("SELECT * FROM r WHERE r.a < 3 AND NOT r.b = 1", "NOT"),
+        ("SELECT * FROM r WHERE r.a LIKE 'x' AND r.b > 1", "non-equality comparison"),
+        ("SELECT * FROM r RIGHT JOIN s ON r.a = s.a GROUP BY r.a", "GROUP BY"),
+        ("SELECT * FROM r WHERE r.a = 1 OR r.b IN (SELECT b FROM s)", "subquery"),
+    ],
+)
+def test_each_unsupported_construct_has_its_message(sql, construct):
+    with pytest.raises(UnsupportedSqlError, match=f"^unsupported construct: {construct}$"):
+        sql_to_cq(sql)
+    assert _message(sql) == _reference_message(sql)
+
+
+def test_words_that_hold_a_construct_pass_the_check():
+    # "order", "notes", "leftover", "likely", "groups by": no whole
+    # keyword, and "=" alone is an equality.
+    for sql in ("SELECT a FROM r WHERE r.order = r.notes",
+                "SELECT a FROM leftover, likely WHERE leftover.x = likely.x",
+                "SELECT a FROM r WHERE r.groups = r.by"):
+        assert _message(sql) is None
+        assert _reference_message(sql) is None
+
+
+def test_one_scan_agrees_with_ten_searches():
+    rng = random.Random(2024)
+    words = ["select", "SELECT", "or", "order", "union", "group", "by", "groupby", "outer",
+             "left", "right", "not", "notes", "like", "likely", "from", "where", "and",
+             "r.a", "=", "<", ">", "!=", "!", "<>", "(", ")", ",", "_or", "or_", "\n", " "]
+    seen = set()
+    for _ in range(3000):
+        sql = "".join(rng.choice(words) + rng.choice(["", " ", "  ", "\t"])
+                      for _ in range(rng.randint(1, 12)))
+        got = _message(sql)
+        assert got == _reference_message(sql), sql
+        seen.add(got)
+    # Every verdict, a pass included, came up.
+    assert len(seen) == len(_REFERENCE_PATTERNS) + 2

@@ -12,7 +12,6 @@ from softdecomp import (
     TreeDecomposition,
     attach_covers,
     cost_order,
-    edge_cover_bags,
     gallery,
     parse_hypergraph,
     soft_bags,
